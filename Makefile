@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-quick lint bench bench-gate batch serve clean
+.PHONY: all build test test-quick lint bench bench-gate perf-check batch serve clean
 
 all: build lint test
 
@@ -42,6 +42,12 @@ bench-gate:
 	ART9_BENCH_GATE=1 ART9_BENCH_GATE_OUT=$(CURDIR)/BENCH_kernels.json \
 		$(GO) test -run TestPackedKernelSpeedupGate -v ./internal/ternary/
 	$(GO) test -run=NONE -bench=BenchmarkSimulatorThroughput -benchtime=1s .
+
+## perf-check: vet and test the art9-perf benchmark (cmd/art9-perf is a Go
+## module of its own, so build, lint and test above never compile it)
+perf-check:
+	$(GO) -C cmd/art9-perf vet ./...
+	$(GO) -C cmd/art9-perf test ./...
 
 ## batch: run the example manifest through the engine, emit BENCH_report.json
 batch:

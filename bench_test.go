@@ -221,7 +221,8 @@ func BenchmarkAblationForwarding(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures the raw simulator speed
 // (instructions per second of host time) — the practical figure of merit
-// of the cycle-accurate model itself.
+// of the cycle-accurate model itself — and the bytes each fresh machine
+// allocates.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	prog, err := art9.Assemble(`
 		LDI T1, 0
@@ -238,6 +239,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("pipelined", func(b *testing.B) {
+		b.ReportAllocs()
 		var retired uint64
 		for i := 0; i < b.N; i++ {
 			pl := sim.NewPipeline(sim.Config{})
@@ -253,6 +255,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "inst/s")
 	})
 	b.Run("functional", func(b *testing.B) {
+		b.ReportAllocs()
 		var retired uint64
 		for i := 0; i < b.N; i++ {
 			f := sim.NewFunctional(sim.Config{})

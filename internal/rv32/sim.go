@@ -11,7 +11,13 @@ type Machine struct {
 	PC   uint32
 	X    [NumRegs]uint32
 	Text []Inst
-	RAM  []byte
+
+	// RAM is the touched prefix of the data memory: Load sets it to the
+	// program's data image and a store past its end extends it with
+	// zeros. Bytes beyond it, up to the modelled size given to
+	// NewMachine, read as zero.
+	RAM     []byte
+	ramSize int // modelled RAM bytes: the bound for every load and store
 
 	MaxSteps int
 
@@ -33,20 +39,25 @@ type Observer interface {
 	Retire(in Inst, taken bool, shamt uint32)
 }
 
-// NewMachine builds a machine with ramBytes of data memory.
+// NewMachine builds a machine with ramBytes of data memory. Host memory
+// for the RAM is taken only as the program touches it.
 func NewMachine(ramBytes int) *Machine {
-	return &Machine{RAM: make([]byte, ramBytes), MaxSteps: 200_000_000}
+	return &Machine{ramSize: ramBytes, MaxSteps: 200_000_000}
 }
 
-// Load initialises the machine from an assembled program.
+// Load initialises the machine from an assembled program: RAM becomes the
+// data image alone, and the PC, registers and retirement statistics
+// restart from zero, so nothing of a previously loaded program survives.
+// Attached observers stay attached.
 func (m *Machine) Load(p *Program) error {
-	if len(p.Data) > len(m.RAM) {
-		return fmt.Errorf("rv32: data image %d bytes exceeds RAM %d", len(p.Data), len(m.RAM))
+	if len(p.Data) > m.ramSize {
+		return fmt.Errorf("rv32: data image %d bytes exceeds RAM %d", len(p.Data), m.ramSize)
 	}
 	m.Text = p.Insts
-	copy(m.RAM, p.Data)
+	m.RAM = append(m.RAM[:0], p.Data...)
 	m.PC = 0
 	m.X = [NumRegs]uint32{}
+	m.Retired, m.Loads, m.Stores, m.Taken, m.NotTkn = 0, 0, 0, 0, 0
 	return nil
 }
 
@@ -57,7 +68,7 @@ func (m *Machine) Observe(o Observer) { m.observers = append(m.observers, o) }
 func (m *Machine) Reg(r Reg) uint32 { return m.X[r] }
 
 func (m *Machine) load(addr uint32, size int, signed bool) (uint32, error) {
-	if int(addr)+size > len(m.RAM) {
+	if int(addr)+size > m.ramSize {
 		return 0, fmt.Errorf("rv32: load at %#x out of RAM", addr)
 	}
 	if addr%uint32(size) != 0 {
@@ -65,7 +76,11 @@ func (m *Machine) load(addr uint32, size int, signed bool) (uint32, error) {
 	}
 	var v uint32
 	for k := size - 1; k >= 0; k-- {
-		v = v<<8 | uint32(m.RAM[addr+uint32(k)])
+		var b byte
+		if i := int(addr) + k; i < len(m.RAM) {
+			b = m.RAM[i]
+		}
+		v = v<<8 | uint32(b)
 	}
 	if signed {
 		shift := 32 - 8*size
@@ -76,11 +91,15 @@ func (m *Machine) load(addr uint32, size int, signed bool) (uint32, error) {
 }
 
 func (m *Machine) store(addr uint32, size int, v uint32) error {
-	if int(addr)+size > len(m.RAM) {
+	end := int(addr) + size
+	if end > m.ramSize {
 		return fmt.Errorf("rv32: store at %#x out of RAM", addr)
 	}
 	if addr%uint32(size) != 0 {
 		return fmt.Errorf("rv32: misaligned %d-byte store at %#x", size, addr)
+	}
+	if end > len(m.RAM) {
+		m.RAM = append(m.RAM, make([]byte, end-len(m.RAM))...)
 	}
 	for k := 0; k < size; k++ {
 		m.RAM[addr+uint32(k)] = byte(v >> (8 * k))

@@ -43,13 +43,15 @@ type latchIFID struct {
 	inst  isa.Inst
 }
 
-// latchIDEX carries a decoded instruction with resolved operands.
+// latchIDEX carries a decoded instruction with its effect, evaluated in
+// ID from the forwarded operands. Those operands are final there (a
+// load-use hazard stalls instead of forwarding), so EX reuses the effect
+// rather than evaluating the instruction a second time.
 type latchIDEX struct {
-	valid  bool
-	pc     ternary.Packed
-	inst   isa.Inst
-	ta, tb ternary.Packed // forwarded operand values
-	halt   bool           // this instruction is the halt transfer
+	valid bool
+	inst  isa.Inst
+	eff   effect
+	halt  bool // this instruction is the halt transfer
 }
 
 // latchEXMEM carries the computed effect.
@@ -143,10 +145,9 @@ func (p *Pipeline) Run() (Result, error) {
 		}
 		exmem = latchEXMEM{}
 
-		// ---- EX: compute the effect with the operands resolved in ID.
+		// ---- EX: pass on the effect computed from the operands resolved in ID.
 		if idex.valid {
-			e := evaluate(idex.inst, idex.pc, idex.ta, idex.tb)
-			exmem = latchEXMEM{valid: true, inst: idex.inst, eff: e, halt: idex.halt}
+			exmem = latchEXMEM{valid: true, inst: idex.inst, eff: idex.eff, halt: idex.halt}
 		}
 		idex = latchIDEX{}
 
@@ -171,7 +172,7 @@ func (p *Pipeline) Run() (Result, error) {
 				tb := p.forward(in.Tb, exmem, memwb)
 				e := evaluate(in, ifid.pc, ta, tb)
 				halt := e.isHalt(ifid.pc)
-				idex = latchIDEX{valid: true, pc: ifid.pc, inst: in, ta: ta, tb: tb, halt: halt}
+				idex = latchIDEX{valid: true, inst: in, eff: e, halt: halt}
 				if halt {
 					stopFetch = true
 				} else if e.taken {
