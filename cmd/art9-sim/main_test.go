@@ -14,6 +14,7 @@ import (
 // user would. Regenerate goldens with:
 //
 //	go run ./cmd/art9-sim cmd/art9-sim/testdata/sum.t9s > cmd/art9-sim/testdata/sum.stats.golden
+//	go run ./cmd/art9-sim -trace cmd/art9-sim/testdata/sum.t9s > cmd/art9-sim/testdata/sum.trace.golden
 func TestMain(m *testing.M) {
 	if os.Getenv("ART9_SIM_CLI") == "1" {
 		main()
@@ -61,6 +62,15 @@ func TestPipelineStats(t *testing.T) {
 // may not change the architecture.
 func TestImageMode(t *testing.T) {
 	golden(t, "sum.stats.golden", runCLI(t, "-image", filepath.Join("testdata", "sum.tim")))
+}
+
+// TestPipelineTrace pins every byte of the per-cycle trace, from the
+// source and from its encoded image alike. The image carries no decoded
+// instruction stream, so each fetch decodes TIM; the assembled program
+// fetches from the stream. Both must render the same schedule.
+func TestPipelineTrace(t *testing.T) {
+	golden(t, "sum.trace.golden", runCLI(t, "-trace", filepath.Join("testdata", "sum.t9s")))
+	golden(t, "sum.trace.golden", runCLI(t, "-trace", "-image", filepath.Join("testdata", "sum.tim")))
 }
 
 // TestCoresAgreeOnRegisters runs both cores with -regs and compares the

@@ -35,7 +35,10 @@ import (
 // Program is the output of the assembler: a TIM image plus TDM
 // initialisation and the symbol table.
 type Program struct {
-	// Text is the decoded instruction stream, one entry per TIM word.
+	// Text is the decoded instruction stream, one entry per TIM word:
+	// len(Text) == len(Words) and Text[i] == isa.DecodePacked(
+	// ternary.Pack(Words[i])) for every i. The simulator fetches from Text
+	// instead of decoding TIM (sim.State.Load), so it relies on this.
 	Text []isa.Inst
 	// Words is the encoded TIM image, parallel to Text.
 	Words []ternary.Word

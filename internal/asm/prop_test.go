@@ -11,7 +11,9 @@ import (
 )
 
 // Property: any valid instruction stream survives the
-// render → assemble → encode → disassemble → reassemble cycle intact.
+// render → assemble → encode → disassemble → reassemble cycle intact, and
+// the decoded stream is exactly the decode of the encoded image — the
+// contract the simulator's fetch relies on (see Program.Text).
 func TestAssembleDisassembleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
@@ -42,6 +44,12 @@ func TestAssembleDisassembleProperty(t *testing.T) {
 		p1, err := Assemble(src.String())
 		if err != nil {
 			t.Fatalf("trial %d: assemble: %v\n%s", trial, err, src.String())
+		}
+		for i, w := range p1.Words {
+			if in, err := isa.DecodePacked(ternary.Pack(w)); err != nil || in != p1.Text[i] {
+				t.Fatalf("trial %d: Text[%d] = %v, but Words[%d] decodes as %v (%v)\n%s",
+					trial, i, p1.Text[i], i, in, err, src.String())
+			}
 		}
 		// Disassemble and reassemble.
 		var back strings.Builder

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/internal/isa"
-)
+import "fmt"
 
 // Functional is the instruction-accurate reference core: one instruction
 // per step, no micro-architecture. It defines the architectural semantics
@@ -23,13 +19,12 @@ func NewFunctional(cfg Config) *Functional {
 // retires a halt (jump-to-self).
 func (f *Functional) Step(res *Result) (done bool, err error) {
 	s := f.S
-	w, err := s.TIM.ReadP(s.PC.UIndex())
-	if err != nil {
-		return false, fmt.Errorf("sim: fetch at PC=%d: %w", s.PC.Int(), err)
+	in, fault, illegal := s.fetch(s.PC.UIndex())
+	if fault != nil {
+		return false, fmt.Errorf("sim: fetch at PC=%d: %w", s.PC.Int(), fault)
 	}
-	in, err := isa.DecodePacked(w)
-	if err != nil {
-		return false, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), err)
+	if illegal != nil {
+		return false, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), illegal)
 	}
 	e := evaluate(in, s.PC, s.TRF[in.Ta], s.TRF[in.Tb])
 	if e.isLoad {

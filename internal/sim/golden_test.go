@@ -7,9 +7,30 @@ import (
 	"repro/internal/asm"
 )
 
+// goldenSchedule is the byte-exact trace of the program below, one line
+// per cycle from cycle 1. Cycle 15 retires the halt and returns before its
+// line is rendered, so the 15-cycle run emits 14 lines.
+var goldenSchedule = []string{
+	"IF:LUI T1, 0          ID:-                  EX:-                  MEM:-                  WB:-                 ",
+	"IF:LI T1, 40          ID:LUI T1, 0          EX:-                  MEM:-                  WB:-                 ",
+	"IF:STORE T1, T0, 5    ID:LI T1, 40          EX:LUI T1, 0          MEM:-                  WB:-                 ",
+	"IF:LOAD T2, T0, 5     ID:STORE T1, T0, 5    EX:LI T1, 40          MEM:LUI T1, 0          WB:-                 ",
+	"IF:ADD T2, T2         ID:LOAD T2, T0, 5     EX:STORE T1, T0, 5    MEM:LI T1, 40          WB:LUI T1, 0         ",
+	"IF:-                  ID:ADD T2, T2         EX:LOAD T2, T0, 5     MEM:STORE T1, T0, 5    WB:LI T1, 40          [stall]",
+	"IF:BEQ T2, 0, 2       ID:ADD T2, T2         EX:-                  MEM:LOAD T2, T0, 5     WB:STORE T1, T0, 5   ",
+	"IF:ADDI T3, 1         ID:BEQ T2, 0, 2       EX:ADD T2, T2         MEM:-                  WB:LOAD T2, T0, 5    ",
+	"IF:JAL T4, 2          ID:ADDI T3, 1         EX:BEQ T2, 0, 2       MEM:ADD T2, T2         WB:-                 ",
+	"IF:-                  ID:JAL T4, 2          EX:ADDI T3, 1         MEM:BEQ T2, 0, 2       WB:ADD T2, T2         [redirect]",
+	"IF:JAL T8, 0          ID:-                  EX:JAL T4, 2          MEM:ADDI T3, 1         WB:BEQ T2, 0, 2      ",
+	"IF:-                  ID:JAL T8, 0          EX:-                  MEM:JAL T4, 2          WB:ADDI T3, 1        ",
+	"IF:-                  ID:-                  EX:JAL T8, 0          MEM:-                  WB:JAL T4, 2         ",
+	"IF:-                  ID:-                  EX:-                  MEM:JAL T8, 0          WB:-                 ",
+}
+
 // TestGoldenPipelineSchedule pins the exact cycle-by-cycle behaviour of
-// the §IV-B pipeline on a program exercising both stall sources. If the
-// microarchitecture changes, this fails loudly with the full schedule.
+// the §IV-B pipeline on a program exercising both stall sources: the
+// accounting, every byte of the trace, and the TIM reads of both cores. If
+// the microarchitecture changes, this fails loudly with the full schedule.
 func TestGoldenPipelineSchedule(t *testing.T) {
 	p, err := asm.Assemble(`
 		LDI T1, 40       ; LUI + LI (2 words)
@@ -27,7 +48,12 @@ func TestGoldenPipelineSchedule(t *testing.T) {
 	}
 	pl := NewPipeline(Config{})
 	var trace []string
-	pl.Trace = func(cycle uint64, line string) { trace = append(trace, line) }
+	pl.Trace = func(cycle uint64, line string) {
+		if want := uint64(len(trace) + 1); cycle != want {
+			t.Errorf("trace line %d reported for cycle %d", want, cycle)
+		}
+		trace = append(trace, line)
+	}
 	if err := pl.S.Load(p); err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +87,34 @@ func TestGoldenPipelineSchedule(t *testing.T) {
 		t.Errorf("T3 = %d, want 1 (fall-through executed, post-JAL skipped)", got)
 	}
 
-	// The trace must show the stall (ID holds while EX bubbles) and the
-	// redirect marker.
-	joined := strings.Join(trace, "\n")
-	if !strings.Contains(joined, "[stall]") {
-		t.Error("schedule missing the load-use stall marker")
+	// The trace shows the stall (ID holds while EX bubbles) on cycle 6 and
+	// the redirect on cycle 10, and every column on every line is pinned.
+	if len(trace) != len(goldenSchedule) {
+		t.Errorf("trace has %d lines, want %d", len(trace), len(goldenSchedule))
 	}
-	if !strings.Contains(joined, "[redirect]") {
-		t.Error("schedule missing the taken-transfer redirect marker")
+	for i := 0; i < min(len(trace), len(goldenSchedule)); i++ {
+		if trace[i] != goldenSchedule[i] {
+			t.Errorf("cycle %d trace:\n got %q\nwant %q", i+1, trace[i], goldenSchedule[i])
+		}
+	}
+
+	// Every fetch is one TIM read, whether the decoded stream or TIM
+	// served it. Both cores fetch each retired instruction exactly once:
+	// the pipeline's ID redirects or stops fetch before IF runs in the
+	// same cycle, so nothing is fetched down a wrong path.
+	f := NewFunctional(Config{})
+	if err := f.S.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		core string
+		s    *State
+	}{{"pipeline", pl.S}, {"functional", f.S}} {
+		if r, w := c.s.TIM.Accesses(); r != 9 || w != 0 {
+			t.Errorf("%s TIM accesses = %d/%d, want 9/0", c.core, r, w)
+		}
 	}
 }

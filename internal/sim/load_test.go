@@ -82,3 +82,41 @@ func TestLoadResetsStateBetweenPrograms(t *testing.T) {
 		t.Errorf("T1 = %d, want 5", got)
 	}
 }
+
+// TestLoadDropsDecodedStream reloads a State that last ran an assembled
+// program with a bare TIM image, which carries no decoded stream. Every
+// fetch must then decode the new TIM words, not replay the old stream.
+func TestLoadDropsDecodedStream(t *testing.T) {
+	first, err := asm.Assemble(`
+		LDI T1, 111
+		ADDI T1, 1
+		HALT
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := asm.Assemble(`
+		LDI T1, 5
+		ADD T1, T1
+		HALT
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFunctional(Config{})
+	if err := f.S.Load(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.S.Load(&asm.Program{Words: second.Words}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.S.Reg(1).Int(); got != 10 {
+		t.Errorf("T1 = %d, want 10 from the reloaded image", got)
+	}
+}

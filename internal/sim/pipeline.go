@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/isa"
@@ -82,6 +83,13 @@ func (p *Pipeline) Run() (Result, error) {
 
 		fetchPC   = p.S.PC
 		stopFetch bool // halt observed in ID: stop issuing new work
+
+		trace = p.Trace
+		// Trace only: what each stage works on this cycle (see traceLine).
+		ifS, idS latchIFID
+		exS      latchIDEX
+		memS     latchEXMEM
+		wbS      latchMEMWB
 	)
 
 	for cycle := 0; cycle < p.cfg.MaxSteps; cycle++ {
@@ -89,7 +97,10 @@ func (p *Pipeline) Run() (Result, error) {
 
 		// Pre-shift snapshots: the instruction each stage is working on
 		// THIS cycle, for the trace line rendered at the cycle's end.
-		idS, exS, memS, wbS := ifid, idex, exmem, memwb
+		// Untraced they would be dead copies, so take them only when tracing.
+		if trace != nil {
+			ifS, idS, exS, memS, wbS = latchIFID{}, ifid, idex, exmem, memwb
+		}
 
 		// ---- WB: retire memwb (first half of cycle: write TRF).
 		if memwb.valid {
@@ -184,7 +195,6 @@ func (p *Pipeline) Run() (Result, error) {
 		}
 
 		// ---- IF: fetch into ifid unless stalled or draining.
-		var ifS latchIFID // what IF fetched this cycle (for the trace)
 		if stalled {
 			// ifid retained; the bubble naturally flows from idex being
 			// empty next cycle.
@@ -194,21 +204,20 @@ func (p *Pipeline) Run() (Result, error) {
 		} else if stopFetch {
 			ifid = latchIFID{}
 		} else {
-			w, err := p.S.TIM.ReadP(fetchPC.UIndex())
-			if err != nil {
-				return res, fmt.Errorf("sim: IF at PC=%d: %w", fetchPC.Int(), err)
-			}
-			in, err := isa.DecodePacked(w)
-			if err != nil {
-				return res, fmt.Errorf("sim: IF at PC=%d: %w", fetchPC.Int(), err)
+			in, fault, illegal := p.S.fetch(fetchPC.UIndex())
+			if fault != nil || illegal != nil {
+				// Only one is set; both get the same IF fault text.
+				return res, fmt.Errorf("sim: IF at PC=%d: %w", fetchPC.Int(), errors.Join(fault, illegal))
 			}
 			ifid = latchIFID{valid: true, pc: fetchPC, inst: in}
 			fetchPC = fetchPC.Inc()
-			ifS = ifid
+			if trace != nil {
+				ifS = ifid // what IF fetched this cycle
+			}
 		}
 
-		if p.Trace != nil {
-			p.Trace(res.Cycles, p.traceLine(ifS, idS, exS, memS, wbS, stalled, redirect))
+		if trace != nil {
+			trace(res.Cycles, p.traceLine(ifS, idS, exS, memS, wbS, stalled, redirect))
 		}
 	}
 	return res, ErrNoHalt{p.cfg.MaxSteps}

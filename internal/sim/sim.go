@@ -60,11 +60,18 @@ func (c Config) withDefaults() Config {
 // the nine-entry ternary register file, and the two memories. PC and TRF
 // hold the bit-plane form (ternary.Packed) so the datapath never converts
 // per trit; Reg/SetReg expose the Word view at the boundary.
+//
+// Load also keeps a read-only reference to the program's decoded
+// instruction stream, and fetches inside that image are served from it
+// instead of decoding the TIM word. The stream mirrors TIM as of the last
+// Load: words written into TIM afterwards are seen only outside the image.
 type State struct {
 	PC  ternary.Packed
 	TRF [isa.NumRegs]ternary.Packed
 	TIM *tmem.Memory
 	TDM *tmem.Memory
+
+	text []isa.Inst // decoded TIM[0:len(text)] as of the last Load; shared, never written
 }
 
 // NewState builds a zeroed machine with the given configuration.
@@ -79,8 +86,11 @@ func NewState(cfg Config) *State {
 // Load initialises TIM and TDM from an assembled program and resets PC.
 // Both memories are Reset first, so reloading over a previously used State
 // neither leaks words beyond the new image nor carries stale access counts
-// into the power model.
+// into the power model. When p carries one decoded instruction per TIM
+// word (everything the assembler emits), fetches inside the image use
+// p.Text directly; it is shared, not copied.
 func (s *State) Load(p *asm.Program) error {
+	s.text = nil
 	s.TIM.Reset()
 	s.TDM.Reset()
 	if err := s.TIM.LoadImage(p.Words); err != nil {
@@ -89,8 +99,30 @@ func (s *State) Load(p *asm.Program) error {
 	if err := s.TDM.SetAll(p.Data); err != nil {
 		return err
 	}
+	if len(p.Text) == len(p.Words) {
+		s.text = p.Text
+	}
 	s.PC = ternary.Packed{}
 	return nil
+}
+
+// fetch returns the instruction at TIM address a and counts one TIM read,
+// whichever path serves it. Inside the image of the last Load that is the
+// decoded stream. Anywhere else — past the image, or on a State whose TIM
+// was filled without Load — the TIM word is read and decoded: an address
+// beyond TIM comes back as fault and an undecodable word as illegal, so
+// each core keeps its own fault text.
+func (s *State) fetch(a int) (in isa.Inst, fault, illegal error) {
+	if a < len(s.text) {
+		s.TIM.CountRead()
+		return s.text[a], nil, nil
+	}
+	w, err := s.TIM.ReadP(a)
+	if err != nil {
+		return isa.Inst{}, err, nil
+	}
+	in, err = isa.DecodePacked(w)
+	return in, nil, err
 }
 
 // Reg returns TRF[r].

@@ -87,6 +87,12 @@ func (m *Memory) ReadP(addr int) (ternary.Packed, error) {
 	return ternary.Packed{}, nil
 }
 
+// CountRead records one read without returning a word. It is for a caller
+// that serves an in-range read from its own copy of contents it loaded —
+// the simulator's decoded instruction stream — so the access statistics
+// stay those of the modelled memory.
+func (m *Memory) CountRead() { m.reads++ }
+
 // WriteP stores q at index addr, with the same bounds behaviour as ReadP.
 func (m *Memory) WriteP(addr int, q ternary.Packed) error {
 	if addr < 0 || addr >= m.size {

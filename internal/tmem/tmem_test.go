@@ -134,6 +134,11 @@ func TestAccessCounters(t *testing.T) {
 	if r != 3 || w != 5 {
 		t.Errorf("Accesses() = %d,%d; want 3,5", r, w)
 	}
+	// A read served from the caller's copy counts like any other.
+	m.CountRead()
+	if r, w := m.Accesses(); r != 4 || w != 5 {
+		t.Errorf("Accesses() after CountRead = %d,%d; want 4,5", r, w)
+	}
 }
 
 func TestSnapshotIsCopy(t *testing.T) {
