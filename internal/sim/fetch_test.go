@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,16 +75,20 @@ func TestFetchPastImage(t *testing.T) {
 
 // TestFetchFaultText pins each core's fault text on both fetch faults: an
 // illegal word planted in TIM without Load, and a jump past the end of a
-// 256-word TIM. The illegal word's read counts; the out-of-range read does
-// not.
+// 256-word TIM, to index 300 and to index 3^9−300, the word −300. The
+// message prints the balanced PC, and the core leaves State.PC there. The
+// illegal word's read counts; the out-of-range read does not.
 func TestFetchFaultText(t *testing.T) {
 	illegal := ternary.Word{}.SetField(7, 8, -4).SetField(4, 6, 13) // bad R minor
-	far, err := asm.Assemble("LDI T1, 300\nJALR T0, T1, 0\n")
-	if err != nil {
-		t.Fatal(err)
-	}
 	plant := func(s *State) error { return s.TIM.LoadImage([]ternary.Word{illegal}) }
-	load := func(s *State) error { return s.Load(far) }
+	loadJump := func(to int) func(*State) error {
+		p, err := asm.Assemble(fmt.Sprintf("LDI T1, %d\nJALR T0, T1, 0\n", to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(s *State) error { return s.Load(p) }
+	}
+	far, below := loadJump(300), loadJump(-300)
 	for _, c := range []struct {
 		name      string
 		pipelined bool
@@ -91,11 +96,14 @@ func TestFetchFaultText(t *testing.T) {
 		fill      func(*State) error
 		want      string
 		reads     uint64
+		pc        int
 	}{
-		{"functional illegal", false, Config{}, plant, "sim: at PC=0: isa: illegal R-type minor 13 in TT1110000", 1},
-		{"pipeline illegal", true, Config{}, plant, "sim: IF at PC=0: isa: illegal R-type minor 13 in TT1110000", 1},
-		{"functional past TIM", false, Config{TIMWords: 256}, load, "sim: fetch at PC=300: tmem: TIM read at 300 out of range [0,256)", 3},
-		{"pipeline past TIM", true, Config{TIMWords: 256}, load, "sim: IF at PC=300: tmem: TIM read at 300 out of range [0,256)", 3},
+		{"functional illegal", false, Config{}, plant, "sim: at PC=0: isa: illegal R-type minor 13 in TT1110000", 1, 0},
+		{"pipeline illegal", true, Config{}, plant, "sim: IF at PC=0: isa: illegal R-type minor 13 in TT1110000", 1, 0},
+		{"functional past TIM", false, Config{TIMWords: 256}, far, "sim: fetch at PC=300: tmem: TIM read at 300 out of range [0,256)", 3, 300},
+		{"pipeline past TIM", true, Config{TIMWords: 256}, far, "sim: IF at PC=300: tmem: TIM read at 300 out of range [0,256)", 3, 300},
+		{"functional below zero", false, Config{TIMWords: 256}, below, "sim: fetch at PC=-300: tmem: TIM read at 19383 out of range [0,256)", 3, -300},
+		{"pipeline below zero", true, Config{TIMWords: 256}, below, "sim: IF at PC=-300: tmem: TIM read at 19383 out of range [0,256)", 3, -300},
 	} {
 		s, run := newCore(c.pipelined, c.cfg)
 		if err := c.fill(s); err != nil {
@@ -106,6 +114,9 @@ func TestFetchFaultText(t *testing.T) {
 		}
 		if r, _ := s.TIM.Accesses(); r != c.reads {
 			t.Errorf("%s: %d TIM reads, want %d", c.name, r, c.reads)
+		}
+		if got := s.PC.Int(); got != c.pc {
+			t.Errorf("%s: PC = %d, want %d", c.name, got, c.pc)
 		}
 	}
 }

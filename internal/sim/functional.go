@@ -1,6 +1,11 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+	"repro/internal/ternary"
+)
 
 // Functional is the instruction-accurate reference core: one instruction
 // per step, no micro-architecture. It defines the architectural semantics
@@ -18,71 +23,90 @@ func NewFunctional(cfg Config) *Functional {
 // Step executes a single instruction. It returns done=true when the core
 // retires a halt (jump-to-self).
 func (f *Functional) Step(res *Result) (done bool, err error) {
-	s := f.S
-	in, fault, illegal := s.fetch(s.PC.UIndex())
-	if fault != nil {
-		return false, fmt.Errorf("sim: fetch at PC=%d: %w", s.PC.Int(), fault)
-	}
-	if illegal != nil {
-		return false, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), illegal)
-	}
-	e := evaluate(in, s.PC, s.TRF[in.Ta], s.TRF[in.Tb])
-	if e.isLoad {
-		v, err := s.TDM.ReadP(e.addr.UIndex())
-		if err != nil {
-			return false, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), err)
-		}
-		e.val = v
-		res.Loads++
-	}
-	if e.isStore {
-		if err := s.TDM.WriteP(e.addr.UIndex(), e.store); err != nil {
-			return false, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), err)
-		}
-		res.Stores++
-	}
-	if e.isHalt(s.PC) {
-		res.HaltPC = s.PC.UIndex()
-		res.Cycles++
-		res.Retired++
-		// The halt retires like any other instruction, so its opcode
-		// counts toward the mix — otherwise ΣOpMix < 1 and the
-		// switching-activity profile under-reports the datapath.
-		res.ByCategory[in.Op.Category()]++
-		res.ByOp[in.Op]++
-		return true, nil
-	}
-	if e.writesReg {
-		s.TRF[e.reg] = e.val
-	}
-	if e.branch {
-		if e.taken {
-			res.Taken++
-		} else {
-			res.NotTaken++
-		}
-	} else if e.taken {
-		res.Jumps++
-	}
-	res.ByCategory[in.Op.Category()]++
-	res.ByOp[in.Op]++
-	res.Cycles++
-	res.Retired++
-	s.PC = e.nextPC
-	return false, nil
+	return f.run(res, 1)
 }
 
 // Run executes until halt or the step budget is exhausted.
 func (f *Functional) Run() (Result, error) {
 	var res Result
-	for steps := 0; steps < f.cfg.MaxSteps; steps++ {
-		done, err := f.Step(&res)
-		if err != nil {
-			return res, err
-		}
-		if done {
-			return res, nil
-		}
+	done, err := f.run(&res, f.cfg.MaxSteps)
+	if err == nil && !done {
+		err = ErrNoHalt{f.cfg.MaxSteps}
 	}
-	return res, ErrNoHalt{f.cfg.MaxSteps}
+	return res, err
+}
+
+// run executes up to budget instructions from S.PC, accumulating into res.
+// The PC lives in a local TIM index and one effect is filled in place per
+// step; S.PC is written back when run returns.
+func (f *Functional) run(res *Result, budget int) (done bool, err error) {
+	s := f.S
+	text, trf := s.text, &s.TRF
+	pc := s.PC.UIndex()
+	var (
+		in isa.Inst
+		e  effect
+	)
+	for ; budget > 0; budget-- {
+		if uint(pc) < uint(len(text)) {
+			s.TIM.CountRead()
+			in = text[pc]
+		} else {
+			var fault, illegal error
+			if in, fault, illegal = s.fetch(pc); fault != nil {
+				return false, s.stop(pc, fmt.Errorf("sim: fetch at PC=%d: %w", balancedIndex(pc), fault))
+			} else if illegal != nil {
+				return false, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", balancedIndex(pc), illegal))
+			}
+		}
+		evaluate(&e, in, pc, trf[in.Ta], trf[in.Tb])
+		if e.isLoad {
+			v, err := s.TDM.ReadP(e.addr)
+			if err != nil {
+				return false, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", balancedIndex(pc), err))
+			}
+			e.val = v
+			res.Loads++
+		}
+		if e.isStore {
+			if err := s.TDM.WriteP(e.addr, e.store); err != nil {
+				return false, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", balancedIndex(pc), err))
+			}
+			res.Stores++
+		}
+		// The halt retires like any other instruction, so its opcode
+		// counts toward the mix — otherwise ΣOpMix < 1 and the
+		// switching-activity profile under-reports the datapath.
+		res.ByCategory[in.Op.Category()]++
+		res.ByOp[in.Op]++
+		res.Cycles++
+		res.Retired++
+		if e.isHalt(pc) {
+			res.HaltPC = pc
+			return true, s.stop(pc, nil)
+		}
+		if e.writesReg {
+			writeReg(trf, e.reg, e.val)
+		}
+		if e.branch {
+			if e.taken {
+				res.Taken++
+			} else {
+				res.NotTaken++
+			}
+		} else if e.taken {
+			res.Jumps++
+		}
+		pc = e.next
+	}
+	return false, s.stop(pc, nil)
+}
+
+// writeReg stores v in trf[r] as two 32-bit moves. evaluate has just
+// stored v's planes separately, and a plain struct copy compiles to one
+// 64-bit load spanning both stores, which the store buffer cannot forward:
+// that stall cost about a quarter of a functional step. Masking P, a no-op
+// on a valid word, keeps the compiler from fusing the two moves.
+func writeReg(trf *[isa.NumRegs]ternary.Packed, r isa.Reg, v ternary.Packed) {
+	trf[r] = ternary.Packed{N: v.N, P: v.P & ternary.PlaneMask}
 }

@@ -40,56 +40,43 @@ func NewPipeline(cfg Config) *Pipeline {
 // latchIFID carries a fetched instruction into decode.
 type latchIFID struct {
 	valid bool
-	pc    ternary.Packed
+	pc    int // TIM index of inst
 	inst  isa.Inst
 }
 
-// latchIDEX carries a decoded instruction with its effect, evaluated in
-// ID from the forwarded operands. Those operands are final there (a
-// load-use hazard stalls instead of forwarding), so EX reuses the effect
-// rather than evaluating the instruction a second time.
-type latchIDEX struct {
+// latch is a pipeline register behind decode: ID/EX, EX/MEM or MEM/WB. ID
+// evaluates the instruction's effect from the forwarded operands. Those
+// operands are final there (a load-use hazard stalls instead of
+// forwarding), so the effect travels unchanged to WB except that MEM
+// fills in a loaded value. Run keeps the three registers in one array and
+// advances the pipeline by rotating pointers to them.
+type latch struct {
 	valid bool
-	inst  isa.Inst
-	eff   effect
 	halt  bool // this instruction is the halt transfer
-}
-
-// latchEXMEM carries the computed effect.
-type latchEXMEM struct {
-	valid bool
 	inst  isa.Inst
 	eff   effect
-	halt  bool
-}
-
-// latchMEMWB carries the writeback value.
-type latchMEMWB struct {
-	valid bool
-	inst  isa.Inst
-	eff   effect // val filled for loads
-	halt  bool
 }
 
 // Run executes the loaded program cycle by cycle until the halt
-// instruction leaves writeback.
+// instruction leaves writeback. S.PC is then the halt address; after a
+// fault, or when the cycle budget runs out, it is the fetch PC.
 func (p *Pipeline) Run() (Result, error) {
 	var (
-		res   Result
-		ifid  latchIFID
-		idex  latchIDEX
-		exmem latchEXMEM
-		memwb latchMEMWB
+		res  Result
+		s    = p.S
+		text = s.text
+		ifid latchIFID
 
-		fetchPC   = p.S.PC
+		latches            [3]latch
+		idex, exmem, memwb = &latches[0], &latches[1], &latches[2]
+
+		fetchPC   = s.PC.UIndex()
 		stopFetch bool // halt observed in ID: stop issuing new work
 
 		trace = p.Trace
 		// Trace only: what each stage works on this cycle (see traceLine).
-		ifS, idS latchIFID
-		exS      latchIDEX
-		memS     latchEXMEM
-		wbS      latchMEMWB
+		ifS, idS       latchIFID
+		exS, memS, wbS latch
 	)
 
 	for cycle := 0; cycle < p.cfg.MaxSteps; cycle++ {
@@ -99,30 +86,26 @@ func (p *Pipeline) Run() (Result, error) {
 		// THIS cycle, for the trace line rendered at the cycle's end.
 		// Untraced they would be dead copies, so take them only when tracing.
 		if trace != nil {
-			ifS, idS, exS, memS, wbS = latchIFID{}, ifid, idex, exmem, memwb
+			ifS, idS, exS, memS, wbS = latchIFID{}, ifid, *idex, *exmem, *memwb
 		}
 
 		// ---- WB: retire memwb (first half of cycle: write TRF).
 		if memwb.valid {
-			e := memwb.eff
+			e := &memwb.eff
+			res.Retired++
+			res.ByCategory[memwb.inst.Op.Category()]++
+			res.ByOp[memwb.inst.Op]++
 			if memwb.halt {
 				// The halt idiom has no architectural effect beyond
 				// parking the PC at its own address, but it retires
 				// like any other instruction, so its opcode counts
 				// toward the mix (ΣOpMix must reach 1).
-				res.Retired++
-				res.ByCategory[memwb.inst.Op.Category()]++
-				res.ByOp[memwb.inst.Op]++
-				p.S.PC = e.nextPC
-				res.HaltPC = e.nextPC.UIndex()
-				return res, nil
+				res.HaltPC = e.next
+				return res, s.stop(e.next, nil)
 			}
 			if e.writesReg {
-				p.S.TRF[e.reg] = e.val
+				s.TRF[e.reg] = e.val
 			}
-			res.Retired++
-			res.ByCategory[memwb.inst.Op.Category()]++
-			res.ByOp[memwb.inst.Op]++
 			if e.branch {
 				if e.taken {
 					res.Taken++
@@ -133,38 +116,34 @@ func (p *Pipeline) Run() (Result, error) {
 				res.Jumps++
 			}
 		}
-		memwb = latchMEMWB{}
 
-		// ---- MEM: TDM access for exmem.
+		// ---- MEM: TDM access for exmem; a load fills in its value.
 		if exmem.valid {
-			e := exmem.eff
+			e := &exmem.eff
 			if e.isLoad {
-				v, err := p.S.TDM.ReadP(e.addr.UIndex())
+				v, err := s.TDM.ReadP(e.addr)
 				if err != nil {
-					return res, fmt.Errorf("sim: MEM: %w", err)
+					return res, s.stop(fetchPC, fmt.Errorf("sim: MEM: %w", err))
 				}
 				e.val = v
 				res.Loads++
 			}
 			if e.isStore {
-				if err := p.S.TDM.WriteP(e.addr.UIndex(), e.store); err != nil {
-					return res, fmt.Errorf("sim: MEM: %w", err)
+				if err := s.TDM.WriteP(e.addr, e.store); err != nil {
+					return res, s.stop(fetchPC, fmt.Errorf("sim: MEM: %w", err))
 				}
 				res.Stores++
 			}
-			memwb = latchMEMWB{valid: true, inst: exmem.inst, eff: e, halt: exmem.halt}
 		}
-		exmem = latchEXMEM{}
 
-		// ---- EX: pass on the effect computed from the operands resolved in ID.
-		if idex.valid {
-			exmem = latchEXMEM{valid: true, inst: idex.inst, eff: idex.eff, halt: idex.halt}
-		}
-		idex = latchIDEX{}
+		// ---- EX: the effect computed from the operands resolved in ID
+		// passes on as is. Advance: EX/MEM moves to MEM/WB, ID/EX to
+		// EX/MEM, and the retired register is reused, empty, as ID/EX.
+		memwb, exmem, idex = exmem, idex, memwb
+		idex.valid = false
 
 		// ---- ID: hazard detection, forwarding, branch resolution.
 		redirect := false
-		var redirectPC ternary.Packed
 		stalled := false
 		if ifid.valid {
 			in := ifid.inst
@@ -181,36 +160,43 @@ func (p *Pipeline) Run() (Result, error) {
 			if !stalled {
 				ta := p.forward(in.Ta, exmem, memwb)
 				tb := p.forward(in.Tb, exmem, memwb)
-				e := evaluate(in, ifid.pc, ta, tb)
-				halt := e.isHalt(ifid.pc)
-				idex = latchIDEX{valid: true, inst: in, eff: e, halt: halt}
-				if halt {
+				evaluate(&idex.eff, in, ifid.pc, ta, tb)
+				idex.valid, idex.inst = true, in
+				idex.halt = idex.eff.isHalt(ifid.pc)
+				if idex.halt {
 					stopFetch = true
-				} else if e.taken {
+				} else if idex.eff.taken {
 					redirect = true
-					redirectPC = e.nextPC
 					res.StallsBranch++
 				}
 			}
 		}
 
 		// ---- IF: fetch into ifid unless stalled or draining.
-		if stalled {
+		switch {
+		case stalled:
 			// ifid retained; the bubble naturally flows from idex being
 			// empty next cycle.
-		} else if redirect {
-			ifid = latchIFID{} // squash the wrong-path fetch
-			fetchPC = redirectPC
-		} else if stopFetch {
-			ifid = latchIFID{}
-		} else {
-			in, fault, illegal := p.S.fetch(fetchPC.UIndex())
-			if fault != nil || illegal != nil {
-				// Only one is set; both get the same IF fault text.
-				return res, fmt.Errorf("sim: IF at PC=%d: %w", fetchPC.Int(), errors.Join(fault, illegal))
+		case redirect:
+			ifid.valid = false // squash the wrong-path fetch
+			fetchPC = idex.eff.next
+		case stopFetch:
+			ifid.valid = false
+		default:
+			if uint(fetchPC) < uint(len(text)) {
+				s.TIM.CountRead()
+				ifid.inst = text[fetchPC]
+			} else {
+				in, fault, illegal := s.fetch(fetchPC)
+				if fault != nil || illegal != nil {
+					// Only one is set; both get the same IF fault text.
+					return res, s.stop(fetchPC, fmt.Errorf("sim: IF at PC=%d: %w",
+						balancedIndex(fetchPC), errors.Join(fault, illegal)))
+				}
+				ifid.inst = in
 			}
-			ifid = latchIFID{valid: true, pc: fetchPC, inst: in}
-			fetchPC = fetchPC.Inc()
+			ifid.valid, ifid.pc = true, fetchPC
+			fetchPC = incIndex(fetchPC)
 			if trace != nil {
 				ifS = ifid // what IF fetched this cycle
 			}
@@ -220,14 +206,14 @@ func (p *Pipeline) Run() (Result, error) {
 			trace(res.Cycles, p.traceLine(ifS, idS, exS, memS, wbS, stalled, redirect))
 		}
 	}
-	return res, ErrNoHalt{p.cfg.MaxSteps}
+	return res, s.stop(fetchPC, ErrNoHalt{p.cfg.MaxSteps})
 }
 
 // forward resolves the value of register r as seen by the instruction in
 // ID: the newest in-flight producer wins (EX this cycle, then MEM, then
 // WB); otherwise the register file. The load-use stall rule guarantees
 // that an EX-stage LOAD is never selected here.
-func (p *Pipeline) forward(r isa.Reg, exmem latchEXMEM, memwb latchMEMWB) ternary.Packed {
+func (p *Pipeline) forward(r isa.Reg, exmem, memwb *latch) ternary.Packed {
 	if exmem.valid && exmem.eff.writesReg && exmem.eff.reg == r && !exmem.eff.isLoad {
 		return exmem.eff.val
 	}
@@ -242,7 +228,7 @@ func (p *Pipeline) forward(r isa.Reg, exmem latchEXMEM, memwb latchMEMWB) ternar
 // contents snapshotted at the top of the loop, plus the instruction IF
 // fetched — so the five columns line up with the textbook pipeline diagram
 // rather than trailing a stage behind.
-func (p *Pipeline) traceLine(ifS latchIFID, idS latchIFID, exS latchIDEX, memS latchEXMEM, wbS latchMEMWB, stalled, redirect bool) string {
+func (p *Pipeline) traceLine(ifS, idS latchIFID, exS, memS, wbS latch, stalled, redirect bool) string {
 	stage := func(valid bool, in isa.Inst) string {
 		if !valid {
 			return "-"

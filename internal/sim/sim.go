@@ -59,7 +59,9 @@ func (c Config) withDefaults() Config {
 // State is the architectural state of an ART-9 core: the program counter,
 // the nine-entry ternary register file, and the two memories. PC and TRF
 // hold the bit-plane form (ternary.Packed) so the datapath never converts
-// per trit; Reg/SetReg expose the Word view at the boundary.
+// per trit; Reg/SetReg expose the Word view at the boundary. A run starts
+// at PC, keeps the PC as a TIM index while it steps, and writes it back
+// when it stops: at the halt, at a fault, or when the budget runs out.
 //
 // Load also keeps a read-only reference to the program's decoded
 // instruction stream, and fetches inside that image are served from it
@@ -106,23 +108,27 @@ func (s *State) Load(p *asm.Program) error {
 	return nil
 }
 
-// fetch returns the instruction at TIM address a and counts one TIM read,
-// whichever path serves it. Inside the image of the last Load that is the
-// decoded stream. Anywhere else — past the image, or on a State whose TIM
-// was filled without Load — the TIM word is read and decoded: an address
-// beyond TIM comes back as fault and an undecodable word as illegal, so
-// each core keeps its own fault text.
+// fetch reads and decodes the TIM word at address a and counts the read.
+// Both run loops serve an address inside the image of the last Load from
+// the decoded stream themselves (text[pc] plus TIM.CountRead) and call
+// fetch only for anything else: past the image, or on a State whose TIM
+// was filled without Load. An address beyond TIM comes back as fault and
+// an undecodable word as illegal, so each core keeps its own fault text.
 func (s *State) fetch(a int) (in isa.Inst, fault, illegal error) {
-	if a < len(s.text) {
-		s.TIM.CountRead()
-		return s.text[a], nil, nil
-	}
 	w, err := s.TIM.ReadP(a)
 	if err != nil {
 		return isa.Inst{}, err, nil
 	}
 	in, err = isa.DecodePacked(w)
 	return in, nil, err
+}
+
+// stop ends a run at TIM index pc: it writes pc back to the architectural
+// PC and returns err. The run loops keep the PC as an index and leave
+// through stop at the halt, at a fault, and when the budget runs out.
+func (s *State) stop(pc int, err error) error {
+	s.PC = ternary.PackedFromInt(pc)
+	return err
 }
 
 // Reg returns TRF[r].
@@ -179,7 +185,8 @@ func (e ErrNoHalt) Error() string {
 
 // effect is the architectural outcome of one instruction: the full Table I
 // semantics evaluated against a read-only view of the state. Memory reads
-// are performed by the caller so both cores share it.
+// are performed by the caller so both cores share it. Control flow and
+// memory addresses are TIM/TDM indices, the unsigned view of §II-A.
 type effect struct {
 	writesReg bool
 	reg       isa.Reg
@@ -187,10 +194,10 @@ type effect struct {
 
 	isLoad  bool
 	isStore bool
-	addr    ternary.Packed // memory address for LOAD/STORE
+	addr    int            // TDM index for LOAD/STORE
 	store   ternary.Packed // value to store
 
-	nextPC ternary.Packed
+	next   int  // TIM index of the next instruction
 	taken  bool // control transfer redirected away from PC+1
 	branch bool // conditional branch (for taken/not-taken stats)
 }
@@ -198,14 +205,47 @@ type effect struct {
 // liLoMask covers the 5 low trit positions replaced by LI.
 const liLoMask = 1<<5 - 1
 
-// evaluate computes the effect of in executed at pc with register read
-// values ta and tb (already forwarded by the caller as appropriate).
-// Everything runs in the bit-plane form; each kernel is differentially
-// pinned to the trit-serial reference in internal/ternary, so the
-// architectural semantics of Table I are unchanged.
-func evaluate(in isa.Inst, pc, ta, tb ternary.Packed) effect {
-	seq := pc.Inc()
-	e := effect{nextPC: seq}
+// incIndex returns TIM index u+1 modulo 3^9: the PC+1 datapath on the
+// unsigned view, where the successor of 3^9−1 (the word −1) is 0.
+func incIndex(u int) int {
+	if u++; u == ternary.WordStates {
+		return 0
+	}
+	return u
+}
+
+// addIndex returns u+imm modulo 3^9 for an index u in [0, 3^9) and an
+// immediate |imm| < 3^9 — the PC+imm and base+offset datapaths. Balanced
+// and unsigned words agree modulo 3^9, so one compare-and-fold gives the
+// index of the packed sum.
+func addIndex(u, imm int) int {
+	u += imm
+	if u < 0 {
+		u += ternary.WordStates
+	} else if u >= ternary.WordStates {
+		u -= ternary.WordStates
+	}
+	return u
+}
+
+// balancedIndex returns the balanced value of the word at index u, the
+// PC that fault messages print.
+func balancedIndex(u int) int {
+	if u > ternary.MaxInt {
+		return u - ternary.WordStates
+	}
+	return u
+}
+
+// evaluate fills e with the effect of in executed at TIM index pc with
+// register read values ta and tb (already forwarded by the caller as
+// appropriate). e is owned by the caller and overwritten whole. Register
+// values stay in the bit-plane form; each kernel is differentially pinned
+// to the trit-serial reference in internal/ternary, so the architectural
+// semantics of Table I are unchanged.
+func evaluate(e *effect, in isa.Inst, pc int, ta, tb ternary.Packed) {
+	seq := incIndex(pc)
+	*e = effect{next: seq}
 	switch in.Op {
 	case isa.MV:
 		e.writesReg, e.reg, e.val = true, in.Ta, tb
@@ -259,32 +299,31 @@ func evaluate(in isa.Inst, pc, ta, tb ternary.Packed) effect {
 			cond = !cond
 		}
 		if cond {
-			e.nextPC = pc.Add(ternary.PackedFromInt(in.Imm))
+			e.next = addIndex(pc, in.Imm)
 			e.taken = true
 		}
 	case isa.JAL:
-		e.writesReg, e.reg, e.val = true, in.Ta, seq
-		e.nextPC = pc.Add(ternary.PackedFromInt(in.Imm))
+		e.writesReg, e.reg, e.val = true, in.Ta, ternary.PackedFromInt(seq)
+		e.next = addIndex(pc, in.Imm)
 		e.taken = true
 	case isa.JALR:
-		e.writesReg, e.reg, e.val = true, in.Ta, seq
-		e.nextPC = tb.Add(ternary.PackedFromInt(in.Imm))
+		e.writesReg, e.reg, e.val = true, in.Ta, ternary.PackedFromInt(seq)
+		e.next = addIndex(tb.UIndex(), in.Imm)
 		e.taken = true
 	case isa.LOAD:
 		e.isLoad = true
 		e.writesReg, e.reg = true, in.Ta
-		e.addr = tb.Add(ternary.PackedFromInt(in.Imm))
+		e.addr = addIndex(tb.UIndex(), in.Imm)
 	case isa.STORE:
 		e.isStore = true
-		e.addr = tb.Add(ternary.PackedFromInt(in.Imm))
+		e.addr = addIndex(tb.UIndex(), in.Imm)
 		e.store = ta
 	}
-	return e
 }
 
 // isHalt reports whether the effect is a jump to the instruction's own
-// address — the HALT idiom the assembler emits (JAL x, 0 or an absolute
-// JALR to self).
-func (e effect) isHalt(pc ternary.Packed) bool {
-	return e.taken && e.nextPC == pc
+// address pc — the HALT idiom the assembler emits (JAL x, 0 or an
+// absolute JALR to self).
+func (e *effect) isHalt(pc int) bool {
+	return e.taken && e.next == pc
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/rv32"
+	"repro/internal/ternary"
 )
 
 // progGen builds random structured RV32 programs: straight-line arithmetic
@@ -150,4 +151,64 @@ func TestRandomStructuredProgramsNoPeephole(t *testing.T) {
 			t.Fatalf("trial %d: peephole grew the program", trial)
 		}
 	}
+}
+
+// FuzzRV32VsTranslated is the RV32-vs-translated differential oracle: the
+// one that shares no code with the ART-9 cores' evaluate. Each input is a
+// progGen seed and a statement count of at most 12 (larger counts fold).
+// The RV32 machine is stepped first, and a program that drives any
+// register outside the value contract is skipped as out of scope; every
+// other program must leave each genRegs register equal on the RV32 machine
+// and on both ART-9 cores.
+//
+// The seed corpus is in testdata/fuzz/FuzzRV32VsTranslated.
+func FuzzRV32VsTranslated(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, count uint8) {
+		n := int(count % 13)
+		g := &progGen{rng: rand.New(rand.NewSource(seed))}
+		src := g.generate(n)
+		if r, v, ok := firstOutOfContract(t, src); !ok {
+			t.Skipf("%v reaches %d, outside the value contract", r, v)
+		}
+		e := runEquiv(t, src, Options{})
+		name := fmt.Sprintf("seed %d, %d statements", seed, n)
+		for _, rn := range genRegs {
+			r, _ := rv32.ParseReg(rn)
+			e.checkReg(t, name, r)
+		}
+		if t.Failed() {
+			t.Logf("failing program:\n%s", src)
+		}
+	})
+}
+
+// firstOutOfContract steps src on the RV32 machine to its halt and
+// reports the first register value outside the translator's value
+// contract — one balanced 9-trit word, ±9,841 — if any.
+func firstOutOfContract(t *testing.T, src string) (rv32.Reg, int32, bool) {
+	t.Helper()
+	p, err := rv32.Assemble(src)
+	if err != nil {
+		t.Fatalf("rv32 assemble: %v\n%s", err, src)
+	}
+	m := rv32.NewMachine(1 << 16)
+	if err := m.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	for steps := 0; steps < m.MaxSteps; steps++ {
+		done, err := m.Step()
+		if err != nil {
+			t.Fatalf("rv32 run: %v\n%s", err, src)
+		}
+		for r, x := range m.X {
+			if v := int32(x); v > ternary.MaxInt || v < ternary.MinInt {
+				return rv32.Reg(r), v, false
+			}
+		}
+		if done {
+			return 0, 0, true
+		}
+	}
+	t.Fatalf("rv32: no halt within %d steps\n%s", m.MaxSteps, src)
+	return 0, 0, false
 }
