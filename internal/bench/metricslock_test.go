@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -50,7 +53,8 @@ type lockedCore struct {
 // extended workloads under both built-in technologies and compares it with
 // testdata/metrics.lock.json. Under the same SemanticsVersion and model
 // digest every value must match; each difference is reported by workload
-// and field. Under a different key the lock is stale and must be
+// and field, integers exactly and fractional values to a relative 1e-12
+// (see sameLeaf). Under a different key the lock is stale and must be
 // regenerated with -update.
 func TestMetricsLock(t *testing.T) {
 	got := metricsLock{
@@ -111,7 +115,7 @@ func TestMetricsLock(t *testing.T) {
 		}
 		gf, wf := flatten(t, g), flatten(t, w)
 		for _, field := range unionKeys(gf, wf) {
-			if gv, wv := gf[field], wf[field]; gv != wv {
+			if gv, wv := gf[field], wf[field]; !sameLeaf(gv, wv) {
 				t.Errorf("workload %s: %s = %s, locked %s", name, field, orMissing(gv), orMissing(wv))
 			}
 		}
@@ -194,6 +198,27 @@ func flatten(t *testing.T, v any) map[string]string {
 	}
 	walk("", tree)
 	return leaves
+}
+
+// sameLeaf reports whether two flattened leaves agree. Strings and
+// integers must match exactly. A number written with a fraction or an
+// exponent is a float metric, which agrees to a relative 1e-12: the power
+// model sums products, and Go lets a compiler fuse those into
+// multiply-adds (gc does on arm64 and ppc64le), so the last bits of a
+// float metric depend on the architecture the lock is checked on.
+func sameLeaf(a, b string) bool {
+	if a == b {
+		return true
+	}
+	if !strings.ContainsAny(a+b, ".eE") {
+		return false
+	}
+	x, errX := strconv.ParseFloat(a, 64)
+	y, errY := strconv.ParseFloat(b, 64)
+	if errX != nil || errY != nil {
+		return false
+	}
+	return math.Abs(x-y) <= 1e-12*math.Max(math.Abs(x), math.Abs(y))
 }
 
 func unionKeys(a, b map[string]string) []string {

@@ -20,57 +20,42 @@ func NewFunctional(cfg Config) *Functional {
 	return &Functional{S: NewState(cfg), cfg: cfg.withDefaults()}
 }
 
-// Step executes a single instruction. It returns done=true when the core
-// retires a halt (jump-to-self).
-func (f *Functional) Step(res *Result) (done bool, err error) {
-	return f.run(res, 1)
-}
-
-// Run executes until halt or the step budget is exhausted.
+// Run executes from S.PC until halt or the step budget is exhausted. The
+// PC lives in a local TIM index and one effect is filled in place per
+// step; S.PC is written back when Run returns.
 func (f *Functional) Run() (Result, error) {
-	var res Result
-	done, err := f.run(&res, f.cfg.MaxSteps)
-	if err == nil && !done {
-		err = ErrNoHalt{f.cfg.MaxSteps}
-	}
-	return res, err
-}
-
-// run executes up to budget instructions from S.PC, accumulating into res.
-// The PC lives in a local TIM index and one effect is filled in place per
-// step; S.PC is written back when run returns.
-func (f *Functional) run(res *Result, budget int) (done bool, err error) {
+	var (
+		res Result
+		in  isa.Inst
+		e   effect
+	)
 	s := f.S
 	text, trf := s.text, &s.TRF
 	pc := s.PC.UIndex()
-	var (
-		in isa.Inst
-		e  effect
-	)
-	for ; budget > 0; budget-- {
+	for budget := f.cfg.MaxSteps; budget > 0; budget-- {
 		if uint(pc) < uint(len(text)) {
 			s.TIM.CountRead()
 			in = text[pc]
 		} else {
 			var fault, illegal error
 			if in, fault, illegal = s.fetch(pc); fault != nil {
-				return false, s.stop(pc, fmt.Errorf("sim: fetch at PC=%d: %w", balancedIndex(pc), fault))
+				return res, s.stop(pc, fmt.Errorf("sim: fetch at PC=%d: %w", ternary.PackedFromInt(pc).Int(), fault))
 			} else if illegal != nil {
-				return false, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", balancedIndex(pc), illegal))
+				return res, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(pc).Int(), illegal))
 			}
 		}
 		evaluate(&e, in, pc, trf[in.Ta], trf[in.Tb])
 		if e.isLoad {
 			v, err := s.TDM.ReadP(e.addr)
 			if err != nil {
-				return false, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", balancedIndex(pc), err))
+				return res, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(pc).Int(), err))
 			}
 			e.val = v
 			res.Loads++
 		}
 		if e.isStore {
 			if err := s.TDM.WriteP(e.addr, e.store); err != nil {
-				return false, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", balancedIndex(pc), err))
+				return res, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(pc).Int(), err))
 			}
 			res.Stores++
 		}
@@ -83,7 +68,7 @@ func (f *Functional) run(res *Result, budget int) (done bool, err error) {
 		res.Retired++
 		if e.isHalt(pc) {
 			res.HaltPC = pc
-			return true, s.stop(pc, nil)
+			return res, s.stop(pc, nil)
 		}
 		if e.writesReg {
 			writeReg(trf, e.reg, e.val)
@@ -99,7 +84,7 @@ func (f *Functional) run(res *Result, budget int) (done bool, err error) {
 		}
 		pc = e.next
 	}
-	return false, s.stop(pc, nil)
+	return res, s.stop(pc, ErrNoHalt{f.cfg.MaxSteps})
 }
 
 // writeReg stores v in trf[r] as two 32-bit moves. evaluate has just

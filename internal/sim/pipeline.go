@@ -191,7 +191,7 @@ func (p *Pipeline) Run() (Result, error) {
 				if fault != nil || illegal != nil {
 					// Only one is set; both get the same IF fault text.
 					return res, s.stop(fetchPC, fmt.Errorf("sim: IF at PC=%d: %w",
-						balancedIndex(fetchPC), errors.Join(fault, illegal)))
+						ternary.PackedFromInt(fetchPC).Int(), errors.Join(fault, illegal)))
 				}
 				ifid.inst = in
 			}

@@ -228,15 +228,6 @@ func addIndex(u, imm int) int {
 	return u
 }
 
-// balancedIndex returns the balanced value of the word at index u, the
-// PC that fault messages print.
-func balancedIndex(u int) int {
-	if u > ternary.MaxInt {
-		return u - ternary.WordStates
-	}
-	return u
-}
-
 // evaluate fills e with the effect of in executed at TIM index pc with
 // register read values ta and tb (already forwarded by the caller as
 // appropriate). e is owned by the caller and overwritten whole. Register
