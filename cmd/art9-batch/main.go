@@ -87,7 +87,7 @@ func main() {
 	failover := flag.Bool("failover", false, "health-aware dispatch with job-level failover across the backends")
 	healthInterval := flag.Duration("health-interval", 0, "failover health-probe period (0: 2s; negative: probes off)")
 	maxRetries := flag.Int("max-retries", 0, "failover budget per job (0: 2; negative: no retries)")
-	chunk := flag.Int("chunk", 0, "failover chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0: per-job)")
+	chunk := flag.Int("chunk", 0, "failover chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0 or 1: per-job)")
 	autoscaleMin := flag.Int("autoscale-min", 0, "elastic pool floor: minimum local shards (0 with -autoscale-max: 1)")
 	autoscaleMax := flag.Int("autoscale-max", 0, "elastic pool ceiling: maximum local shards (0: autoscaling off)")
 	standbyPeers := flag.String("standby-peers", "", "comma-separated art9-serve base URLs dialed only when the elastic pool's local ceiling is exhausted")

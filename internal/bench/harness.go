@@ -210,7 +210,7 @@ func RunAllSerial() (map[string]*Outcome, error) {
 // failure (or a ctx cancellation) is returned as an error, matching the
 // serial path's fail-fast contract.
 func RunAllOn(ctx context.Context, eng *engine.Engine) (map[string]*Outcome, error) {
-	results, _ := eng.RunAll(ctx, SuiteJobs(Workloads, xlate.Options{}))
+	results, _ := eng.Run(ctx, SuiteJobs(Workloads, xlate.Options{}))
 	res := make(map[string]*Outcome, len(results))
 	for _, r := range results {
 		if r.Err != nil {

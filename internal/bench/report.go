@@ -46,11 +46,10 @@ type BalancerReport struct {
 	// over the backends.
 	Retries   uint64 `json:"retries"`
 	Failovers uint64 `json:"failovers"`
-	// Chunk is the configured chunked-dispatch cap (0: per-job
-	// placement); Chunks counts dispatch units issued and ChunkResumes
-	// the chunks severed mid-stream whose unresolved jobs were
-	// re-chunked onto survivors — the wire-overhead trajectory the
-	// BENCH artifacts track.
+	// Chunk is the Balancer's chunk cap (1: per-job placement); Chunks
+	// counts dispatch units issued and ChunkResumes the chunks severed
+	// mid-stream whose unresolved jobs were re-chunked onto survivors —
+	// the wire-overhead trajectory the BENCH artifacts track.
 	Chunk        int    `json:"chunk,omitempty"`
 	Chunks       uint64 `json:"chunks,omitempty"`
 	ChunkResumes uint64 `json:"chunk_resumes,omitempty"`

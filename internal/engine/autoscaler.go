@@ -17,12 +17,15 @@ import (
 // diagnostics.
 var ErrInvalidOptions = errors.New("engine: invalid option combination")
 
-// Autoscaler is the elastic Evaluator: it fronts a pool of local shard
-// engines that grows and shrinks between configured bounds — and
-// optionally dials configured standby backends when the local bound is
-// exhausted — driven by the same capacity/queue-depth signal the
-// Balancer scrapes. Dispatch is least-loaded over the active members,
-// with bounded job-level failover on backend errors.
+// Autoscaler is the elastic Evaluator: a grow/shrink/standby/drain
+// policy over a Balancer it owns. The pool's members are local shard
+// engines whose count floats between configured bounds — plus standby
+// backends dialed when the local bound is exhausted — driven by the
+// Balancer's queue depth and the active members' utilization. Placement,
+// health scoring and failover are the Balancer's: jobs go to the active
+// member with the most free slots, one job per dispatch unit, and a
+// member that fails at the backend level is marked down and its jobs
+// re-run elsewhere within the retry budget.
 //
 // Scaling follows hysteresis: the pool grows when jobs are queued
 // beyond the active capacity (or utilization crosses UpThreshold),
@@ -34,55 +37,26 @@ var ErrInvalidOptions = errors.New("engine: invalid option combination")
 // same drain-safe contract every Evaluator honours — invoked, so no
 // job is ever lost to a shrink.
 type Autoscaler struct {
-	min, max   int
-	up, down   float64
-	cooldown   time.Duration
-	interval   time.Duration
-	width      int
-	maxRetries int
-	spawn      func() Evaluator
-	standby    []StandbyBackend
-	// cache, when non-nil, short-circuits placement on known Specs —
-	// a hit never parks in the queue, so it cannot trigger a scale-up.
-	cache ResultCache
+	b        *Balancer
+	min, max int
+	up, down float64
+	cooldown time.Duration
+	interval time.Duration
+	spawn    func() Evaluator
+	standby  []StandbyBackend
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	closed    bool
-	members   []*scaledMember // every member ever started, retired ones included
-	locals    int             // currently active local members
-	live      []bool          // per standby factory: dialed and active
-	waiting   int             // jobs parked for a dispatch slot — the queue-depth signal
-	last      time.Time       // most recent scale event, for the cooldown
-	events    []ScaleEvent
-	seq       int    // scale-event sequence
-	spawned   int    // local members ever spawned, for stable naming
-	ups       uint64 // lifetime scale-up events
-	downs     uint64 // lifetime scale-down events
-	retries   uint64 // re-dispatches after backend-level failures
-	cacheHits uint64 // jobs resolved from the result cache, never placed
+	// Policy state, guarded by b.mu.
+	locals  int       // currently active local members
+	live    []*member // per standby factory: its active member, nil when idle
+	last    time.Time // most recent scale event, for the cooldown
+	events  []ScaleEvent
+	seq     int    // scale-event sequence
+	spawned int    // local members ever spawned, for stable naming
+	ups     uint64 // lifetime scale-up events
+	downs   uint64 // lifetime scale-down events
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	drains   sync.WaitGroup
-}
-
-// scaledMember is one pooled backend plus the autoscaler's book-keeping.
-// Mutable fields are guarded by Autoscaler.mu.
-type scaledMember struct {
-	ev      Evaluator
-	name    string
-	width   int  // max concurrent jobs dispatched here
-	standby int  // index into the standby factories, -1 for a local shard
-	active  bool // accepting new jobs
-	retired bool // scaled down; drained and closed once inflight hits 0
-
-	inflight   int
-	dispatched uint64
-	completed  uint64
-	failed     uint64
-	failovers  uint64
-	lastErr    string
 }
 
 // StandbyBackend is one standby member the autoscaler may dial when the
@@ -194,14 +168,6 @@ func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
 	if opts.Interval == 0 {
 		opts.Interval = time.Second
 	}
-	if opts.Width <= 0 {
-		opts.Width = 8
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
-	} else if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	}
 	spawn := opts.Spawn
 	if spawn == nil {
 		eo := opts.Engine
@@ -213,26 +179,30 @@ func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
 		spawn = func() Evaluator { return New(eo) }
 	}
 	a := &Autoscaler{
-		min:        opts.Min,
-		max:        opts.Max,
-		up:         opts.UpThreshold,
-		down:       opts.DownThreshold,
-		cooldown:   opts.Cooldown,
-		interval:   opts.Interval,
-		width:      opts.Width,
-		maxRetries: opts.MaxRetries,
-		spawn:      spawn,
-		standby:    opts.Standby,
-		cache:      opts.Cache,
-		live:       make([]bool, len(opts.Standby)),
-		stop:       make(chan struct{}),
+		// Standby peers get no probe traffic: membership is the policy's
+		// call, and job results still score every member's health.
+		b: newBalancer(BalancerOptions{
+			MaxRetries:     opts.MaxRetries,
+			HealthInterval: -1,
+			Width:          opts.Width,
+			Cache:          opts.Cache,
+		}),
+		min:      opts.Min,
+		max:      opts.Max,
+		up:       opts.UpThreshold,
+		down:     opts.DownThreshold,
+		cooldown: opts.Cooldown,
+		interval: opts.Interval,
+		spawn:    spawn,
+		standby:  opts.Standby,
+		live:     make([]*member, len(opts.Standby)),
+		stop:     make(chan struct{}),
 	}
-	a.cond = sync.NewCond(&a.mu)
-	a.mu.Lock()
+	a.b.mu.Lock()
 	for i := 0; i < a.min; i++ {
 		a.addLocalLocked()
 	}
-	a.mu.Unlock()
+	a.b.mu.Unlock()
 	if a.interval > 0 {
 		go a.loop()
 	}
@@ -247,24 +217,12 @@ var (
 	_ CapacityReporter = (*Autoscaler)(nil)
 )
 
-// addLocalLocked spawns one local shard and makes it active. Callers
-// hold a.mu.
-func (a *Autoscaler) addLocalLocked() *scaledMember {
-	ev := a.spawn()
-	w := LocalStats(ev).Workers
-	if w <= 0 {
-		w = a.width
-	}
-	m := &scaledMember{
-		ev:      ev,
-		name:    fmt.Sprintf("pool/%d", a.spawned),
-		width:   w,
-		standby: -1,
-		active:  true,
-	}
+// addLocalLocked spawns one local shard as a new member. Callers hold
+// b.mu.
+func (a *Autoscaler) addLocalLocked() *member {
+	m := a.b.addLocked(a.spawn(), fmt.Sprintf("pool/%d", a.spawned), false)
 	a.spawned++
 	a.locals++
-	a.members = append(a.members, m)
 	return m
 }
 
@@ -287,18 +245,19 @@ func (a *Autoscaler) loop() {
 // a known burst) can force a deterministic round. It reports whether
 // the pool changed.
 func (a *Autoscaler) ScaleNow() bool {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
+	b := a.b
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
 		return false
 	}
 	now := time.Now()
 	if a.cooldown > 0 && !a.last.IsZero() && now.Sub(a.last) < a.cooldown {
-		a.mu.Unlock()
+		b.mu.Unlock()
 		return false
 	}
 	width, busy := a.loadLocked()
-	queue := a.waiting
+	queue := b.queued
 	util := 0.0
 	if width > 0 {
 		util = float64(busy) / float64(width)
@@ -314,18 +273,18 @@ func (a *Autoscaler) ScaleNow() bool {
 	case queue == 0 && util < a.down && a.canShrinkLocked():
 		scaled = a.shrinkLocked(now, fmt.Sprintf("utilization %.2f < %.2f", util, a.down))
 	}
-	a.mu.Unlock()
+	b.mu.Unlock()
 	if scaled {
-		// New capacity (or a retirement) changes what waiters can get.
-		a.cond.Broadcast()
+		// New capacity (or a retirement) changes what placement can get.
+		b.cond.Broadcast()
 	}
 	return scaled
 }
 
 // loadLocked sums the active members' dispatch width and in-flight jobs.
 func (a *Autoscaler) loadLocked() (width, busy int) {
-	for _, m := range a.members {
-		if m.active {
+	for _, m := range a.b.members {
+		if !m.retired {
 			width += m.width
 			busy += m.inflight
 		}
@@ -337,8 +296,8 @@ func (a *Autoscaler) canGrowLocked() bool {
 	if a.locals < a.max {
 		return true
 	}
-	for _, l := range a.live {
-		if !l {
+	for _, m := range a.live {
+		if m == nil {
 			return true
 		}
 	}
@@ -349,8 +308,8 @@ func (a *Autoscaler) canShrinkLocked() bool {
 	if a.locals > a.min {
 		return true
 	}
-	for _, l := range a.live {
-		if l {
+	for _, m := range a.live {
+		if m != nil {
 			return true
 		}
 	}
@@ -361,29 +320,24 @@ func (a *Autoscaler) canShrinkLocked() bool {
 // allows, then the first idle standby. A standby whose dial fails is
 // skipped this round.
 func (a *Autoscaler) growLocked(now time.Time, reason string) bool {
-	var m *scaledMember
+	var m *member
 	if a.locals < a.max {
 		m = a.addLocalLocked()
 	} else {
-		for i := range a.standby {
-			if a.live[i] {
+		for i, sb := range a.standby {
+			if a.live[i] != nil {
 				continue
 			}
-			ev, err := a.standby[i].Dial()
+			ev, err := sb.Dial()
 			if err != nil {
 				continue
 			}
-			name := a.standby[i].Name
+			name := sb.Name
 			if name == "" {
 				name = fmt.Sprintf("standby/%d", i)
 			}
-			w := LocalStats(ev).Workers
-			if w <= 0 {
-				w = a.width
-			}
-			m = &scaledMember{ev: ev, name: name, width: w, standby: i, active: true}
-			a.live[i] = true
-			a.members = append(a.members, m)
+			m = a.b.addLocked(ev, name, true)
+			a.live[i] = m
 			break
 		}
 	}
@@ -397,59 +351,36 @@ func (a *Autoscaler) growLocked(now time.Time, reason string) bool {
 
 // shrinkLocked retires one member — standbys first (they cost a wire
 // hop), then locals down to the minimum, preferring the least-loaded
-// candidate — and hands it to a drainer that closes it only once its
+// candidate — through the Balancer, which closes it only once its
 // in-flight jobs have resolved.
 func (a *Autoscaler) shrinkLocked(now time.Time, reason string) bool {
-	var victim *scaledMember
-	for _, m := range a.members {
-		if !m.active {
-			continue
-		}
-		if m.standby < 0 && a.locals <= a.min {
-			continue // the local floor
+	var victim *member
+	for _, m := range a.b.members {
+		if m.retired || (!m.standby && a.locals <= a.min) {
+			continue // retired already, or the local floor
 		}
 		if victim == nil ||
-			(m.standby >= 0 && victim.standby < 0) || // standbys retire first
-			(boolEq(m.standby >= 0, victim.standby >= 0) && m.inflight < victim.inflight) {
+			(m.standby && !victim.standby) || // standbys retire first
+			(m.standby == victim.standby && m.inflight < victim.inflight) {
 			victim = m
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	victim.active = false
-	victim.retired = true
-	if victim.standby >= 0 {
-		a.live[victim.standby] = false
+	if victim.standby {
+		for i, m := range a.live {
+			if m == victim {
+				a.live[i] = nil
+			}
+		}
 	} else {
 		a.locals--
 	}
+	a.b.retireLocked(victim)
 	a.downs++
 	a.recordLocked(now, "down", victim.name, reason)
-	a.drains.Add(1)
-	go a.drainAndClose(victim)
 	return true
-}
-
-func boolEq(x, y bool) bool { return x == y }
-
-// drainAndClose waits for a retired member's in-flight jobs to resolve,
-// then closes it — drain-before-retire. If the autoscaler itself closes
-// first, Close owns the member shutdown and the drainer just exits.
-func (a *Autoscaler) drainAndClose(m *scaledMember) {
-	defer a.drains.Done()
-	a.mu.Lock()
-	for m.inflight > 0 && !a.closed {
-		a.cond.Wait()
-	}
-	closed := a.closed
-	a.mu.Unlock()
-	if !closed {
-		// The member is drained, so nothing resolves with ErrClosed
-		// here; a failure would only repeat what the job results
-		// already reported.
-		_ = m.ev.Close()
-	}
 }
 
 // recordLocked appends one scale event, bounding the retained history.
@@ -473,64 +404,48 @@ func (a *Autoscaler) recordLocked(now time.Time, dir, backend, reason string) {
 
 // Size returns how many members the pool has ever held (retired members
 // keep reporting their counters).
-func (a *Autoscaler) Size() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.members)
-}
+func (a *Autoscaler) Size() int { return a.b.Size() }
 
 // Backend returns member i, for stats drill-down and tests. Members are
 // only ever appended, so an index observed via Size stays valid.
-func (a *Autoscaler) Backend(i int) Evaluator {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.members[i].ev
-}
+func (a *Autoscaler) Backend(i int) Evaluator { return a.b.Backend(i) }
 
 // Min and Max report the configured local-shard bounds.
 func (a *Autoscaler) Min() int { return a.min }
 func (a *Autoscaler) Max() int { return a.max }
 
 // MaxRetries returns the per-job failover budget.
-func (a *Autoscaler) MaxRetries() int { return a.maxRetries }
+func (a *Autoscaler) MaxRetries() int { return a.b.MaxRetries() }
 
 // Retries returns how many re-dispatches (attempts after each job's
 // first) the autoscaler has performed over its lifetime.
-func (a *Autoscaler) Retries() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.retries
-}
+func (a *Autoscaler) Retries() uint64 { return a.b.Retries() }
 
 // ResultCache returns the result-cache tier consulted before every
 // placement, or nil when the pool runs uncached.
-func (a *Autoscaler) ResultCache() ResultCache { return a.cache }
+func (a *Autoscaler) ResultCache() ResultCache { return a.b.ResultCache() }
 
 // CacheHits returns how many jobs were resolved from the result cache
 // without ever being placed on a member.
-func (a *Autoscaler) CacheHits() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cacheHits
-}
+func (a *Autoscaler) CacheHits() uint64 { return a.b.CacheHits() }
 
 // ScaleUps and ScaleDowns report the lifetime scale-event counters.
 func (a *Autoscaler) ScaleUps() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.b.mu.Lock()
+	defer a.b.mu.Unlock()
 	return a.ups
 }
 
 func (a *Autoscaler) ScaleDowns() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.b.mu.Lock()
+	defer a.b.mu.Unlock()
 	return a.downs
 }
 
 // Events snapshots the retained scale-event history, oldest first.
 func (a *Autoscaler) Events() []ScaleEvent {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.b.mu.Lock()
+	defer a.b.mu.Unlock()
 	out := make([]ScaleEvent, len(a.events))
 	copy(out, a.events)
 	return out
@@ -538,8 +453,8 @@ func (a *Autoscaler) Events() []ScaleEvent {
 
 // ScaleState snapshots the pool's shape and load signal.
 func (a *Autoscaler) ScaleState() ScaleState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.b.mu.Lock()
+	defer a.b.mu.Unlock()
 	width, busy := a.loadLocked()
 	st := ScaleState{
 		Min:           a.min,
@@ -547,19 +462,18 @@ func (a *Autoscaler) ScaleState() ScaleState {
 		Standbys:      len(a.standby),
 		Width:         width,
 		Busy:          busy,
-		Queue:         a.waiting,
+		Queue:         a.b.queued,
 		UpThreshold:   a.up,
 		DownThreshold: a.down,
 		ScaleUps:      a.ups,
 		ScaleDowns:    a.downs,
 	}
-	for _, m := range a.members {
-		if !m.active {
-			continue
-		}
-		if m.standby >= 0 {
+	for _, m := range a.b.members {
+		switch {
+		case m.retired:
+		case m.standby:
 			st.ActiveStandbys++
-		} else {
+		default:
 			st.ActiveShards++
 		}
 	}
@@ -567,48 +481,22 @@ func (a *Autoscaler) ScaleState() ScaleState {
 }
 
 // Health snapshots every member's scorecard, spawn order, retired
-// members included — the same shape the Balancer reports, so stats
-// endpoints and BENCH artifacts render both fronts identically.
-func (a *Autoscaler) Health() []BackendHealth {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]BackendHealth, len(a.members))
-	for i, m := range a.members {
-		out[i] = BackendHealth{
-			Name:       m.name,
-			Healthy:    m.active,
-			Width:      m.width,
-			Inflight:   m.inflight,
-			Dispatched: m.dispatched,
-			Completed:  m.completed,
-			Failed:     m.failed,
-			Failovers:  m.failovers,
-			Retired:    m.retired,
-			Standby:    m.standby >= 0,
-			LastError:  m.lastErr,
-		}
-	}
-	return out
-}
+// members included — the Balancer's own scorecards, so stats endpoints
+// and BENCH artifacts render both fronts identically.
+func (a *Autoscaler) Health() []BackendHealth { return a.b.Health() }
 
 // Stats sums every member's own counters — the Evaluator view. Retired
 // members stay included: the jobs they completed happened.
-func (a *Autoscaler) Stats() Stats {
-	var t Stats
-	for _, st := range BackendStats(a) {
-		t = t.Add(st)
-	}
-	return t
-}
+func (a *Autoscaler) Stats() Stats { return a.b.Stats() }
 
 // Capacity reports the active pool's load snapshot: live width, jobs in
 // flight, and the dispatch queue — the signal the scale loop itself
 // consumes, so /v1/capacity shows exactly what scaling decisions see.
 func (a *Autoscaler) Capacity(context.Context) (Capacity, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.b.mu.Lock()
+	defer a.b.mu.Unlock()
 	width, busy := a.loadLocked()
-	c := Capacity{Workers: width, Busy: busy, Queue: a.waiting}
+	c := Capacity{Workers: width, Busy: busy, Queue: a.b.queued}
 	if busy < width {
 		c.Free = width - busy
 	}
@@ -618,218 +506,34 @@ func (a *Autoscaler) Capacity(context.Context) (Capacity, error) {
 // Probe reports liveness: an open autoscaler always has at least its
 // minimum pool accepting jobs.
 func (a *Autoscaler) Probe(context.Context) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
+	a.b.mu.Lock()
+	defer a.b.mu.Unlock()
+	if a.b.closed {
 		return ErrClosed
 	}
 	return nil
 }
 
-// Close stops the scale loop, wakes every waiter (their jobs resolve
-// with ErrClosed), waits for retirement drains, closes every member
-// concurrently, and releases the attached result cache last (a tier
+// Close stops the scale loop and closes the Balancer: queued jobs
+// resolve with ErrClosed, retirement drains finish, every member closes
+// concurrently, and the attached result cache is released last (a tier
 // drains its queued peer fills there), joining every error. Idempotent.
 // Scale-down retirements never touch the cache: it is attached to the
 // front, not to the members.
 func (a *Autoscaler) Close() error {
-	var err error
-	a.stopOnce.Do(func() {
-		a.mu.Lock()
-		a.closed = true
-		members := make([]*scaledMember, len(a.members))
-		copy(members, a.members)
-		a.mu.Unlock()
-		close(a.stop)
-		a.cond.Broadcast()
-		a.drains.Wait()
-		errs := make([]error, len(members), len(members)+1)
-		var wg sync.WaitGroup
-		for i, m := range members {
-			wg.Add(1)
-			go func(i int, ev Evaluator) {
-				defer wg.Done()
-				errs[i] = ev.Close()
-			}(i, m.ev)
-		}
-		wg.Wait()
-		errs = append(errs, closeResultCache(a.cache))
-		err = errors.Join(errs...)
-	})
-	return err
+	a.stopOnce.Do(func() { close(a.stop) })
+	return a.b.Close()
 }
 
-// Run dispatches every job to the least-loaded active member, failing
-// over on backend-level errors, and returns results in submission
-// order — Engine.Run semantics over the elastic pool.
+// Run dispatches every job through the pool's Balancer and returns
+// results in submission order — Engine.Run semantics over the elastic
+// pool.
 func (a *Autoscaler) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	out := make([]Result, len(jobs))
-	a.dispatch(ctx, jobs, func(i int, r Result) { out[i] = r })
-	return out, ctx.Err()
+	return a.b.Run(ctx, jobs)
 }
 
 // Stream dispatches like Run but yields each result the moment its job
-// resolves, in completion order. The channel is buffered to len(jobs)
-// and always closes — the Evaluator contract.
+// resolves, in completion order — the Evaluator contract.
 func (a *Autoscaler) Stream(ctx context.Context, jobs []Job) <-chan Result {
-	out := make(chan Result, len(jobs))
-	if len(jobs) == 0 {
-		close(out)
-		return out
-	}
-	go func() {
-		defer close(out)
-		a.dispatch(ctx, jobs, func(_ int, r Result) { out <- r })
-	}()
-	return out
-}
-
-// dispatch resolves every job exactly once through emit(jobIndex,
-// result). One placement goroutine per job parks in acquire until an
-// active member has a free slot; the parked count is the queue-depth
-// signal the scale loop grows the pool from. A watcher broadcasts on
-// the context ending so parked jobs observe the cancellation.
-func (a *Autoscaler) dispatch(ctx context.Context, jobs []Job, emit func(int, Result)) {
-	if len(jobs) == 0 {
-		return
-	}
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Broadcast under mu so the wakeup cannot fire into the gap
-			// between a waiter's last ctx check and its park.
-			a.mu.Lock()
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		case <-watchDone:
-		}
-	}()
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			emit(i, a.runJob(ctx, jobs[i]))
-		}(i)
-	}
-	wg.Wait()
-	close(watchDone)
-}
-
-// runJob places one job, retrying backend-level failures on other
-// members within the failover budget — members already tried are
-// excluded until every active member has been, then the exclusion
-// resets so a freshly scaled-up pool gets another pass.
-func (a *Autoscaler) runJob(ctx context.Context, j Job) Result {
-	// A cache hit is a finished job: it neither takes a slot nor parks
-	// in the queue, so hot work cannot talk the pool into growing.
-	if a.cache != nil && j.Spec != nil {
-		if v, ok := a.cache.Lookup(ctx, j.Spec); ok {
-			a.mu.Lock()
-			a.cacheHits++
-			a.mu.Unlock()
-			return Result{ID: j.ID, Value: v, Worker: -1}
-		}
-	}
-	exclude := make(map[*scaledMember]bool)
-	var last Result
-	for attempt := 0; ; attempt++ {
-		m, err := a.acquire(ctx, exclude)
-		if err == errAllTried {
-			exclude = make(map[*scaledMember]bool)
-			m, err = a.acquire(ctx, exclude)
-		}
-		if err != nil {
-			return Result{ID: j.ID, Err: err, Worker: -1}
-		}
-		if attempt > 0 {
-			a.mu.Lock()
-			a.retries++
-			a.mu.Unlock()
-		}
-		last = a.attempt(ctx, m, j)
-		if !Retryable(last.Err) {
-			return last
-		}
-		a.mu.Lock()
-		if attempt >= a.maxRetries {
-			m.failed++
-			a.mu.Unlock()
-			return last
-		}
-		m.failovers++
-		a.mu.Unlock()
-		exclude[m] = true
-	}
-}
-
-// acquire reserves a dispatch slot on the active member with the fewest
-// in-flight jobs and a free slot. When every active member is saturated
-// it parks — counted in waiting, which is what makes queued demand
-// visible to the scale loop — until a completion, a scale event,
-// cancellation, or Close wakes it.
-func (a *Autoscaler) acquire(ctx context.Context, exclude map[*scaledMember]bool) (*scaledMember, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if a.closed {
-			return nil, ErrClosed
-		}
-		var best *scaledMember
-		allTried := true
-		for _, m := range a.members {
-			if !m.active || exclude[m] {
-				continue
-			}
-			allTried = false
-			if m.width-m.inflight > 0 && (best == nil || m.inflight < best.inflight) {
-				best = m
-			}
-		}
-		if allTried && len(exclude) > 0 {
-			return nil, errAllTried
-		}
-		if best != nil {
-			best.inflight++
-			best.dispatched++
-			return best, nil
-		}
-		a.waiting++
-		a.cond.Wait()
-		a.waiting--
-	}
-}
-
-// attempt runs one job on one member and scores the outcome. Whether a
-// retryable failure becomes a failover or a terminal failure is
-// runJob's call — it owns the retry budget.
-func (a *Autoscaler) attempt(ctx context.Context, m *scaledMember, j Job) Result {
-	rs, _ := m.ev.Run(ctx, []Job{j})
-	var r Result
-	if len(rs) >= 1 {
-		r = rs[0]
-	} else {
-		r = Result{ID: j.ID, Worker: -1,
-			Err: fmt.Errorf("engine: backend %s returned no result: %w", m.name, ErrUnavailable)}
-	}
-	a.mu.Lock()
-	m.inflight--
-	switch {
-	case r.Err == nil:
-		m.completed++
-	case Retryable(r.Err):
-		m.lastErr = r.Err.Error()
-	default:
-		m.failed++
-	}
-	a.mu.Unlock()
-	a.cond.Broadcast()
-	if r.Err == nil && a.cache != nil && j.Spec != nil {
-		a.cache.Store(ctx, j.Spec, r.Value)
-	}
-	return r
+	return a.b.Stream(ctx, jobs)
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -475,4 +476,157 @@ func TestAutoscalerFailoverRetriesOnDeadMember(t *testing.T) {
 	if failovers == 0 && a.Retries() == 0 {
 		t.Error("no failovers or retries recorded although one member was dead")
 	}
+}
+
+// drainWatch is a closeTracker that also records the member's scorecard
+// Inflight at the moment the autoscaler closes it.
+type drainWatch struct {
+	closeTracker
+	inflight func() int
+	atClose  atomic.Int64
+}
+
+func (d *drainWatch) Close() error {
+	d.atClose.Store(int64(d.inflight()))
+	return d.closeTracker.Close()
+}
+
+// memberInflight reads ev's scorecard Inflight from a, or -1 when ev is
+// not one of a's members.
+func memberInflight(a *engine.Autoscaler, ev engine.Evaluator) int {
+	hs := a.Health()
+	for i := range hs {
+		if a.Backend(i) == ev {
+			return hs[i].Inflight
+		}
+	}
+	return -1
+}
+
+// TestAutoscalerScalesDuringStream pins the mutable member list against
+// concurrent readers: while a stream runs, one goroutine drives
+// ScaleNow in a loop and another reads every view of the pool. Every
+// job must resolve once and successfully, the pool must grow, and after
+// the stream drains, shrinking to the minimum must close each retired
+// member only once nothing is in flight on it.
+func TestAutoscalerScalesDuringStream(t *testing.T) {
+	var (
+		a       *engine.Autoscaler
+		mu      sync.Mutex
+		watches []*drainWatch
+	)
+	member := func() engine.Evaluator {
+		d := &drainWatch{closeTracker: closeTracker{
+			Evaluator: engine.New(engine.Options{Workers: 1, PrivateCaches: true})}}
+		d.inflight = func() int { return memberInflight(a, d) }
+		mu.Lock()
+		watches = append(watches, d)
+		mu.Unlock()
+		return d
+	}
+	// A DownThreshold just under 1 lets the scaler retire members while
+	// the tail of the stream still runs on them, so drains are exercised.
+	a = manualScaler(t, engine.AutoscalerOptions{
+		Min: 1, Max: 3,
+		DownThreshold: 0.99,
+		Spawn:         member,
+		Standby: []engine.StandbyBackend{{
+			Name: "local-standby",
+			Dial: func() (engine.Evaluator, error) { return member(), nil },
+		}},
+	})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a.ScaleNow()
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		ctx := context.Background()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a.Health()
+			a.Stats()
+			for i := 0; i < a.Size(); i++ {
+				a.Backend(i)
+			}
+			if _, err := a.Capacity(ctx); err != nil {
+				t.Errorf("Capacity: %v", err)
+			}
+			a.ScaleState()
+		}
+	}()
+
+	const n = 200
+	jobs := make([]engine.Job, n)
+	for i := range jobs {
+		i := i
+		jobs[i] = engine.Job{ID: fmt.Sprintf("s%03d", i), Fn: func(context.Context) (any, error) {
+			time.Sleep(time.Millisecond)
+			return i, nil
+		}}
+	}
+	seen := map[string]int{}
+	for r := range a.Stream(context.Background(), jobs) {
+		seen[r.ID]++
+		if r.Err != nil {
+			t.Errorf("job %s failed while the pool scaled: %v", r.ID, r.Err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if len(seen) != n {
+		t.Errorf("stream resolved %d distinct jobs, want %d", len(seen), n)
+	}
+	for id, c := range seen {
+		if c != 1 {
+			t.Errorf("job %s resolved %d times, want once", id, c)
+		}
+	}
+	if a.ScaleUps() == 0 {
+		t.Fatal("the queued stream never grew the pool")
+	}
+
+	// Idle now: shrink round by round down to the minimum.
+	waitUntil(t, "the pool to shrink to its minimum", func() bool {
+		a.ScaleNow()
+		st := a.ScaleState()
+		return st.ActiveShards == 1 && st.ActiveStandbys == 0
+	})
+	hs := a.Health()
+	for i, h := range hs {
+		d := a.Backend(i).(*drainWatch)
+		if !h.Retired {
+			if d.closed.Load() {
+				t.Errorf("active member %s was closed", h.Name)
+			}
+			continue
+		}
+		waitUntil(t, "retired member "+h.Name+" to close", d.closed.Load)
+		if got := d.atClose.Load(); got != 0 {
+			t.Errorf("retired member %s closed with %d jobs in flight", h.Name, got)
+		}
+	}
+	mu.Lock()
+	spawned := len(watches)
+	mu.Unlock()
+	if spawned != len(hs) {
+		t.Errorf("%d members built for %d scorecards", spawned, len(hs))
+	}
+	t.Logf("%d scale-ups, %d scale-downs over %d members", a.ScaleUps(), a.ScaleDowns(), len(hs))
 }

@@ -11,11 +11,11 @@ import (
 
 // Balancer is the health-aware front of the Evaluator stack: it wraps a
 // set of backends — local pools, remote peers, shard sets, in any mix —
-// and dispatches each job to the least-loaded healthy one, failing jobs
-// over to another backend when the one that held them dies. Where a
-// ShardSet partitions a batch blindly (round-robin, wire-efficient, no
-// second chances), a Balancer places every job individually and keeps a
-// suite complete through mid-stream backend deaths:
+// and dispatches jobs to the healthiest backend with the most free
+// slots, failing jobs over to another backend when the one that held
+// them dies. Where a ShardSet partitions a batch blindly (round-robin,
+// no second chances), a Balancer places work as slots free up and keeps
+// a suite complete through mid-stream backend deaths:
 //
 //   - Health: a periodic loop probes every backend that implements
 //     Prober (local engines answer from their closed flag, remote
@@ -23,17 +23,21 @@ import (
 //     reactively — a backend-level failure (Retryable: ErrClosed or
 //     ErrUnavailable) marks the backend down immediately, the next
 //     success or clean probe revives it.
-//   - Dispatch: each job takes a slot on the healthy backend with the
-//     fewest in-flight jobs (ties rotate), bounded per backend by its
-//     local worker count (or Width for backends that report none, i.e.
-//     remote peers), so a slow backend holds only the jobs it is
-//     actually running while the rest of the suite flows around it.
-//   - Failover: a job whose result is a backend-level failure is re-run
-//     on another backend — bounded by MaxRetries, excluding backends
-//     already tried until every one has been — and resolves exactly
-//     once, so merged Run/Stream output stays deduplicated. Job-level
-//     failures (a bad program, a per-job timeout, the caller's context
-//     ending) are never retried.
+//   - Dispatch: one placement loop per batch moves jobs in chunks of up
+//     to Chunk (1 unless configured): it reserves slots on the healthy
+//     backend with the most free slots (ties rotate), bounded per
+//     backend by its local worker count (or Width for backends that
+//     report none, i.e. remote peers) and by its scraped free capacity,
+//     so a slow backend holds only the jobs it is actually running while
+//     the rest of the suite flows around it. Per-job dispatch is a chunk
+//     of one.
+//   - Failover: each job a chunk acknowledges resolves on arrival; a job
+//     whose result is a backend-level failure, or that a severed chunk
+//     left unresolved, is re-queued for another backend — bounded by
+//     MaxRetries, excluding backends already tried until every one has
+//     been — and resolves exactly once, so merged Run/Stream output
+//     stays deduplicated. Job-level failures (a bad program, a per-job
+//     timeout, the caller's context ending) are never retried.
 //
 // Failover re-runs jobs, so jobs must be idempotent — true of the whole
 // evaluation suite (pure simulation), and the same assumption the remote
@@ -42,25 +46,24 @@ import (
 // closure jobs fail on remote backends with a not-remotable error and
 // are not retried (placement cannot fix a job that cannot travel).
 //
-// The wire tradeoff is explicit: dispatch is job-granular, so remote
-// jobs travel as individual /v1/eval requests (at most width concurrent
-// per peer) rather than the ShardSet's chunked /v1/suite streams —
-// placement precision and per-job failover bought with per-request
-// overhead. Wire-efficiency-critical batch sweeps over a healthy fleet
-// belong on a ShardSet; fleets that must survive member deaths belong
-// here.
+// A chunk is one dispatch unit: one acknowledged /v1/suite stream on a
+// backend implementing ChunkDispatcher (the remote client), one Run
+// batch otherwise. Larger chunks trade placement precision for fewer
+// requests; a chunk of one sends every job as its own acknowledged
+// request.
+//
+// Membership can change while batches run: the Autoscaler adds members
+// and retires them (placement stops at once, in-flight jobs drain, then
+// the member is closed).
 type Balancer struct {
-	members      []*member
 	maxRetries   int
 	interval     time.Duration
 	probeTimeout time.Duration
 	threshold    int
-	// slots is the fleet's total dispatch width — the admission cap on
-	// concurrently-placed jobs, so a huge batch doesn't park one cond
-	// waiter per job (see dispatch).
-	slots int
-	// chunk caps one chunked dispatch unit; 0 selects the historical
-	// per-job placement (see dispatchChunked).
+	// width is the dispatch cap of members that report no local
+	// workers (remote peers).
+	width int
+	// chunk caps one dispatch unit; 1 is per-job placement.
 	chunk int
 	// cache, when non-nil, is consulted before every placement: a hit
 	// resolves the job without taking a slot or riding a chunk, and
@@ -72,15 +75,20 @@ type Balancer struct {
 	chunkResumes atomic.Uint64
 	cacheHits    atomic.Uint64
 
-	// mu guards every member's mutable state plus closed and rr; cond
-	// (on mu) wakes acquire waiters when a slot frees, a probe changes a
-	// backend's health, or the balancer closes. Dispatch contexts get a
-	// watcher goroutine that broadcasts on cancellation so waiters
-	// observe it.
-	mu     sync.Mutex
-	cond   *sync.Cond
-	closed bool
-	rr     int
+	// mu guards members (appended by addLocked) and every member's mutable
+	// state, plus closed, rr, queued and every placement's queue; cond
+	// (on mu) wakes placement loops when a slot frees, a probe changes a
+	// backend's health, membership changes, or the balancer closes.
+	// Dispatch contexts get a watcher goroutine that broadcasts on
+	// cancellation so waiters observe it.
+	mu      sync.Mutex
+	cond    *sync.Cond
+	members []*member
+	closed  bool
+	rr      int
+	// queued counts jobs waiting in dispatch queues for a slot — the
+	// Autoscaler's queue-depth signal. Cache hits never enter a queue.
+	queued int
 
 	// revived is closed (and replaced) whenever any member transitions
 	// to healthy; last-resort attempts on unhealthy backends watch it
@@ -89,16 +97,20 @@ type Balancer struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
+	drains   sync.WaitGroup // retired members still draining
 }
 
 // member is one backend plus the balancer's book-keeping about it. All
 // mutable fields are guarded by Balancer.mu.
 type member struct {
-	ev    Evaluator
-	name  string
-	width int // max concurrent jobs dispatched to this backend
+	ev      Evaluator
+	name    string
+	width   int  // max concurrent jobs dispatched to this backend
+	standby bool // dialed from the Autoscaler's standby list
 
-	healthy     bool
+	healthy bool
+	// retired members take no new jobs; they close once drained.
+	retired     bool
 	inflight    int
 	consecutive int // consecutive backend-level failures
 	lastErr     string
@@ -178,9 +190,9 @@ type BackendHealth struct {
 	Failovers     uint64 `json:"failovers"`
 	Probes        uint64 `json:"probes"`
 	ProbeFailures uint64 `json:"probe_failures"`
-	// Chunks counts chunked dispatch units handed to this backend;
-	// ChunkResumes counts chunks severed here whose unresolved jobs
-	// were re-chunked onto other backends.
+	// Chunks counts dispatch units handed to this backend (one per job
+	// under per-job placement); ChunkResumes counts chunks severed here
+	// whose unresolved jobs were re-chunked onto other backends.
 	Chunks       uint64 `json:"chunks,omitempty"`
 	ChunkResumes uint64 `json:"chunk_resumes,omitempty"`
 	// Capacity is the backend's most recent scraped load snapshot (nil
@@ -217,14 +229,13 @@ type BalancerOptions struct {
 	// workers — remote peers, whose pool lives on the other machine
 	// (0 selects 8). Backends with a local pool are capped at its size.
 	Width int
-	// Chunk enables chunked dispatch: up to Chunk jobs travel to a
-	// backend as one dispatch unit — over one /v1/suite NDJSON stream
+	// Chunk caps one dispatch unit: up to Chunk jobs travel to a
+	// backend together — over one acknowledged /v1/suite NDJSON stream
 	// for backends implementing ChunkDispatcher, one Run batch
 	// otherwise — with per-row acknowledgement, so a severed chunk
 	// re-dispatches only its unresolved jobs. Chunks are sized down by
 	// the backend's free slots and scraped live capacity. 0 (or
-	// negative) selects the historical per-job placement; 1 is
-	// equivalent to it and also dispatches per-job.
+	// negative) selects 1: per-job placement, each job its own chunk.
 	Chunk int
 	// Cache, when set, is the fleet-wide result cache consulted before
 	// every placement: a hit short-circuits dispatch (the job never
@@ -248,6 +259,22 @@ func NewBalancer(opts BalancerOptions, backends ...Evaluator) *Balancer {
 	if len(backends) == 0 {
 		backends = []Evaluator{New(Options{PrivateCaches: true})}
 	}
+	b := newBalancer(opts)
+	b.mu.Lock()
+	for i, ev := range backends {
+		b.addLocked(ev, backendName(ev, i), false)
+	}
+	b.mu.Unlock()
+	if b.interval > 0 {
+		go b.healthLoop()
+	}
+	return b
+}
+
+// newBalancer applies the option defaults and returns a balancer with
+// no members and no health loop — NewBalancer's and the Autoscaler's
+// common start.
+func newBalancer(opts BalancerOptions) *Balancer {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
 	} else if opts.MaxRetries < 0 {
@@ -265,38 +292,67 @@ func NewBalancer(opts BalancerOptions, backends ...Evaluator) *Balancer {
 	if opts.Width <= 0 {
 		opts.Width = 8
 	}
-	if opts.Chunk < 0 {
-		opts.Chunk = 0
+	if opts.Chunk < 1 {
+		opts.Chunk = 1
 	}
 	b := &Balancer{
 		maxRetries:   opts.MaxRetries,
 		interval:     opts.HealthInterval,
 		probeTimeout: opts.ProbeTimeout,
 		threshold:    opts.FailThreshold,
+		width:        opts.Width,
 		chunk:        opts.Chunk,
 		cache:        opts.Cache,
 		revived:      make(chan struct{}),
 		stop:         make(chan struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
-	for i, ev := range backends {
-		w := LocalStats(ev).Workers
-		if w <= 0 {
-			w = opts.Width
-		}
-		b.members = append(b.members, &member{
-			ev:      ev,
-			name:    backendName(ev, i),
-			width:   w,
-			healthy: true,
-			down:    make(chan struct{}),
-		})
-		b.slots += w
-	}
-	if b.interval > 0 {
-		go b.healthLoop()
-	}
 	return b
+}
+
+// addLocked makes ev a new healthy member, placeable at once, and
+// returns it. Members are only ever appended, so an index observed
+// through Size stays valid. Callers hold b.mu and wake placement with
+// cond.Broadcast after unlocking.
+func (b *Balancer) addLocked(ev Evaluator, name string, standby bool) *member {
+	w := LocalStats(ev).Workers
+	if w <= 0 {
+		w = b.width
+	}
+	m := &member{
+		ev:      ev,
+		name:    name,
+		width:   w,
+		standby: standby,
+		healthy: true,
+		down:    make(chan struct{}),
+	}
+	b.members = append(b.members, m)
+	return m
+}
+
+// retireLocked stops placement on m at once and hands it to a drainer
+// that closes it only once its in-flight jobs have resolved — so a
+// retirement never loses work. If the balancer closes first, Close owns
+// the member's shutdown. Callers hold b.mu.
+func (b *Balancer) retireLocked(m *member) {
+	m.retired = true
+	b.drains.Add(1)
+	go func() {
+		defer b.drains.Done()
+		b.mu.Lock()
+		for m.inflight > 0 && !b.closed {
+			b.cond.Wait()
+		}
+		closed := b.closed
+		b.mu.Unlock()
+		if !closed {
+			// The member is drained, so nothing resolves with ErrClosed
+			// here; a failure would only repeat what the job results
+			// already reported.
+			_ = m.ev.Close()
+		}
+	}()
 }
 
 // backendName labels one backend for health reports: its peer URL when
@@ -319,11 +375,20 @@ func backendName(ev Evaluator, i int) string {
 	}
 }
 
-// Size returns the number of backends behind the balancer.
-func (b *Balancer) Size() int { return len(b.members) }
+// Size returns the number of backends behind the balancer, retired
+// members included.
+func (b *Balancer) Size() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.members)
+}
 
 // Backend returns backend i, for stats drill-down and tests.
-func (b *Balancer) Backend(i int) Evaluator { return b.members[i].ev }
+func (b *Balancer) Backend(i int) Evaluator {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.members[i].ev
+}
 
 // MaxRetries returns the per-job failover budget.
 func (b *Balancer) MaxRetries() int { return b.maxRetries }
@@ -332,11 +397,11 @@ func (b *Balancer) MaxRetries() int { return b.maxRetries }
 // first) the balancer has performed over its lifetime.
 func (b *Balancer) Retries() uint64 { return b.retries.Load() }
 
-// Chunk returns the configured chunk cap (0: per-job dispatch).
+// Chunk returns the chunk cap (1: per-job dispatch).
 func (b *Balancer) Chunk() int { return b.chunk }
 
-// Chunks returns how many chunked dispatch units the balancer has
-// issued over its lifetime.
+// Chunks returns how many dispatch units the balancer has issued over
+// its lifetime.
 func (b *Balancer) Chunks() uint64 { return b.chunks.Load() }
 
 // ChunkResumes returns how many chunks ended with unresolved jobs that
@@ -361,7 +426,7 @@ func (b *Balancer) Health() []BackendHealth {
 	for i, m := range b.members {
 		out[i] = BackendHealth{
 			Name:            m.name,
-			Healthy:         m.healthy,
+			Healthy:         m.healthy && !m.retired,
 			Width:           m.width,
 			Inflight:        m.inflight,
 			Dispatched:      m.dispatched,
@@ -373,6 +438,8 @@ func (b *Balancer) Health() []BackendHealth {
 			Chunks:          m.chunks,
 			ChunkResumes:    m.chunkResumes,
 			CapacityScrapes: m.capScrapes,
+			Retired:         m.retired,
+			Standby:         m.standby,
 			LastError:       m.lastErr,
 		}
 		if m.cap != nil {
@@ -399,21 +466,24 @@ func (b *Balancer) Stats() Stats {
 // scrape, so the set pays the slowest backend, not the sum).
 func (b *Balancer) BackendStats() []Stats { return BackendStats(b) }
 
-// Close stops the health loop, wakes every dispatch waiting for a slot
-// (they resolve their jobs with ErrClosed), closes every backend
-// concurrently, and releases the attached result cache last (a tier
-// drains its queued peer fills there), joining every error. Idempotent.
+// Close stops the health loop, wakes every placement waiting for a slot
+// (their jobs resolve with ErrClosed), waits for retired members still
+// draining, closes every backend concurrently, and releases the
+// attached result cache last (a tier drains its queued peer fills
+// there), joining every error. Idempotent.
 func (b *Balancer) Close() error {
 	var err error
 	b.stopOnce.Do(func() {
 		b.mu.Lock()
 		b.closed = true
+		members := append([]*member(nil), b.members...)
 		b.mu.Unlock()
 		close(b.stop)
 		b.cond.Broadcast()
-		errs := make([]error, len(b.members), len(b.members)+1)
+		b.drains.Wait()
+		errs := make([]error, len(members), len(members)+1)
 		var wg sync.WaitGroup
-		for i, m := range b.members {
+		for i, m := range members {
 			wg.Add(1)
 			go func(i int, ev Evaluator) {
 				defer wg.Done()
@@ -427,18 +497,13 @@ func (b *Balancer) Close() error {
 	return err
 }
 
-// Run dispatches every job to the healthiest least-loaded backend,
+// Run dispatches every job to the healthiest backend with free slots,
 // failing over on backend-level errors, and returns results in
 // submission order — Engine.Run semantics over the set.
 func (b *Balancer) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	out := make([]Result, len(jobs))
 	b.dispatch(ctx, jobs, func(i int, r Result) { out[i] = r })
 	return out, ctx.Err()
-}
-
-// RunAll is Run under the engine's historical batch name.
-func (b *Balancer) RunAll(ctx context.Context, jobs []Job) ([]Result, error) {
-	return b.Run(ctx, jobs)
 }
 
 // Stream dispatches like Run but yields each result the moment its job
@@ -455,74 +520,6 @@ func (b *Balancer) Stream(ctx context.Context, jobs []Job) <-chan Result {
 		b.dispatch(ctx, jobs, func(_ int, r Result) { out <- r })
 	}()
 	return out
-}
-
-// dispatch resolves every job exactly once through emit(jobIndex,
-// result). Placement goroutines are admitted up to the fleet's total
-// slot count: beyond that a batch waits cheaply on the admission
-// channel instead of parking one cond waiter per job, which would cost
-// O(jobs²) wakeups on big manifests (every completion broadcasts to
-// every waiter). A watcher broadcasts on the context ending so slot
-// waiters observe the cancellation.
-func (b *Balancer) dispatch(ctx context.Context, jobs []Job, emit func(int, Result)) {
-	if len(jobs) == 0 {
-		return
-	}
-	if b.chunk > 1 {
-		b.dispatchChunked(ctx, jobs, emit)
-		return
-	}
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Broadcast under mu: a waiter that checked ctx.Err() just
-			// before the cancellation still holds mu until its Wait
-			// parks it, so taking the lock here orders this wakeup
-			// after that park — an unlocked Broadcast could fire into
-			// the gap and strand the waiter forever.
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		case <-watchDone:
-		}
-	}()
-	sem := make(chan struct{}, b.slots)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			emit(i, Result{ID: jobs[i].ID, Err: ctx.Err(), Worker: -1})
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if r, ok := b.cachedResult(ctx, jobs[i]); ok {
-				emit(i, r)
-				return
-			}
-			emit(i, b.runJob(ctx, jobs[i]))
-		}(i)
-	}
-	wg.Wait()
-	close(watchDone)
-}
-
-// cachedResult consults the result cache for one job before placement;
-// a hit is a finished job that never touches a backend.
-func (b *Balancer) cachedResult(ctx context.Context, j Job) (Result, bool) {
-	if b.cache == nil || j.Spec == nil {
-		return Result{}, false
-	}
-	v, ok := b.cache.Lookup(ctx, j.Spec)
-	if !ok {
-		return Result{}, false
-	}
-	b.cacheHits.Add(1)
-	return Result{ID: j.ID, Value: v, Worker: -1}, true
 }
 
 // cacheStore records one successful result in the result cache,
@@ -568,141 +565,76 @@ func (b *Balancer) filterCached(ctx context.Context, jobs []Job, emit func(int, 
 	return pending
 }
 
-// runJob places one job, retrying backend-level failures on other
-// backends within the failover budget. Backends already tried are
-// excluded until every backend has been — a budget larger than the set
-// then starts a fresh pass, so a revived backend gets another chance.
-func (b *Balancer) runJob(ctx context.Context, j Job) Result {
-	exclude := make(map[*member]bool)
-	var last Result
-	for attempt := 0; ; attempt++ {
-		m, err := b.acquire(ctx, exclude)
-		if err == errAllTried {
-			exclude = make(map[*member]bool)
-			m, err = b.acquire(ctx, exclude)
-		}
-		if err != nil {
-			return Result{ID: j.ID, Err: err, Worker: -1}
-		}
-		if attempt > 0 {
-			b.retries.Add(1)
-		}
-		last = b.attempt(ctx, m, j)
-		if !Retryable(last.Err) {
-			return last
-		}
-		// Backend-level failure: book it as a failover exactly when the
-		// job is re-dispatched, as a terminal failure when the budget
-		// is spent — so the scorecards mean what they say.
-		b.mu.Lock()
-		if attempt >= b.maxRetries {
-			m.failed++
-			b.mu.Unlock()
-			return last
-		}
-		m.failovers++
-		b.mu.Unlock()
-		exclude[m] = true
-	}
-}
-
-// errAllTried is acquire's signal that every backend is excluded for
-// this job — the caller decides whether the retry budget allows a fresh
-// pass.
-var errAllTried = errors.New("engine: every backend already tried")
-
-// acquire reserves a dispatch slot: the healthy non-excluded backend
-// with the fewest in-flight jobs and a free slot, ties rotated. When
-// every non-excluded backend is unhealthy, the least-loaded unhealthy
-// one is used as a last resort (its failure re-confirms it is down and
-// keeps all-backends-down batches resolving instead of hanging). When
-// eligible backends exist but all slots are taken, acquire waits for a
-// release, a health change, cancellation, or Close.
-func (b *Balancer) acquire(ctx context.Context, exclude map[*member]bool) (*member, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if b.closed {
-			return nil, ErrClosed
-		}
-		start := b.rr
-		b.rr++
-		var best *member
-		allTried, healthyLeft := true, false
-		for k := range b.members {
-			m := b.members[(start+k)%len(b.members)]
-			if exclude[m] {
-				continue
-			}
-			allTried = false
-			if m.healthy {
-				healthyLeft = true
-				// freeSlotsLocked refines the static width with the live
-				// worker count a capacity scrape reported, so a peer
-				// that shrank sheds load before it wedges.
-				if m.freeSlotsLocked() > 0 && (best == nil || m.inflight < best.inflight) {
-					best = m
-				}
-			}
-		}
-		if allTried {
-			return nil, errAllTried
-		}
-		if best == nil && !healthyLeft {
-			for k := range b.members {
-				m := b.members[(start+k)%len(b.members)]
-				if exclude[m] || m.freeSlotsLocked() <= 0 {
-					continue
-				}
-				if best == nil || m.inflight < best.inflight {
-					best = m
-				}
-			}
-		}
-		if best != nil {
-			best.inflight++
-			best.dispatched++
-			return best, nil
-		}
-		b.cond.Wait()
-	}
-}
-
-// chunkItem is one job's book-keeping in the chunked dispatch path: its
-// index in the batch, how many attempts it has consumed, and the
-// backends excluded by earlier failures. An item is owned by exactly
-// one party at a time — the dispatch loop while queued, one chunk
-// attempt while in flight — so its fields need no lock of their own.
+// chunkItem is one job's book-keeping in a placement queue: its index
+// in the batch, how many attempts it has consumed, and the backends
+// excluded by earlier failures (nil until its first one). An item is
+// owned by exactly one party at a time — the placement loop while
+// queued, one chunk attempt while in flight — so its fields need no
+// lock of their own.
 type chunkItem struct {
 	idx     int
 	attempt int
 	exclude map[*member]bool
 }
 
-// dispatchChunked resolves every job exactly once through emit, moving
-// jobs in chunks of up to b.chunk instead of one at a time: a chunk
-// rides one dispatch unit (one /v1/suite NDJSON stream on a
-// ChunkDispatcher backend), each arriving row acknowledges its job, and
-// a severed chunk re-queues only its unresolved jobs — so failover
-// costs re-running the jobs a dying backend actually dropped, not the
-// whole chunk, and a healthy sweep pays one request per chunk instead
-// of one per job.
+// placement is one batch's dispatch state. queue holds the items
+// awaiting a slot, oldest first, and inflight counts the items riding
+// chunk attempts; both are guarded by b.mu.
+type placement struct {
+	jobs     []Job
+	emit     func(int, Result)
+	queue    []*chunkItem
+	inflight int
+}
+
+// take removes up to want items that admit m from the head of the
+// queue, scanning no further than it must: items excluded from m stay
+// in front, in order, so the oldest re-queued job keeps its place.
+// Callers hold b.mu.
+func (p *placement) take(m *member, want int) []*chunkItem {
+	take := make([]*chunkItem, 0, want)
+	skipped, i := 0, 0
+	for ; i < len(p.queue) && len(take) < want; i++ {
+		if it := p.queue[i]; it.exclude[m] {
+			p.queue[skipped] = it
+			skipped++
+		} else {
+			take = append(take, it)
+		}
+	}
+	// Close the gap between the skipped items and the unscanned rest.
+	copy(p.queue[i-skipped:i], p.queue[:skipped])
+	p.queue = p.queue[i-skipped:]
+	return take
+}
+
+// dispatch resolves every job exactly once through emit(jobIndex,
+// result), moving jobs in chunks of up to b.chunk: a chunk rides one
+// dispatch unit (one acknowledged /v1/suite stream on a ChunkDispatcher
+// backend, one Run batch otherwise), each arriving row acknowledges its
+// job, and a severed chunk re-queues only its unresolved jobs — so
+// failover costs re-running the jobs a dying backend actually dropped,
+// not the whole chunk.
 //
-// A single placement loop owns the queue: it waits for a slot on the
-// best backend (most free slots, refined by scraped capacity), pops the
-// largest admissible chunk, and hands it to a concurrent attempt.
-// Attempts re-queue unresolved or retryable items and wake the loop;
-// the loop exits when the queue is empty and nothing is in flight.
-func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(int, Result)) {
+// A single placement loop owns the queue: it waits for slots on the
+// best backend for the oldest queued item, takes the largest admissible
+// chunk from the head of the queue, and hands it to a concurrent
+// attempt. Attempts re-queue unresolved or retryable items and wake the
+// loop; the loop exits when the queue is empty and nothing is in
+// flight.
+func (b *Balancer) dispatch(ctx context.Context, jobs []Job, emit func(int, Result)) {
+	if len(jobs) == 0 {
+		return
+	}
 	watchDone := make(chan struct{})
 	go func() {
 		select {
 		case <-ctx.Done():
-			// See dispatch: Broadcast under mu so a waiter between its
-			// ctx check and its park cannot miss the wakeup.
+			// Broadcast under mu: a waiter that checked ctx.Err() just
+			// before the cancellation still holds mu until its Wait
+			// parks it, so taking the lock here orders this wakeup
+			// after that park — an unlocked Broadcast could fire into
+			// the gap and strand the waiter forever.
 			b.mu.Lock()
 			b.cond.Broadcast()
 			b.mu.Unlock()
@@ -712,52 +644,41 @@ func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(in
 	defer close(watchDone)
 
 	// Cache hits resolve before the queue exists: a hot job neither
-	// rides a chunk nor occupies a reservation another job could use.
-	pending := make([]int, 0, len(jobs))
+	// rides a chunk, occupies a reservation another job could use, nor
+	// counts as queued demand.
+	var items []chunkItem
 	if b.cache != nil {
-		pending = b.filterCached(ctx, jobs, emit)
+		pending := b.filterCached(ctx, jobs, emit)
+		items = make([]chunkItem, len(pending))
+		for k, i := range pending {
+			items[k].idx = i
+		}
 	} else {
-		for i := range jobs {
-			pending = append(pending, i)
+		items = make([]chunkItem, len(jobs))
+		for k := range items {
+			items[k].idx = k
 		}
 	}
-
-	var (
-		mu       sync.Mutex
-		queue    = make([]*chunkItem, 0, len(pending))
-		inflight int
-		wake     = make(chan struct{}, 1)
-	)
-	for _, i := range pending {
-		queue = append(queue, &chunkItem{idx: i, exclude: map[*member]bool{}})
-	}
-	signal := func() {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
+	p := &placement{jobs: jobs, emit: emit, queue: make([]*chunkItem, len(items))}
+	for k := range items {
+		p.queue[k] = &items[k]
 	}
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	for {
-		mu.Lock()
-		if len(queue) == 0 {
-			if inflight == 0 {
-				mu.Unlock()
-				return
-			}
-			mu.Unlock()
-			<-wake // an attempt always signals on completion
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.queued += len(p.queue)
+	for len(p.queue) > 0 || p.inflight > 0 {
+		if len(p.queue) == 0 {
+			b.cond.Wait() // an attempt always broadcasts on completion
 			continue
 		}
-		front := queue[0]
-		mu.Unlock()
-
-		// Place the front item first — acquire honours its exclusions,
-		// so the oldest re-queued job cannot starve behind fresh ones —
-		// then widen the chunk with other items that admit the same
-		// backend.
+		// Place the front item first — acquireChunk honours its
+		// exclusions, so the oldest re-queued job cannot starve behind
+		// fresh ones — then widen the chunk with the items behind it
+		// that admit the same backend.
+		front := p.queue[0]
 		m, want, err := b.acquireChunk(ctx, front.exclude)
 		if err == errAllTried {
 			clear(front.exclude)
@@ -767,32 +688,23 @@ func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(in
 			// The caller's context ended or the balancer closed: resolve
 			// everything still queued; in-flight attempts resolve their
 			// own items against the same condition.
-			mu.Lock()
-			rest := queue
-			queue = nil
-			mu.Unlock()
+			rest := p.queue
+			p.queue = nil
+			b.queued -= len(rest)
+			b.mu.Unlock()
 			for _, it := range rest {
 				emit(it.idx, Result{ID: jobs[it.idx].ID, Err: err, Worker: -1})
 			}
+			b.mu.Lock()
 			continue
 		}
-
-		mu.Lock()
-		take := make([]*chunkItem, 0, want)
-		rest := queue[:0]
-		for _, it := range queue {
-			if len(take) < want && !it.exclude[m] {
-				take = append(take, it)
-			} else {
-				rest = append(rest, it)
-			}
-		}
-		queue = rest
-		inflight += len(take)
-		mu.Unlock()
-		if extra := want - len(take); extra > 0 {
-			b.releaseSlots(m, extra)
-		}
+		take := p.take(m, want)
+		b.queued -= len(take)
+		p.inflight += len(take)
+		// Return the reservations the chunk could not fill.
+		m.inflight -= want - len(take)
+		m.dispatched += uint64(len(take))
+		m.chunks++
 		redispatched := 0
 		for _, it := range take {
 			if it.attempt > 0 {
@@ -802,30 +714,38 @@ func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(in
 		if redispatched > 0 {
 			b.retries.Add(uint64(redispatched))
 		}
-
+		b.chunks.Add(1)
+		if want > len(take) {
+			b.cond.Broadcast()
+		}
+		b.mu.Unlock()
 		wg.Add(1)
-		go func(m *member, take []*chunkItem) {
+		go func() {
 			defer wg.Done()
-			requeue := b.attemptChunk(ctx, m, jobs, take, emit)
-			mu.Lock()
-			queue = append(queue, requeue...)
-			inflight -= len(take)
-			mu.Unlock()
-			signal()
-		}(m, take)
+			b.attemptChunk(ctx, m, p, take)
+		}()
+		b.mu.Lock()
 	}
 }
 
+// errAllTried is acquireChunk's signal that every backend is excluded
+// for the job at the head of the queue — the caller clears the
+// exclusions so the retry budget starts a fresh pass, and a revived
+// backend gets another chance.
+var errAllTried = errors.New("engine: every backend already tried")
+
 // acquireChunk reserves up to b.chunk dispatch slots on one backend:
-// the healthy non-excluded backend with the most free slots (static
-// width refined by the live worker count a capacity scrape reported),
-// the chunk capped further by the peer's scraped free workers so a
-// busy peer sheds load. The same last-resort and errAllTried rules as
-// acquire apply; the caller returns unused reservations through
-// releaseSlots.
+// the healthy, non-retired, non-excluded backend with the most free
+// slots (static width refined by the live worker count a capacity
+// scrape reported), ties rotated, the chunk capped further by the
+// peer's scraped free workers so a busy peer sheds load. When every
+// eligible backend is unhealthy, the one with the most free slots is
+// used as a last resort (its failure re-confirms it is down and keeps
+// all-backends-down batches resolving instead of hanging). When
+// eligible backends exist but all slots are taken, acquireChunk waits
+// for a release, a health or membership change, cancellation, or Close.
+// Callers hold b.mu and return unused reservations to best.inflight.
 func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (*member, int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -840,7 +760,7 @@ func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (
 		allTried, healthyLeft := true, false
 		for k := range b.members {
 			m := b.members[(start+k)%len(b.members)]
-			if exclude[m] {
+			if m.retired || exclude[m] {
 				continue
 			}
 			allTried = false
@@ -852,13 +772,13 @@ func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (
 				best, bestFree = m, free
 			}
 		}
-		if allTried {
+		if allTried && len(exclude) > 0 {
 			return nil, 0, errAllTried
 		}
 		if best == nil && !healthyLeft {
 			for k := range b.members {
 				m := b.members[(start+k)%len(b.members)]
-				if exclude[m] {
+				if m.retired || exclude[m] {
 					continue
 				}
 				if free := m.freeSlotsLocked(); free > 0 && (best == nil || free > bestFree) {
@@ -889,56 +809,55 @@ func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (
 	}
 }
 
-// releaseSlots returns n unused dispatch-slot reservations on m and
-// wakes waiters.
-func (b *Balancer) releaseSlots(m *member, n int) {
-	b.mu.Lock()
-	m.inflight -= n
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// attemptChunk runs one chunk on one backend, resolving acknowledged
-// jobs and returning the items the dispatch loop must re-queue: jobs
-// the chunk left unresolved (the stream was severed under them) and
-// jobs whose acknowledged result is a backend-level failure within the
-// retry budget. The same abandonment watch as attempt covers the whole
-// chunk: a backend declared dead mid-chunk has the chunk cancelled,
-// and its unresolved jobs move on without waiting out the wedge.
-func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, items []*chunkItem, emit func(int, Result)) []*chunkItem {
+// attemptChunk runs one chunk on one backend, then settles it (see
+// settleChunk). While the chunk is in flight it watches an abandonment
+// signal (see watchAttempt): a backend declared dead mid-chunk — a
+// failed probe, another job's backend-level failure — has the chunk
+// cancelled and its unresolved jobs re-classified ErrUnavailable, so a
+// wedged-but-connected peer (a network partition, a stopped process
+// holding its TCP connections open) cannot hold jobs hostage past the
+// health verdict.
+//
+// Settling happens in its own call so that this frame, which sits under
+// the backend's dispatch path in a goroutine started per chunk, stays
+// small: a goroutine whose stack must grow deep inside that path pays
+// for copying every frame above it.
+func (b *Balancer) attemptChunk(ctx context.Context, m *member, p *placement, items []*chunkItem) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := make(chan struct{})
 	go b.watchAttempt(m, stop, cancel)
 
-	b.mu.Lock()
-	m.dispatched += uint64(len(items))
-	m.chunks++
-	b.mu.Unlock()
-	b.chunks.Add(1)
-
-	chunkJobs := make([]Job, len(items))
-	for i, it := range items {
-		chunkJobs[i] = jobs[it.idx]
+	// A one-job chunk — per-job placement — rides the caller's slice;
+	// the capacity bound keeps a backend from appending over its
+	// neighbours.
+	var chunkJobs []Job
+	if len(items) == 1 {
+		i := items[0].idx
+		chunkJobs = p.jobs[i : i+1 : i+1]
+	} else {
+		chunkJobs = make([]Job, len(items))
+		for i, it := range items {
+			chunkJobs[i] = p.jobs[it.idx]
+		}
 	}
-	resolved := make([]bool, len(items))
-	results := make([]Result, len(items))
+	acks := make([]chunkAck, len(items))
 	var chunkErr error
 	if cd, ok := m.ev.(ChunkDispatcher); ok {
 		chunkErr = cd.DispatchChunk(actx, chunkJobs, func(i int, r Result) {
-			if i < 0 || i >= len(items) || resolved[i] {
+			if i < 0 || i >= len(acks) || acks[i].ok {
 				return
 			}
-			resolved[i], results[i] = true, r
+			acks[i] = chunkAck{r: r, ok: true}
 		})
 	} else {
 		// Backends without the chunk capability run the chunk as one
 		// Run batch — every result arrives together, which is still one
 		// dispatch decision per chunk.
 		rs, _ := m.ev.Run(actx, chunkJobs)
-		for i := range items {
+		for i := range acks {
 			if i < len(rs) {
-				resolved[i], results[i] = true, rs[i]
+				acks[i] = chunkAck{r: rs[i], ok: true}
 			}
 		}
 		if len(rs) < len(items) {
@@ -947,30 +866,35 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 		}
 	}
 	close(stop)
-	abandoned := actx.Err() != nil && ctx.Err() == nil
+	b.settleChunk(ctx, m, p, items, acks, chunkErr, actx.Err() != nil && ctx.Err() == nil)
+}
 
-	type pending struct {
-		idx int
-		r   Result
-	}
-	var toEmit []pending
-	var requeue []*chunkItem
+// settleChunk scores one finished chunk and resolves its jobs: each
+// job the backend acknowledged with a success or a job-level failure is
+// emitted; jobs the chunk left unresolved (chunkErr explains why, when
+// the backend said) and jobs acknowledged with a backend-level failure
+// re-queue on p within the retry budget, and resolve with that failure
+// once it is spent. abandoned reports that the balancer cancelled the
+// chunk after the fleet's health changed, which makes every failure in
+// it backend-level.
+func (b *Balancer) settleChunk(ctx context.Context, m *member, p *placement, items []*chunkItem, acks []chunkAck, chunkErr error, abandoned bool) {
+	requeued := 0
 	sawSuccess, sawRetryable, sawJobLevel := false, false, false
 	b.mu.Lock()
 	m.inflight -= len(items)
 	for i, it := range items {
-		r := results[i]
-		if !resolved[i] {
+		r := &acks[i].r
+		if !acks[i].ok {
 			err := chunkErr
 			if err == nil {
 				err = fmt.Errorf("engine: chunk on %s ended with job %q unresolved: %w",
-					m.name, chunkJobs[i].ID, ErrUnavailable)
+					m.name, p.jobs[it.idx].ID, ErrUnavailable)
 			}
 			if abandoned {
 				err = fmt.Errorf("engine: chunk on %s abandoned after the fleet's health changed: %w",
 					m.name, ErrUnavailable)
 			}
-			r = Result{ID: chunkJobs[i].ID, Err: err, Worker: -1}
+			*r = Result{ID: p.jobs[it.idx].ID, Err: err, Worker: -1}
 		} else if r.Err != nil && abandoned {
 			// The balancer abandoned the chunk, not the caller: the
 			// failure is backend-level, so the job may run elsewhere.
@@ -982,31 +906,34 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 		case r.Err == nil:
 			m.completed++
 			sawSuccess = true
-			toEmit = append(toEmit, pending{it.idx, r})
 		case Retryable(r.Err):
 			sawRetryable = true
 			m.lastErr = r.Err.Error()
 			if it.attempt >= b.maxRetries {
 				m.failed++
-				toEmit = append(toEmit, pending{it.idx, r})
 			} else {
 				m.failovers++
 				it.attempt++
+				if it.exclude == nil {
+					it.exclude = make(map[*member]bool)
+				}
 				it.exclude[m] = true
-				requeue = append(requeue, it)
+				// The item leaves this chunk for the queue.
+				p.queue = append(p.queue, it)
+				items[i] = nil
+				requeued++
 			}
 		default:
 			// The job ran and failed on its own terms (or the caller's
 			// context ended); the backend is not at fault.
 			m.failed++
 			sawJobLevel = true
-			toEmit = append(toEmit, pending{it.idx, r})
 		}
 	}
-	// Mirror the per-job attempt's health scoring: evidence the backend
-	// ran jobs (a success, or a job-level failure) clears the failure
-	// streak before this chunk's own backend-level failures count
-	// against it, so a live backend is not marked down by stale streaks.
+	// Evidence the backend ran jobs (a success, or a job-level failure)
+	// clears the failure streak before this chunk's own backend-level
+	// failures count against it, so a live backend is not marked down
+	// by stale streaks.
 	if sawSuccess {
 		b.setHealthLocked(m, true)
 	} else if sawJobLevel {
@@ -1018,85 +945,30 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 			b.setHealthLocked(m, false)
 		}
 	}
-	if len(requeue) > 0 {
+	if requeued > 0 {
 		m.chunkResumes++
 		b.chunkResumes.Add(1)
 	}
+	b.queued += requeued
+	p.inflight -= len(items)
 	b.mu.Unlock()
 	b.cond.Broadcast()
-	for _, p := range toEmit {
-		if p.r.Err == nil {
-			b.cacheStore(ctx, jobs[p.idx], p.r.Value)
+	for i, it := range items {
+		if it == nil {
+			continue
 		}
-		emit(p.idx, p.r)
+		if acks[i].r.Err == nil {
+			b.cacheStore(ctx, p.jobs[it.idx], acks[i].r.Value)
+		}
+		p.emit(it.idx, acks[i].r)
 	}
-	return requeue
 }
 
-// attempt runs one job on one backend as a single-job batch — the
-// granularity at which placement and failover operate — then releases
-// the slot and scores the outcome.
-//
-// While the attempt is in flight it watches an abandonment signal: for
-// a healthy member, its down channel — a backend declared dead
-// mid-attempt (a failed probe, another job's backend-level failure)
-// has its attempt abandoned and re-classified ErrUnavailable, so a
-// wedged-but-connected peer — a network partition, a stopped process
-// holding its TCP connections open — cannot hold the job hostage past
-// the health verdict. For a member already unhealthy at dispatch (the
-// all-backends-down last resort) the watch is the balancer-wide
-// revived signal instead: the attempt runs (there is nowhere better to
-// go, and a success redeems the backend) until some other backend
-// comes back, at which point the job abandons the wedge and
-// re-dispatches to the survivor.
-func (b *Balancer) attempt(ctx context.Context, m *member, j Job) Result {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := make(chan struct{})
-	defer close(stop)
-	go b.watchAttempt(m, stop, cancel)
-
-	rs, _ := m.ev.Run(actx, []Job{j})
-	var r Result
-	if len(rs) >= 1 {
-		r = rs[0]
-	} else {
-		r = Result{ID: j.ID, Worker: -1,
-			Err: fmt.Errorf("engine: backend %s returned no result: %w", m.name, ErrUnavailable)}
-	}
-	if r.Err != nil && actx.Err() != nil && ctx.Err() == nil {
-		// The balancer abandoned the attempt, not the caller: make the
-		// failure backend-level so the job is re-run elsewhere.
-		r.Err = fmt.Errorf("engine: attempt on %s abandoned after the fleet's health changed: %w", m.name, ErrUnavailable)
-		r.Worker = -1
-	}
-
-	b.mu.Lock()
-	m.inflight--
-	switch {
-	case r.Err == nil:
-		m.completed++
-		b.setHealthLocked(m, true)
-	case Retryable(r.Err):
-		// Health scoring only — whether this failure becomes a
-		// failover (re-dispatched) or a terminal failure is runJob's
-		// call, which owns the retry budget.
-		m.consecutive++
-		m.lastErr = r.Err.Error()
-		if m.consecutive >= b.threshold {
-			b.setHealthLocked(m, false)
-		}
-	default:
-		// The job ran and failed on its own terms; the backend is fine.
-		m.failed++
-		m.consecutive = 0
-	}
-	b.mu.Unlock()
-	b.cond.Broadcast()
-	if r.Err == nil {
-		b.cacheStore(ctx, j, r.Value)
-	}
-	return r
+// chunkAck is one job's slot in a chunk attempt: its result, and
+// whether the backend delivered one.
+type chunkAck struct {
+	r  Result
+	ok bool
 }
 
 // watchAttempt watches one in-flight attempt on m and cancels it when
@@ -1126,7 +998,7 @@ func (b *Balancer) watchAttempt(m *member, stop <-chan struct{}, cancel context.
 			// A revival fired elsewhere while m stayed down: move the
 			// job if somewhere healthy actually exists right now.
 			for _, o := range b.members {
-				if o != m && o.healthy {
+				if o != m && o.healthy && !o.retired {
 					abandon = true
 					break
 				}
@@ -1154,12 +1026,20 @@ func (b *Balancer) healthLoop() {
 	}
 }
 
-// ProbeNow probes every backend once, concurrently, and applies the
-// verdicts — the health loop's body, exported so tests (and callers
-// that just revived a peer) can force a deterministic round.
+// ProbeNow probes every non-retired backend once, concurrently, and
+// applies the verdicts — the health loop's body, exported so tests (and
+// callers that just revived a peer) can force a deterministic round.
 func (b *Balancer) ProbeNow(ctx context.Context) {
-	var wg sync.WaitGroup
+	b.mu.Lock()
+	members := make([]*member, 0, len(b.members))
 	for _, m := range b.members {
+		if !m.retired {
+			members = append(members, m)
+		}
+	}
+	b.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, m := range members {
 		wg.Add(1)
 		go func(m *member) {
 			defer wg.Done()
@@ -1176,7 +1056,9 @@ func (b *Balancer) ProbeNow(ctx context.Context) {
 // left untouched: fabricating health with no evidence would revive a
 // reactively-down backend and route fresh jobs into it — their
 // verdicts come from job results alone (and from the last-resort
-// dispatch path, where a success redeems them).
+// dispatch path, where a success redeems them). A member retired while
+// its probe ran keeps its health: it is draining toward Close, and a
+// down verdict would abandon the jobs it is finishing.
 func (b *Balancer) probe(ctx context.Context, m *member) {
 	p, ok := m.ev.(Prober)
 	if !ok {
@@ -1186,6 +1068,10 @@ func (b *Balancer) probe(ctx context.Context, m *member) {
 	err := p.Probe(pctx)
 	cancel()
 	b.mu.Lock()
+	if m.retired {
+		b.mu.Unlock()
+		return
+	}
 	m.probes++
 	if err != nil {
 		m.probeFailures++
@@ -1225,9 +1111,9 @@ func (b *Balancer) scrapeCapacity(ctx context.Context, m *member) {
 }
 
 // Capacity answers the CapacityReporter query from the balancer's
-// tracked state — the members' most recent scrapes where one exists,
-// local counters otherwise — so nested balancers report fleet capacity
-// without a fresh network round.
+// tracked state — the active members' most recent scrapes where one
+// exists, local counters otherwise — so nested balancers report fleet
+// capacity without a fresh network round.
 func (b *Balancer) Capacity(context.Context) (Capacity, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -1236,14 +1122,13 @@ func (b *Balancer) Capacity(context.Context) (Capacity, error) {
 	}
 	var t Capacity
 	for _, m := range b.members {
-		if m.cap != nil {
-			t.Workers += m.cap.Workers
-			t.Busy += m.cap.Busy
-			t.Free += m.cap.Free
-			t.Queue += m.cap.Queue
+		if m.retired {
 			continue
 		}
 		c := CapacityFromStats(LocalStats(m.ev))
+		if m.cap != nil {
+			c = *m.cap
+		}
 		t.Workers += c.Workers
 		t.Busy += c.Busy
 		t.Free += c.Free
@@ -1253,8 +1138,8 @@ func (b *Balancer) Capacity(context.Context) (Capacity, error) {
 }
 
 // Probe reports the balancer's own aggregate verdict — alive while any
-// backend is marked healthy — so balancers nest behind other balancers.
-// It reads only tracked state; no backend is contacted.
+// active backend is marked healthy — so balancers nest behind other
+// balancers. It reads only tracked state; no backend is contacted.
 func (b *Balancer) Probe(context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -1262,7 +1147,7 @@ func (b *Balancer) Probe(context.Context) error {
 		return ErrClosed
 	}
 	for _, m := range b.members {
-		if m.healthy {
+		if m.healthy && !m.retired {
 			return nil
 		}
 	}

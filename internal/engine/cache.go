@@ -40,7 +40,7 @@ const (
 )
 
 // The process-wide caches every engine shares by default, so repeated
-// suite evaluations — successive RunAll calls, the bench harness, the
+// suite evaluations — successive Run calls, the bench harness, the
 // batch CLI — reuse each other's work. Both are LRU-bounded (the
 // Default*Cache* limits), so a long-lived embedder feeding unbounded
 // distinct sources through Compile/AssembleCached ages cold entries

@@ -14,7 +14,7 @@ import (
 // each job either executed or rejected with ErrClosed, never stranded.
 // The pre-fix engine could strand a queued task when a worker's two-way
 // select took quit over a ready job, leaving its done channel forever
-// unresolved and RunAll blocked. The race window opens only when quit
+// unresolved and Run blocked. The race window opens only when quit
 // closes while the queue is non-empty, so the scenario is staged — pin
 // the single worker, fill the queue, begin Close, then let the worker
 // go — and repeated, since the pre-fix select loses it with probability

@@ -21,7 +21,7 @@ func TestRunAllOrderAndValues(t *testing.T) {
 			Fn: func(context.Context) (any, error) { return i * i, nil },
 		}
 	}
-	results, err := e.RunAll(context.Background(), jobs)
+	results, err := e.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunAllReportsJobErrors(t *testing.T) {
 		{ID: "bad", Fn: func(context.Context) (any, error) { return nil, boom }},
 		{ID: "ok2", Fn: func(context.Context) (any, error) { return 2, nil }},
 	}
-	results, err := e.RunAll(context.Background(), jobs)
+	results, err := e.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("batch error %v; job failures must be per-result", err)
 	}
@@ -116,7 +116,7 @@ func TestCancellationMidBatch(t *testing.T) {
 	}
 	resCh := make(chan []Result, 1)
 	go func() {
-		rs, _ := e.RunAll(ctx, queued)
+		rs, _ := e.Run(ctx, queued)
 		resCh <- rs
 	}()
 
@@ -231,7 +231,7 @@ func TestRaceStress(t *testing.T) {
 			},
 		}
 	}
-	results, err := e.RunAll(context.Background(), jobs)
+	results, err := e.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,9 +105,9 @@ var (
 
 // ChunkDispatcher is implemented by backends that can run a whole chunk
 // of jobs as one dispatch unit with per-job acknowledgement — the
-// capability a chunking Balancer detects on internal/remote.Client so a
-// chunk travels as one /v1/suite NDJSON stream instead of per-job
-// /v1/eval requests.
+// capability the Balancer detects on internal/remote.Client so a chunk
+// (a single job under per-job placement) travels as one acknowledged
+// /v1/suite NDJSON stream.
 //
 // DispatchChunk resolves jobs through ack(i, result), where i indexes
 // the chunk slice; ack is called at most once per index, from a single

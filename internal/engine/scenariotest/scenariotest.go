@@ -4,10 +4,12 @@
 // pins a topology × fault scenario's merged output — byte-identical to
 // the healthy reference for failover topologies, exactly-once with
 // typed backend errors for the rest. Every Evaluator topology (Engine,
-// ShardSet, Balancer — per-job or chunked — remote clients, and mixes)
-// runs through the same harness, so the balancer, shard and serve fault
-// suites stop re-implementing their own setup and a new topology gets
-// the whole fault matrix by writing one builder.
+// ShardSet, Balancer, remote clients, and mixes) runs through the same
+// harness, so the balancer, shard and serve fault suites stop
+// re-implementing their own setup and a new topology gets the whole
+// fault matrix by writing one builder. The Balancer has one placement
+// loop: its per-job topologies run it with chunks of one job, the
+// chunked ones with several.
 //
 // The harness only imports engine, faulttest and bench; topologies that
 // need the HTTP layers (internal/remote, internal/serve) are built by
@@ -177,7 +179,7 @@ type Expect int
 const (
 	// Identical: the merged result set must be byte-identical to the
 	// healthy single-engine reference — the guarantee failover
-	// topologies (Balancer fronts, per-job or chunked) make for every
+	// topologies (Balancer fronts, at any chunk size) make for every
 	// survivable fault.
 	Identical Expect = iota
 	// Degraded: every job still resolves exactly once, but jobs held by

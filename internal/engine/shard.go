@@ -201,8 +201,3 @@ func (s *ShardSet) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	wg.Wait()
 	return out, ctx.Err()
 }
-
-// RunAll is Run under its historical name.
-func (s *ShardSet) RunAll(ctx context.Context, jobs []Job) ([]Result, error) {
-	return s.Run(ctx, jobs)
-}

@@ -7,7 +7,7 @@ import (
 
 // Stream submits every job and returns a channel that yields each Result
 // the moment its job resolves — completion order, not submission order —
-// then closes after the last one. It is the push-style dual of RunAll:
+// then closes after the last one. It is the push-style dual of Run:
 // a consumer (the NDJSON suite endpoint, a progress bar) can act on fast
 // jobs while slow ones are still running.
 //

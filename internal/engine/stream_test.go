@@ -11,7 +11,7 @@ import (
 
 // TestStreamCompletionOrder gates job completions in reverse submission
 // order and asserts the stream yields them in that completion order —
-// the property that distinguishes Stream from RunAll.
+// the property that distinguishes Stream from Run.
 func TestStreamCompletionOrder(t *testing.T) {
 	const n = 4
 	e := New(Options{Workers: n, PrivateCaches: true})
@@ -179,7 +179,7 @@ func TestShardSetRunAllAndStream(t *testing.T) {
 			Fn: func(context.Context) (any, error) { return i, nil },
 		}
 	}
-	results, err := s.RunAll(context.Background(), jobs)
+	results, err := s.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestShardSetRunAllAndStream(t *testing.T) {
 		t.Errorf("stream delivered %d distinct jobs, want %d", len(seen), len(jobs))
 	}
 
-	// Round-robin must spread a 30-job batch run twice (RunAll + Stream)
+	// Round-robin must spread a 30-job batch run twice (Run + Stream)
 	// as 10+10 per shard, and the totals must equal the sum.
 	var sum uint64
 	for i, st := range s.ShardStats() {
@@ -226,7 +226,7 @@ func TestShardSetCursorBalancesSmallBatches(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 30; i++ {
-		if _, err := s.RunAll(context.Background(), []Job{{
+		if _, err := s.Run(context.Background(), []Job{{
 			ID: fmt.Sprintf("one-%d", i),
 			Fn: func(context.Context) (any, error) { return nil, nil },
 		}}); err != nil {

@@ -290,7 +290,8 @@ func chunkSuite(n int) []engine.Job {
 // TestChunkedDispatchFewerRequests is the wire-amortization acceptance
 // pin: for a 100-job suite through a failover Balancer, chunked
 // dispatch must issue measurably fewer HTTP requests than per-job
-// dispatch — the whole point of the chunk path.
+// dispatch, which sends every job as its own acknowledged /v1/suite
+// request — the whole point of chunking.
 func TestChunkedDispatchFewerRequests(t *testing.T) {
 	const n = 100
 	run := func(t *testing.T, chunk int) int64 {

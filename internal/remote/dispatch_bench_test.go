@@ -1,8 +1,8 @@
 package remote_test
 
-// BenchmarkRemoteDispatch quantifies the wire cost the chunked path
-// amortizes: per-job dispatch (chunk=0) issues one /v1/eval request per
-// job, chunked dispatch one acknowledged /v1/suite stream per chunk.
+// BenchmarkRemoteDispatch quantifies the wire cost chunking amortizes:
+// per-job dispatch (chunk=0, a chunk of one) issues one acknowledged
+// /v1/suite request per job, chunked dispatch one per chunk.
 // The peer is a cheap counting stub so the numbers isolate dispatch
 // overhead — HTTP round trips, request encoding, row scanning — from
 // evaluation time. Run with -benchmem; reqs/op is reported per run so

@@ -169,11 +169,6 @@ func (c *Client) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, e
 	return out, ctx.Err()
 }
 
-// RunAll is Run under the engine's historical batch name.
-func (c *Client) RunAll(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
-	return c.Run(ctx, jobs)
-}
-
 // Stream ships the batch to the peer and yields each job's result the
 // moment its NDJSON row arrives — the peer emits rows in its own
 // completion order, so the channel preserves the same contract as
@@ -684,10 +679,12 @@ type ackRow struct {
 // the "ack" field, which a JobReport never carries. Blank lines are
 // skipped; a malformed or over-long line stops the scan with an error.
 // Like scanRows this is the one parser of its stream, extracted so it
-// can be fuzzed directly against arbitrary peer bytes.
+// can be fuzzed directly against arbitrary peer bytes. The line buffer
+// starts at the scanner's 4 KiB and grows only as rows require, up to
+// maxRow: per-job dispatch sends one short acknowledged stream per job.
 func scanAckRows(r io.Reader, onRow func(bench.JobReport) bool, onAck func(ackRow) bool) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxRow)
+	sc.Buffer(nil, maxRow)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -1133,9 +1130,9 @@ type BackendConfig struct {
 	MaxRetries     int
 	// Chunk makes the Balancer dispatch in chunks of up to this many
 	// jobs — remote backends receive a chunk as one acknowledged
-	// /v1/suite stream instead of per-job /v1/eval requests, sized down
-	// by scraped live capacity. 0 keeps per-job placement; ignored
-	// without Failover.
+	// /v1/suite stream, sized down by scraped live capacity. 0 or 1
+	// places each job on its own, one acknowledged stream per job;
+	// ignored without Failover.
 	Chunk int
 	// AutoscaleMin and AutoscaleMax, when either is non-zero, select
 	// the elastic engine.Autoscaler front instead of a fixed topology:
@@ -1177,20 +1174,15 @@ type BackendConfig struct {
 	CacheStore rescache.Cache
 }
 
-// NewBackend assembles the standard backend topology shared by art9.New
-// and serve.New: localShards engines configured by opts plus one Client
-// per peer URL, composed behind a ShardSet when there is more than one
-// backend. Cache fields go private exactly when backends multiply, so a
-// solitary local pool keeps the process-wide shared caches. With zero
-// shards and zero peers it falls back to one local engine.
-func NewBackend(localShards int, opts engine.Options, peers []string) (engine.Evaluator, error) {
-	return NewBackendWith(BackendConfig{Shards: localShards, Engine: opts, Peers: peers})
-}
-
-// NewBackendWith is NewBackend with the full topology configuration,
-// including the health-aware failover front and the elastic autoscaler
-// front. Incoherent configurations are rejected through ValidateConfig
-// with an error wrapping engine.ErrInvalidOptions.
+// NewBackendWith assembles the standard backend topology shared by
+// art9.New and serve.New: Shards local engines plus one Client per peer
+// URL, composed behind a ShardSet when there is more than one backend,
+// a health-aware Balancer with Failover, or the elastic Autoscaler when
+// autoscale bounds are set. Cache fields go private exactly when
+// backends multiply, so a solitary local pool keeps the process-wide
+// shared caches. With zero shards and zero peers it falls back to one
+// local engine. Incoherent configurations are rejected through
+// ValidateConfig with an error wrapping engine.ErrInvalidOptions.
 func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 	if _, err := ValidateConfig(cfg); err != nil {
 		return nil, err

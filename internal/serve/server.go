@@ -91,8 +91,8 @@ type Config struct {
 	HealthInterval time.Duration
 	MaxRetries     int
 	// Chunk makes the Balancer dispatch in chunks of up to this many
-	// jobs (acknowledged /v1/suite streams to downstream peers) instead
-	// of per-job placement, sized down by live capacity. Ignored
+	// jobs (acknowledged /v1/suite streams to downstream peers), sized
+	// down by live capacity; 0 or 1 places each job on its own. Ignored
 	// without Failover.
 	Chunk int
 	// AutoscaleMin/AutoscaleMax select the elastic engine.Autoscaler

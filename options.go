@@ -82,11 +82,11 @@ func WithHealthInterval(d time.Duration) Option {
 func WithMaxRetries(n int) Option { return func(c *evalConfig) { c.maxRetries = n } }
 
 // WithChunk makes the failover Balancer dispatch in chunks of up to n
-// jobs instead of placing each job individually: a chunk reaches a
-// remote backend as one acknowledged /v1/suite NDJSON stream (per-row
-// acknowledgement, so a severed chunk re-dispatches only its unresolved
-// jobs on the survivors), and chunk sizes follow the backend's free
-// slots and scraped live capacity. 0 keeps per-job placement. Only
+// jobs: a chunk reaches a remote backend as one acknowledged /v1/suite
+// NDJSON stream (per-row acknowledgement, so a severed chunk
+// re-dispatches only its unresolved jobs on the survivors), and chunk
+// sizes follow the backend's free slots and scraped live capacity. 0 or
+// 1 places each job on its own, one acknowledged stream per job. Only
 // meaningful with WithFailover.
 func WithChunk(n int) Option { return func(c *evalConfig) { c.chunk = n } }
 
