@@ -224,10 +224,11 @@ func BenchmarkAblationForwarding(b *testing.B) {
 // BenchmarkSimulatorThroughput measures the raw simulator speed
 // (instructions per second of host time) — the practical figure of merit
 // of the cycle-accurate model itself — and the bytes each fresh machine
-// allocates, on both cores. The top-level cases run a 9-word counting
-// loop, where machine set-up is a visible share of each run; the
-// dhrystone cases run the suite's translated Dhrystone image (504 words,
-// 90,332 instructions, 108,205 pipelined cycles), where the per-step cost
+// allocates, on both cores and on the functional core's timed run, the one
+// every suite job makes. The top-level cases run a 9-word counting loop,
+// where machine set-up is a visible share of each run; the dhrystone cases
+// run the suite's translated Dhrystone image (504 words, 90,332
+// instructions, 108,205 pipelined cycles), where the per-step cost
 // dominates.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	prog, err := art9.Assemble(`
@@ -267,37 +268,47 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // Load, the data image, and the run to halt.
 func benchCores(b *testing.B, prog *art9.Program, data map[int]ternary.Word) {
 	b.Run("pipelined", func(b *testing.B) {
-		b.ReportAllocs()
-		var retired uint64
-		for i := 0; i < b.N; i++ {
+		benchRun(b, func() (sim.Result, error) {
 			pl := sim.NewPipeline(sim.Config{})
 			if err := loadProgram(pl.S, prog, data); err != nil {
-				b.Fatal(err)
+				return sim.Result{}, err
 			}
-			res, err := pl.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			retired += res.Retired
-		}
-		b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "inst/s")
+			return pl.Run()
+		})
 	})
 	b.Run("functional", func(b *testing.B) {
-		b.ReportAllocs()
-		var retired uint64
-		for i := 0; i < b.N; i++ {
+		benchRun(b, func() (sim.Result, error) {
 			f := sim.NewFunctional(sim.Config{})
 			if err := loadProgram(f.S, prog, data); err != nil {
-				b.Fatal(err)
+				return sim.Result{}, err
 			}
-			res, err := f.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			retired += res.Retired
-		}
-		b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "inst/s")
+			return f.Run()
+		})
 	})
+	b.Run("timed", func(b *testing.B) {
+		benchRun(b, func() (sim.Result, error) {
+			f := sim.NewFunctional(sim.Config{})
+			if err := loadProgram(f.S, prog, data); err != nil {
+				return sim.Result{}, err
+			}
+			return f.RunTimed()
+		})
+	})
+}
+
+// benchRun times run once per iteration and reports retired instructions
+// per second of host time.
+func benchRun(b *testing.B, run func() (sim.Result, error)) {
+	b.ReportAllocs()
+	var retired uint64
+	for i := 0; i < b.N; i++ {
+		res, err := run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		retired += res.Retired
+	}
+	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "inst/s")
 }
 
 // loadProgram loads prog into s and lays the data image over TDM, as the

@@ -124,25 +124,7 @@ const (
 )
 
 // Fmt returns the encoding format of op.
-func (op Op) Fmt() Format {
-	switch op {
-	case LUI, AUIPC:
-		return FmtU
-	case JAL:
-		return FmtJ
-	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-		return FmtB
-	case SB, SH, SW:
-		return FmtS
-	case FENCE, ECALL, EBREAK:
-		return FmtSys
-	case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
-		MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU:
-		return FmtR
-	default:
-		return FmtI
-	}
-}
+func (op Op) Fmt() Format { return opClasses[op].fmt }
 
 // IsLoad reports whether op reads data memory.
 func (op Op) IsLoad() bool { return op >= LB && op <= LHU }
@@ -158,38 +140,67 @@ func (op Op) IsMul() bool { return op >= MUL }
 
 // IsShift reports whether op is a shift (serial on PicoRV32 without the
 // barrel shifter).
-func (op Op) IsShift() bool {
-	switch op {
-	case SLL, SRL, SRA, SLLI, SRLI, SRAI:
-		return true
-	}
-	return false
-}
+func (op Op) IsShift() bool { return opClasses[op].shift }
 
 // WritesRd reports whether op writes a destination register.
-func (op Op) WritesRd() bool {
-	switch op.Fmt() {
-	case FmtS, FmtB, FmtSys:
-		return false
-	}
-	return true
-}
+func (op Op) WritesRd() bool { return opClasses[op].writesRd }
 
 // ReadsRs1 and ReadsRs2 report the source-register usage.
-func (op Op) ReadsRs1() bool {
-	switch op.Fmt() {
-	case FmtU, FmtJ, FmtSys:
-		return false
-	}
-	return true
+func (op Op) ReadsRs1() bool { return opClasses[op].readsRs1 }
+
+func (op Op) ReadsRs2() bool { return opClasses[op].readsRs2 }
+
+// opClass is an opcode's encoding format and operand usage. The simulator
+// and both cycle models ask for these several times per retired
+// instruction, so each is one load from opClasses.
+type opClass struct {
+	fmt                          Format
+	readsRs1, readsRs2, writesRd bool
+	shift                        bool
 }
 
-func (op Op) ReadsRs2() bool {
-	switch op.Fmt() {
-	case FmtR, FmtS, FmtB:
-		return true
+// opClasses holds the class of every Op value, so indexing it needs no
+// bounds check; values past NumOps classify as I-format, as they always
+// have.
+var opClasses = func() (t [1 << 8]opClass) {
+	for i := range t {
+		t[i] = classify(Op(i))
 	}
-	return false
+	return t
+}()
+
+// classify computes op's class from its RISC-V format: R, I, S and B read
+// rs1; R, S and B read rs2; R, I, U and J write rd.
+func classify(op Op) opClass {
+	var f Format
+	switch op {
+	case LUI, AUIPC:
+		f = FmtU
+	case JAL:
+		f = FmtJ
+	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
+		f = FmtB
+	case SB, SH, SW:
+		f = FmtS
+	case FENCE, ECALL, EBREAK:
+		f = FmtSys
+	case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
+		MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU:
+		f = FmtR
+	default:
+		f = FmtI
+	}
+	c := opClass{
+		fmt:      f,
+		readsRs1: f == FmtR || f == FmtI || f == FmtS || f == FmtB,
+		readsRs2: f == FmtR || f == FmtS || f == FmtB,
+		writesRd: f == FmtR || f == FmtI || f == FmtU || f == FmtJ,
+	}
+	switch op {
+	case SLL, SRL, SRA, SLLI, SRLI, SRAI:
+		c.shift = true
+	}
+	return c
 }
 
 // Reg is an RV32 register index x0..x31.

@@ -165,3 +165,54 @@ func TestPredicates(t *testing.T) {
 		t.Error("ReadsRs2 wrong")
 	}
 }
+
+// TestOpClassesExhaustive pins Fmt, ReadsRs1, ReadsRs2, WritesRd and
+// IsShift for every Op < NumOps against the RISC-V encoding, which the
+// opClasses table does not read: the format follows from the major opcode
+// in encTable, operand usage from the format, and a shift is an OP or
+// OP-IMM instruction with funct3 001 or 101 outside the M extension.
+func TestOpClassesExhaustive(t *testing.T) {
+	formatOf := map[uint32]Format{
+		0b0110011: FmtR,   // OP, and the M extension
+		0b0010011: FmtI,   // OP-IMM
+		0b0000011: FmtI,   // LOAD
+		0b1100111: FmtI,   // JALR
+		0b0100011: FmtS,   // STORE
+		0b1100011: FmtB,   // BRANCH
+		0b0110111: FmtU,   // LUI
+		0b0010111: FmtU,   // AUIPC
+		0b1101111: FmtJ,   // JAL
+		0b0001111: FmtSys, // MISC-MEM
+		0b1110011: FmtSys, // SYSTEM
+	}
+	for op := Op(0); op < NumOps; op++ {
+		e, ok := encTable[op]
+		if !ok {
+			t.Fatalf("%v has no encoding", op)
+		}
+		f, ok := formatOf[e.opcode]
+		if !ok {
+			t.Fatalf("%v: unknown major opcode %07b", op, e.opcode)
+		}
+		if got := op.Fmt(); got != f {
+			t.Errorf("%v.Fmt() = %d, want %d", op, got, f)
+		}
+		reads1 := f == FmtR || f == FmtI || f == FmtS || f == FmtB
+		reads2 := f == FmtR || f == FmtS || f == FmtB
+		writes := f == FmtR || f == FmtI || f == FmtU || f == FmtJ
+		arith := e.opcode == 0b0110011 || e.opcode == 0b0010011
+		shift := arith && e.funct7 != 1 && (e.funct3 == 0b001 || e.funct3 == 0b101)
+		if got := op.ReadsRs1(); got != reads1 {
+			t.Errorf("%v.ReadsRs1() = %v, want %v", op, got, reads1)
+		}
+		if got := op.ReadsRs2(); got != reads2 {
+			t.Errorf("%v.ReadsRs2() = %v, want %v", op, got, reads2)
+		}
+		if got := op.WritesRd(); got != writes {
+			t.Errorf("%v.WritesRd() = %v, want %v", op, got, writes)
+		}
+		if got := op.IsShift(); got != shift {
+			t.Errorf("%v.IsShift() = %v, want %v", op, got, shift)
+		}
+	}
+}

@@ -51,7 +51,8 @@ func TestStateAllocatesByTouch(t *testing.T) {
 
 // TestRunAllocatesNothing pins the step loops' allocation budget: reloading
 // a used machine (Load plus the data image, as the suite harness does) and
-// running it to halt allocates nothing, on either core with tracing off.
+// running it to halt allocates nothing, on either core (the functional
+// core timed or not, the pipeline with tracing off).
 // An effect or pipeline latch that escaped to the heap would still compute
 // the right answers; only this test sees it.
 func TestRunAllocatesNothing(t *testing.T) {
@@ -75,8 +76,8 @@ func TestRunAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pipelined := range []bool{false, true} {
-		s, run := newCore(pipelined, Config{})
+	for _, c := range []core{coreFunctional, coreTimed, corePipeline} {
+		s, run := newCore(c, Config{})
 		reload := func() {
 			if err := s.Load(p); err != nil {
 				t.Fatal(err)
@@ -85,12 +86,12 @@ func TestRunAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res, err := run(); err != nil || res.Loads != 3 || res.Stores != 3 {
-				t.Fatalf("pipelined %v: %+v, %v", pipelined, res, err)
+				t.Fatalf("%v: %+v, %v", c, res, err)
 			}
 		}
 		reload() // the first run allocates the pages it touches
 		if n := testing.AllocsPerRun(20, reload); n != 0 {
-			t.Errorf("pipelined %v: reload and run allocated %v times, want 0", pipelined, n)
+			t.Errorf("%v: reload and run allocated %v times, want 0", c, n)
 		}
 	}
 }

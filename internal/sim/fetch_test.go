@@ -77,7 +77,8 @@ func TestFetchPastImage(t *testing.T) {
 // illegal word planted in TIM without Load, and a jump past the end of a
 // 256-word TIM, to index 300 and to index 3^9−300, the word −300. The
 // message prints the balanced PC, and the core leaves State.PC there. The
-// illegal word's read counts; the out-of-range read does not.
+// illegal word's read counts; the out-of-range read does not. RunTimed
+// runs the functional core's loop, so it faults with the functional texts.
 func TestFetchFaultText(t *testing.T) {
 	illegal := ternary.Word{}.SetField(7, 8, -4).SetField(4, 6, 13) // bad R minor
 	plant := func(s *State) error { return s.TIM.LoadImage([]ternary.Word{illegal}) }
@@ -90,47 +91,55 @@ func TestFetchFaultText(t *testing.T) {
 	}
 	far, below := loadJump(300), loadJump(-300)
 	for _, c := range []struct {
-		name      string
-		pipelined bool
-		cfg       Config
-		fill      func(*State) error
-		want      string
-		reads     uint64
-		pc        int
+		name  string
+		core  core
+		cfg   Config
+		fill  func(*State) error
+		want  string
+		reads uint64
+		pc    int
 	}{
-		{"functional illegal", false, Config{}, plant, "sim: at PC=0: isa: illegal R-type minor 13 in TT1110000", 1, 0},
-		{"pipeline illegal", true, Config{}, plant, "sim: IF at PC=0: isa: illegal R-type minor 13 in TT1110000", 1, 0},
-		{"functional past TIM", false, Config{TIMWords: 256}, far, "sim: fetch at PC=300: tmem: TIM read at 300 out of range [0,256)", 3, 300},
-		{"pipeline past TIM", true, Config{TIMWords: 256}, far, "sim: IF at PC=300: tmem: TIM read at 300 out of range [0,256)", 3, 300},
-		{"functional below zero", false, Config{TIMWords: 256}, below, "sim: fetch at PC=-300: tmem: TIM read at 19383 out of range [0,256)", 3, -300},
-		{"pipeline below zero", true, Config{TIMWords: 256}, below, "sim: IF at PC=-300: tmem: TIM read at 19383 out of range [0,256)", 3, -300},
+		{"illegal", coreFunctional, Config{}, plant, "sim: at PC=0: isa: illegal R-type minor 13 in TT1110000", 1, 0},
+		{"illegal", coreTimed, Config{}, plant, "sim: at PC=0: isa: illegal R-type minor 13 in TT1110000", 1, 0},
+		{"illegal", corePipeline, Config{}, plant, "sim: IF at PC=0: isa: illegal R-type minor 13 in TT1110000", 1, 0},
+		{"past TIM", coreFunctional, Config{TIMWords: 256}, far, "sim: fetch at PC=300: tmem: TIM read at 300 out of range [0,256)", 3, 300},
+		{"past TIM", coreTimed, Config{TIMWords: 256}, far, "sim: fetch at PC=300: tmem: TIM read at 300 out of range [0,256)", 3, 300},
+		{"past TIM", corePipeline, Config{TIMWords: 256}, far, "sim: IF at PC=300: tmem: TIM read at 300 out of range [0,256)", 3, 300},
+		{"below zero", coreFunctional, Config{TIMWords: 256}, below, "sim: fetch at PC=-300: tmem: TIM read at 19383 out of range [0,256)", 3, -300},
+		{"below zero", coreTimed, Config{TIMWords: 256}, below, "sim: fetch at PC=-300: tmem: TIM read at 19383 out of range [0,256)", 3, -300},
+		{"below zero", corePipeline, Config{TIMWords: 256}, below, "sim: IF at PC=-300: tmem: TIM read at 19383 out of range [0,256)", 3, -300},
 	} {
-		s, run := newCore(c.pipelined, c.cfg)
+		s, run := newCore(c.core, c.cfg)
 		if err := c.fill(s); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := run(); err == nil || err.Error() != c.want {
-			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+			t.Errorf("%v %s: error %v, want %q", c.core, c.name, err, c.want)
 		}
 		if r, _ := s.TIM.Accesses(); r != c.reads {
-			t.Errorf("%s: %d TIM reads, want %d", c.name, r, c.reads)
+			t.Errorf("%v %s: %d TIM reads, want %d", c.core, c.name, r, c.reads)
 		}
 		if got := s.PC.Int(); got != c.pc {
-			t.Errorf("%s: PC = %d, want %d", c.name, got, c.pc)
+			t.Errorf("%v %s: PC = %d, want %d", c.core, c.name, got, c.pc)
 		}
 	}
 }
 
-// FuzzPipelineVsFunctional is the differential oracle for both cores and
-// both fetch paths. Each input is a seed and a length for
-// buildRandomProgram; the program runs on each core twice: after Load,
-// which fetches from the decoded stream, and over a State whose TIM and
-// TDM were filled directly, which has no stream and decodes every fetch.
+// FuzzPipelineVsFunctional is the differential oracle for both cores, the
+// functional core's timed run, and both fetch paths. Each input is a seed
+// and a length for buildRandomProgram; the program runs on each core (Run,
+// RunTimed, Pipeline.Run) twice: after Load, which fetches from the decoded
+// stream, and over a State whose TIM and TDM were filled directly, which
+// has no stream and decodes every fetch.
 //
-//   - All four runs end with the same TRF and TDM.
+//   - All six runs end with the same TRF and TDM.
 //   - On each core the two fetch paths give identical Results (ByOp
 //     included) and identical TIM and TDM access counts.
-//   - Both cores fetch exactly the retired path, so TIM reads equal Retired.
+//   - RunTimed gives the pipeline's Result and access counts: the stall
+//     rule it derives from the retired stream and the one the pipeline's
+//     hazard unit applies check each other.
+//   - Every core fetches exactly the retired path, so TIM reads equal
+//     Retired.
 //   - The pipeline's cycles are its fill, one per retired instruction and
 //     one per stall or squashed slot.
 //
@@ -155,8 +164,8 @@ func FuzzPipelineVsFunctional(f *testing.F) {
 			s    *State
 		}
 		// exec runs the program on one core over a State filled by fill.
-		exec := func(name string, pipelined bool, fill func(*State) error) run {
-			s, runCore := newCore(pipelined, Config{})
+		exec := func(name string, c core, fill func(*State) error) run {
+			s, runCore := newCore(c, Config{})
 			var res Result
 			err := fill(s)
 			if err == nil {
@@ -167,13 +176,15 @@ func FuzzPipelineVsFunctional(f *testing.F) {
 			}
 			return run{name, res, s}
 		}
-		fn := exec("functional after Load", false, load)
-		pl := exec("pipeline after Load", true, load)
-		fnRaw := exec("functional without decoded stream", false, raw)
-		plRaw := exec("pipeline without decoded stream", true, raw)
+		fn := exec("functional after Load", coreFunctional, load)
+		tm := exec("timed after Load", coreTimed, load)
+		pl := exec("pipeline after Load", corePipeline, load)
+		fnRaw := exec("functional without decoded stream", coreFunctional, raw)
+		tmRaw := exec("timed without decoded stream", coreTimed, raw)
+		plRaw := exec("pipeline without decoded stream", corePipeline, raw)
 
 		tdm := fn.s.TDM.Snapshot()
-		for _, r := range []run{fn, pl, fnRaw, plRaw} {
+		for _, r := range []run{fn, tm, pl, fnRaw, tmRaw, plRaw} {
 			if r.s.TRF != fn.s.TRF {
 				t.Fatalf("%s: TRF %v, %s: %v\n%s", r.name, r.s.TRF, fn.name, fn.s.TRF, src)
 			}
@@ -186,7 +197,7 @@ func FuzzPipelineVsFunctional(f *testing.F) {
 				t.Fatalf("%s: %d TIM reads for %d retired\n%s", r.name, reads, r.res.Retired, src)
 			}
 		}
-		for _, pair := range [][2]run{{fn, fnRaw}, {pl, plRaw}} {
+		for _, pair := range [][2]run{{fn, fnRaw}, {tm, tmRaw}, {pl, plRaw}, {pl, tm}} {
 			a, b := pair[0], pair[1]
 			if a.res != b.res {
 				t.Fatalf("%s: %+v\n%s: %+v\n%s", a.name, a.res, b.name, b.res, src)
@@ -204,12 +215,30 @@ func FuzzPipelineVsFunctional(f *testing.F) {
 	})
 }
 
-// newCore builds the pipelined or the functional core over a fresh State
-// and returns that State and the core's Run.
-func newCore(pipelined bool, cfg Config) (*State, func() (Result, error)) {
-	if pipelined {
+// core names one of the three runs of a program: the functional core's
+// Run and RunTimed, and the pipelined core's Run.
+type core int
+
+const (
+	coreFunctional core = iota
+	coreTimed
+	corePipeline
+)
+
+func (c core) String() string {
+	return [...]string{"functional", "timed", "pipeline"}[c]
+}
+
+// newCore builds core c over a fresh State and returns that State and the
+// run.
+func newCore(c core, cfg Config) (*State, func() (Result, error)) {
+	switch c {
+	case corePipeline:
 		pl := NewPipeline(cfg)
 		return pl.S, pl.Run
+	case coreTimed:
+		f := NewFunctional(cfg)
+		return f.S, f.RunTimed
 	}
 	f := NewFunctional(cfg)
 	return f.S, f.Run

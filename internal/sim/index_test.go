@@ -22,7 +22,7 @@ import (
 //   - "link": a JAL whose link, PC+1, must read 0.
 //
 // Both cores must end in the same state, with the Results and TIM/TDM
-// access counts pinned below.
+// access counts pinned below; RunTimed must give the pipeline's.
 func TestAddressSpaceWrap(t *testing.T) {
 	const top = ternary.WordStates - 1
 	for _, c := range []struct {
@@ -81,9 +81,9 @@ func TestAddressSpaceWrap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		var states [2]*State
-		for i, pipelined := range []bool{false, true} {
-			s, run := newCore(pipelined, Config{})
+		var states [3]*State
+		for i, k := range []core{coreFunctional, coreTimed, corePipeline} {
+			s, run := newCore(k, Config{})
 			if err := s.Load(p); err != nil {
 				t.Fatal(err)
 			}
@@ -92,26 +92,29 @@ func TestAddressSpaceWrap(t *testing.T) {
 			}
 			res, err := run()
 			if err != nil {
-				t.Fatalf("%s (pipelined %v): %v", c.name, pipelined, err)
+				t.Fatalf("%s (%v): %v", c.name, k, err)
 			}
-			want := c.fn
-			if pipelined {
-				want = c.pl
+			want := c.pl
+			if k == coreFunctional {
+				want = c.fn
 			}
 			if res != want {
-				t.Errorf("%s (pipelined %v): Result\n%+v, want\n%+v", c.name, pipelined, res, want)
+				t.Errorf("%s (%v): Result\n%+v, want\n%+v", c.name, k, res, want)
 			}
 			if got, want := accesses(s), [4]uint64{c.tim[0], c.tim[1], c.tdm[0], c.tdm[1]}; got != want {
-				t.Errorf("%s (pipelined %v): TIM/TDM reads and writes %v, want %v", c.name, pipelined, got, want)
+				t.Errorf("%s (%v): TIM/TDM reads and writes %v, want %v", c.name, k, got, want)
 			}
 			states[i] = s
 		}
-		fs, ps := states[0], states[1]
-		if fs.PC != ps.PC || fs.TRF != ps.TRF {
-			t.Errorf("%s: cores disagree: functional PC %v TRF %v, pipeline PC %v TRF %v", c.name, fs.PC, fs.TRF, ps.PC, ps.TRF)
-		}
-		if ft, pt := fs.TDM.Snapshot(), ps.TDM.Snapshot(); ft[top] != pt[top] {
-			t.Errorf("%s: TDM[3^9-1] functional %v, pipeline %v", c.name, ft[top], pt[top])
+		fs := states[0]
+		for i, s := range states[1:] {
+			k := core(i + 1)
+			if s.PC != fs.PC || s.TRF != fs.TRF {
+				t.Errorf("%s: cores disagree: functional PC %v TRF %v, %v PC %v TRF %v", c.name, fs.PC, fs.TRF, k, s.PC, s.TRF)
+			}
+			if ft, st := fs.TDM.Snapshot(), s.TDM.Snapshot(); ft[top] != st[top] {
+				t.Errorf("%s: TDM[3^9-1] functional %v, %v %v", c.name, ft[top], k, st[top])
+			}
 		}
 		for r, want := range c.regs {
 			if got := fs.Reg(r).Int(); got != want {
@@ -158,25 +161,28 @@ func TestPCWrittenBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name      string
-		pipelined bool
-		pc        int
+		core core
+		pc   int
 	}{
 		// 1000 steps of the two-instruction loop end back at its head.
-		{"functional", false, 0},
+		{coreFunctional, 0},
+		// After the 4-cycle fill each pass costs three cycles (ADDI, JAL
+		// and its squashed slot), so 332 passes use the budget up exactly
+		// and the next would start at the head.
+		{coreTimed, 0},
 		// The pipeline repeats fetch ADDI, fetch JAL, squash every three
 		// cycles from cycle 1, so cycle 1000 has just fetched ADDI.
-		{"pipeline", true, 1},
+		{corePipeline, 1},
 	} {
-		s, run := newCore(c.pipelined, Config{MaxSteps: 1000})
+		s, run := newCore(c.core, Config{MaxSteps: 1000})
 		if err := s.Load(loop); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := run(); err != (ErrNoHalt{1000}) {
-			t.Errorf("%s: error %v, want ErrNoHalt{1000}", c.name, err)
+			t.Errorf("%v: error %v, want ErrNoHalt{1000}", c.core, err)
 		}
 		if got := s.PC.Int(); got != c.pc {
-			t.Errorf("%s: PC = %d, want %d", c.name, got, c.pc)
+			t.Errorf("%v: PC = %d, want %d", c.core, got, c.pc)
 		}
 	}
 }

@@ -12,6 +12,13 @@
 // Both consume the assembler's output and produce run results (cycle and
 // instruction counts, stall accounting, final architectural state) that
 // the performance estimator (internal/perf) turns into DMIPS figures.
+//
+// Because the pipeline stalls only on those two hazards, its whole Result
+// follows from the retired stream with one instruction of lookback.
+// Functional.RunTimed derives it that way on the functional core's loop,
+// and the benchmark suite reports from that run; Pipeline stays the
+// cycle-accurate reference (per-cycle traces, art9.Run, the hardware
+// framework), and the tests hold the two equal.
 package sim
 
 import (
@@ -139,7 +146,7 @@ func (s *State) SetReg(r isa.Reg, w ternary.Word) { s.TRF[r] = ternary.Pack(w) }
 
 // Result summarises a run.
 type Result struct {
-	Cycles       uint64 // total clock cycles (functional: == Retired)
+	Cycles       uint64 // total clock cycles (Functional.Run: == Retired)
 	Retired      uint64 // architecturally completed instructions
 	StallsLoad   uint64 // load-use stall cycles inserted by the HDU
 	StallsBranch uint64 // squashed fetch slots after taken transfers

@@ -415,7 +415,8 @@ func buildRandomProgram(rng *rand.Rand, n int) string {
 
 // TestPipelineMatchesFunctionalRandom is the core equivalence property:
 // on random programs the pipelined core must finish with exactly the same
-// architectural state as the functional reference.
+// architectural state as the functional reference, and RunTimed must give
+// the pipeline's Result, state and access counts at every budget boundary.
 func TestPipelineMatchesFunctionalRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
@@ -460,6 +461,9 @@ func TestPipelineMatchesFunctionalRandom(t *testing.T) {
 			t.Fatalf("trial %d: cycles %d, want %d (retired=%d loads=%d branch=%d)",
 				trial, pres.Cycles, want, pres.Retired, pres.StallsLoad, pres.StallsBranch)
 		}
+		name := fmt.Sprintf("trial %d\n%s", trial, src)
+		timedVsPipeline(t, name, p, Config{})
+		checkBudgetBoundary(t, name, p, pres.Cycles)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// edgeInts are the values every differential case always covers, alongside
-// the random sweep: bounds, wrap points, and small magnitudes.
+// edgeInts are the values the sampled binary-kernel grid always covers,
+// alongside its random words: bounds, wrap points, and small magnitudes.
 var edgeInts = []int{
 	0, 1, -1, 2, -2, 3, -3, 40, -40, 121, -121, 242, -242,
 	MaxInt, MinInt, MaxInt - 1, MinInt + 1, 9840, -9840, 6561, -6561,
@@ -29,8 +29,44 @@ func randWords(n int) []Word {
 	return ws
 }
 
+// allWords returns every one of the 3^9 words, counted trit by trit like
+// an odometer, so the enumeration shares no code with FromInt or Pack.
+func allWords() []Word {
+	ws := make([]Word, 0, WordStates)
+	var w Word
+	for i := range w {
+		w[i] = Neg
+	}
+	for {
+		ws = append(ws, w)
+		i := 0
+		for i < WordTrits && w[i] == Pos {
+			w[i] = Neg
+			i++
+		}
+		if i == WordTrits {
+			return ws
+		}
+		w[i]++
+	}
+}
+
+func TestAllWordsDistinct(t *testing.T) {
+	ws := allWords()
+	seen := make(map[Word]bool, len(ws))
+	for _, w := range ws {
+		if !w.Valid() || seen[w] {
+			t.Fatalf("allWords: %v invalid or repeated", w)
+		}
+		seen[w] = true
+	}
+	if len(seen) != WordStates {
+		t.Fatalf("allWords: %d words, want %d", len(seen), WordStates)
+	}
+}
+
 func TestPackRoundTrip(t *testing.T) {
-	for _, w := range randWords(500) {
+	for _, w := range allWords() {
 		q := Pack(w)
 		if !q.Valid() {
 			t.Fatalf("Pack(%v) = %+v violates the plane invariant", w, q)
@@ -41,14 +77,16 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedFromIntMatchesFromInt covers every value of the balanced range
+// and one full wrap on either side of it.
 func TestPackedFromIntMatchesFromInt(t *testing.T) {
-	for v := MinInt - 3; v <= MaxInt+3; v += 7 {
+	for v := MinInt - WordStates; v <= MaxInt+WordStates; v++ {
 		want := Pack(FromInt(v))
 		if got := PackedFromInt(v); got != want {
 			t.Fatalf("PackedFromInt(%d) = %v, want %v", v, got, want)
 		}
 	}
-	for _, v := range []int{MinInt, MaxInt, 0, WordStates, -WordStates, 3 * WordStates} {
+	for _, v := range []int{5 * WordStates, -5 * WordStates, 7*WordStates + 11, -7*WordStates - 11} {
 		if got, want := PackedFromInt(v), Pack(FromInt(v)); got != want {
 			t.Fatalf("PackedFromInt(%d) = %v, want %v", v, got, want)
 		}
@@ -56,7 +94,7 @@ func TestPackedFromIntMatchesFromInt(t *testing.T) {
 }
 
 func TestPackedScalarsMatchSerial(t *testing.T) {
-	for _, w := range randWords(500) {
+	for _, w := range allWords() {
 		q := Pack(w)
 		if got, want := q.Int(), w.Int(); got != want {
 			t.Fatalf("%v: Int = %d, want %d", w, got, want)
@@ -104,7 +142,7 @@ func TestPackedUnaryMatchSerial(t *testing.T) {
 		{"Inc", Packed.Inc, Inc},
 		{"Dec", Packed.Dec, Dec},
 	}
-	for _, w := range randWords(500) {
+	for _, w := range allWords() {
 		q := Pack(w)
 		for _, op := range unary {
 			got := op.packed(q)
@@ -164,7 +202,7 @@ func TestPackedBinaryMatchSerial(t *testing.T) {
 }
 
 func TestPackedShiftsMatchSerial(t *testing.T) {
-	for _, w := range randWords(200) {
+	for _, w := range allWords() {
 		q := Pack(w)
 		for n := -1; n <= WordTrits+1; n++ {
 			if got, want := q.ShiftLeft(n), Pack(ShiftLeft(w, n)); got != want {
