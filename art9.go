@@ -196,6 +196,10 @@ type (
 	// from remote backends carry a *JobReport as their Value (the row
 	// the peer rendered), where local results carry *Outcome.
 	JobReport = bench.JobReport
+	// CachedRow is the Value of a result the result cache answered
+	// (WithResultCache): the stored report row, kept as bytes. Its
+	// Report method decodes it.
+	CachedRow = bench.CachedRow
 )
 
 // Benchmarks returns the §V-A suite (bubble, GEMM, Sobel, Dhrystone).

@@ -178,3 +178,31 @@ func TestRunRejectsMultipleSimConfigs(t *testing.T) {
 		t.Error("RunFunctional silently accepted two SimConfigs")
 	}
 }
+
+// TestResultCacheHitCarriesItsReport pins what a cache hit hands a
+// facade caller: a *CachedRow whose Report is the row of the outcome
+// the cold run computed.
+func TestResultCacheHitCarriesItsReport(t *testing.T) {
+	ev, err := art9.New(art9.WithResultCache(), art9.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev.Close()
+	cold := runSuiteOn(t, ev)
+	warm := runSuiteOn(t, ev)
+	for id, r := range warm {
+		row, ok := r.Value.(*art9.CachedRow)
+		if !ok {
+			t.Fatalf("job %s: warm value %T, want *CachedRow", id, r.Value)
+		}
+		jr, err := row.Report()
+		if err != nil {
+			t.Fatalf("job %s: %v", id, err)
+		}
+		o := cold[id].Value.(*art9.Outcome)
+		if !jr.OK || r.Worker != -1 || jr.Worker != -1 || jr.Metrics == nil ||
+			jr.Metrics.Checksum != o.Checksum || jr.Metrics.ART9Cycles != o.ART9Cycles {
+			t.Fatalf("job %s: replayed row %+v (metrics %+v) does not describe its outcome", id, jr, jr.Metrics)
+		}
+	}
+}

@@ -189,28 +189,44 @@ func (m *Manifest) ResolveTechnologies() ([]*gate.Technology, error) {
 	return Technologies(m.Technologies)
 }
 
-// techModels is the technology registry: name → model constructor.
-// The built-ins are the paper's two implementation targets; tests (and,
+// techModels is the technology registry: name → binding. The
+// built-ins are the paper's two implementation targets; tests (and,
 // eventually, pluggable scenario models) swap entries via
 // RegisterTechnology. Guarded by techModelsMu because the dispatch
 // path resolves names concurrently.
 var (
 	techModelsMu sync.RWMutex
-	techModels   = map[string]func() *gate.Technology{
-		"cntfet32": gate.CNTFET32,
-		"stratixv": gate.StratixVEmulation,
+	techModels   = map[string]techBinding{
+		"cntfet32": bindTechnology(gate.CNTFET32),
+		"stratixv": bindTechnology(gate.StratixVEmulation),
 	}
 )
+
+// techBinding is one registered model, built once, and its
+// fingerprint. The model is never handed out: Technologies returns
+// clones, so no caller's edit can reach it or another caller.
+type techBinding struct {
+	model       *gate.Technology
+	fingerprint string
+}
+
+func bindTechnology(build func() *gate.Technology) techBinding {
+	model := build()
+	return techBinding{model: model, fingerprint: model.Fingerprint()}
+}
 
 // RegisterTechnology binds name to a model constructor, replacing any
 // previous binding, and returns a function restoring the prior state.
 // This is how a test edits the technology table between runs — the
 // result cache must key on the model's content (Fingerprint), so the
-// edit must produce misses, never stale hits.
+// edit must produce misses, never stale hits. build runs once, here:
+// the registry keeps that model and its fingerprint for the binding's
+// lifetime, so later edits to build's sources do not reach it.
 func RegisterTechnology(name string, build func() *gate.Technology) (restore func()) {
+	b := bindTechnology(build)
 	techModelsMu.Lock()
 	prev, had := techModels[name]
-	techModels[name] = build
+	techModels[name] = b
 	techModelsMu.Unlock()
 	return func() {
 		techModelsMu.Lock()
@@ -223,22 +239,46 @@ func RegisterTechnology(name string, build func() *gate.Technology) (restore fun
 	}
 }
 
-// Technologies maps technology names to their models.
+// Technologies maps technology names to their models. Each call returns
+// fresh clones of the registered models, already fingerprinted: a
+// caller may edit what it is handed without affecting any other caller.
 func Technologies(names []string) ([]*gate.Technology, error) {
 	techModelsMu.RLock()
 	defer techModelsMu.RUnlock()
 	var techs []*gate.Technology
 	for _, n := range names {
-		build, ok := techModels[n]
+		b, ok := techModels[n]
 		if !ok {
-			known := make([]string, 0, len(techModels))
-			for k := range techModels {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			return nil, fmt.Errorf("unknown technology %q (want %s)", n, strings.Join(known, " or "))
+			return nil, unknownTechnology(n)
 		}
-		techs = append(techs, build())
+		techs = append(techs, b.model.Clone())
 	}
 	return techs, nil
+}
+
+// appendTechnologyKeys appends each name and its registered model's
+// fingerprint to parts — the technology half of a result key, read
+// without building, cloning or hashing a model.
+func appendTechnologyKeys(parts []string, names []string) ([]string, error) {
+	techModelsMu.RLock()
+	defer techModelsMu.RUnlock()
+	for _, n := range names {
+		b, ok := techModels[n]
+		if !ok {
+			return nil, unknownTechnology(n)
+		}
+		parts = append(parts, n, b.fingerprint)
+	}
+	return parts, nil
+}
+
+// unknownTechnology names n and the registered choices. Callers hold
+// techModelsMu.
+func unknownTechnology(n string) error {
+	known := make([]string, 0, len(techModels))
+	for k := range techModels {
+		known = append(known, k)
+	}
+	sort.Strings(known)
+	return fmt.Errorf("unknown technology %q (want %s)", n, strings.Join(known, " or "))
 }

@@ -187,8 +187,19 @@ type EngineReport struct {
 // internal/remote backend yields, having received the row from its peer
 // — passes through unchanged (the peer already evaluated its own
 // technologies), so local and remote shards render identically in one
-// merged report.
+// merged report. A result-cache hit served as its stored bytes (a
+// *CachedRow) is decoded and named r.ID, giving the row the cache's
+// decode-and-replay path gave. AppendReportLine renders the same row
+// as its wire line without that decode.
 func JobReportOf(r engine.Result, techs []*gate.Technology) JobReport {
+	if row, ok := r.Value.(*CachedRow); ok {
+		jr, err := row.Report()
+		if err != nil {
+			return JobReport{Name: r.ID, Worker: r.Worker, Error: err.Error()}
+		}
+		jr.Name = r.ID
+		return jr
+	}
 	if remote, ok := r.Value.(*JobReport); ok {
 		jr := *remote
 		if jr.Name == "" {
@@ -272,11 +283,6 @@ func ImplReports(o *Outcome, techs []*gate.Technology) []ImplReport {
 	return irs
 }
 
-// CacheReportOf snapshots an engine's cache counters.
-func CacheReportOf(e *engine.Engine) CacheReport {
-	return cacheReport(e.Programs.Stats(), e.Analyses.Stats())
-}
-
 // SharedCacheReport snapshots the process-wide memoization caches — the
 // ones every bench job feeds regardless of which backend ran it.
 func SharedCacheReport() CacheReport {
@@ -291,33 +297,11 @@ func cacheReport(ps, as engine.CacheStats) CacheReport {
 	}
 }
 
-// EngineReportOf renders one engine's counters (a single shard).
-func EngineReportOf(e *engine.Engine) EngineReport {
-	return engineReport(e.Stats(), 1)
-}
-
-// ShardSetReportOf renders a shard set's aggregate counters.
-func ShardSetReportOf(s *engine.ShardSet) EngineReport {
-	return engineReport(s.Stats(), s.Shards())
-}
-
 // EngineReportFrom renders an already-taken stats snapshot — for
 // callers (the serve stats endpoint) that must not trigger a second
 // scrape of remote backends.
 func EngineReportFrom(st engine.Stats, shards int) EngineReport {
 	return engineReport(st, shards)
-}
-
-// EngineReportFor renders any Evaluator backend's counters, resolving
-// the shard count through engine.Composite and falling back to a
-// single logical shard for anything else (a remote client, a custom
-// backend). Remote backends answer with their peer's lifetime
-// counters; for a report scoped to one run, use RunReportFor.
-func EngineReportFor(ev engine.Evaluator) EngineReport {
-	if c, ok := ev.(engine.Composite); ok {
-		return engineReport(c.Stats(), c.Size())
-	}
-	return engineReport(ev.Stats(), 1)
 }
 
 // RunReportFor renders only the counters attributable to this process's

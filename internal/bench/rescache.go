@@ -58,10 +58,13 @@ func (c *ResultCache) Close() error {
 }
 
 // Lookup answers a job spec from the cache. Only specs the key
-// derivation can address hit; an entry that fails to decode (or was
-// somehow stored non-OK) is treated as a miss AND deleted from the
-// store — left in place it would re-fail on every future lookup — and
-// counted in Stats().Corrupt.
+// derivation can address hit. A stored row that is the canonical
+// encoding of a successful, unnamed JobReport (canonicalRow) is handed
+// back undecoded, as a *CachedRow; any other row is decoded, and one
+// that fails to decode or was somehow stored non-OK is treated as a
+// miss AND deleted from the store — left in place it would re-fail on
+// every future lookup — and counted in Stats().Corrupt. A row that
+// decodes is handed back as the *JobReport it decodes to.
 func (c *ResultCache) Lookup(ctx context.Context, spec any) (any, bool) {
 	key, ok := resultKey(jobSpecOf(spec))
 	if !ok {
@@ -70,6 +73,9 @@ func (c *ResultCache) Lookup(ctx context.Context, spec any) (any, bool) {
 	raw, ok := c.store.Get(ctx, key)
 	if !ok {
 		return nil, false
+	}
+	if canonicalRow(raw) {
+		return &CachedRow{raw: raw}, true
 	}
 	var jr JobReport
 	if err := json.Unmarshal(raw, &jr); err != nil || !jr.OK {
@@ -85,20 +91,16 @@ func (c *ResultCache) Lookup(ctx context.Context, spec any) (any, bool) {
 // Store records one successful result under the spec's key — the
 // engine calls it after a local execution, the balancer and autoscaler
 // after a successful attempt (whose value may already be a peer's
-// *JobReport). Failures are never cached: a timeout or a dead backend
-// says nothing about the program.
+// *JobReport, or a member's cache hit). Failures are never cached: a
+// timeout or a dead backend says nothing about the program.
 func (c *ResultCache) Store(ctx context.Context, spec any, value any) {
 	s := jobSpecOf(spec)
 	key, ok := resultKey(s)
 	if !ok {
 		return
 	}
-	jr, ok := cacheRowOf(s, value)
+	raw, ok := cacheRowOf(s, value)
 	if !ok {
-		return
-	}
-	raw, err := json.Marshal(jr)
-	if err != nil {
 		return
 	}
 	c.store.Put(ctx, key, raw)
@@ -123,9 +125,10 @@ func jobSpecOf(spec any) *JobSpec {
 // the iteration count, and each requested technology as its own
 // name+fingerprint part pair (request order orders the implementations
 // row; the fingerprint covers every timing/energy/area number, so an
-// edited table can never replay a stale row). Name and TimeoutMS are
-// display/placement concerns and are excluded, so renamed or
-// re-bounded jobs still hit.
+// edited table can never replay a stale row). The fingerprint is the
+// one the registry stored when the name was bound, so no model is built
+// or hashed here. Name and TimeoutMS are display/placement concerns and
+// are excluded, so renamed or re-bounded jobs still hit.
 //
 // Passing each technology as its own KeyOf part matters: the parts are
 // length-prefixed, so ["a\x00b"] and ["a","b"] — which a joined list
@@ -140,11 +143,7 @@ func resultKey(s *JobSpec) (string, bool) {
 	if j.File != "" || (j.Workload == "" && j.Source == "") {
 		return "", false
 	}
-	techs, err := Technologies(s.Technologies)
-	if err != nil {
-		return "", false
-	}
-	parts := make([]string, 0, 5+2*len(techs))
+	parts := make([]string, 0, 5+2*len(s.Technologies))
 	parts = append(parts,
 		"art9/result/v2",
 		sim.SemanticsVersion,
@@ -152,8 +151,9 @@ func resultKey(s *JobSpec) (string, bool) {
 		j.Source,
 		strconv.Itoa(j.Iterations),
 	)
-	for i, tech := range techs {
-		parts = append(parts, s.Technologies[i], tech.Fingerprint())
+	parts, err := appendTechnologyKeys(parts, s.Technologies)
+	if err != nil {
+		return "", false
 	}
 	return rescache.KeyOf(parts...), true
 }
@@ -161,33 +161,38 @@ func resultKey(s *JobSpec) (string, bool) {
 // cacheRowOf renders one successful result value as the canonical
 // cached row: a JobReport normalized to be run-independent (no name,
 // no elapsed time, Worker -1 — JobReportOf re-stamps the name on
-// replay). A local execution's *Outcome is evaluated against the
-// spec's technologies, exactly as the cold path would; a *JobReport
-// from a remote peer is normalized as-is.
-func cacheRowOf(s *JobSpec, value any) (*JobReport, bool) {
+// replay), encoded. A local execution's *Outcome is evaluated against
+// the spec's technologies, exactly as the cold path would; a *JobReport
+// from a remote peer is normalized as-is; a *CachedRow is already the
+// canonical row.
+func cacheRowOf(s *JobSpec, value any) ([]byte, bool) {
+	var jr JobReport
 	switch v := value.(type) {
+	case *CachedRow:
+		return v.raw, true
 	case *Outcome:
 		techs, err := Technologies(s.Technologies)
 		if err != nil {
 			return nil, false
 		}
-		return &JobReport{
+		jr = JobReport{
 			OK:              true,
 			Worker:          -1,
 			Metrics:         MetricsReportOf(v),
 			Implementations: ImplReports(v, techs),
-		}, true
+		}
 	case *JobReport:
 		if !v.OK {
 			return nil, false
 		}
-		jr := *v
+		jr = *v
 		jr.Name, jr.Error, jr.ErrorKind = "", "", ""
 		jr.ElapsedMS, jr.Worker = 0, -1
-		return &jr, true
 	default:
 		return nil, false
 	}
+	raw, err := json.Marshal(&jr)
+	return raw, err == nil
 }
 
 // ResultCacheReport snapshots the fleet-wide result-cache tier for

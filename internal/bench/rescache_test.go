@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -248,11 +249,95 @@ func TestResultCacheRejectsCorruptAndFailedEntries(t *testing.T) {
 	if !ok {
 		t.Fatal("stored peer row missed")
 	}
-	jr := v.(*JobReport)
+	jr := JobReportOf(engine.Result{Value: v}, nil)
 	if jr.Name != "" || jr.ElapsedMS != 0 || jr.Worker != -1 {
 		t.Fatalf("peer row not normalized: %+v", jr)
 	}
 	if jr.Metrics == nil || jr.Metrics.Checksum != 7 {
 		t.Fatalf("peer row lost metrics: %+v", jr)
+	}
+}
+
+// TestTechnologyRegistryConcurrent resolves, fingerprints and keys one
+// technology name from many goroutines while another swaps its binding
+// between the built-in and an edited model (run it under -race). Every
+// answer must belong to one of the two bindings, and each caller edits
+// the model it was handed without reaching the registry or any other
+// caller.
+func TestTechnologyRegistryConcurrent(t *testing.T) {
+	const name = "registry-race"
+	edited := func() *gate.Technology {
+		tech := gate.CNTFET32()
+		tech.ClkQPs++
+		return tech
+	}
+	t.Cleanup(RegisterTechnology(name, gate.CNTFET32))
+	spec := &JobSpec{
+		Job:          ManifestJob{Source: "LDI T1, 1\nHALT", Iterations: 1},
+		Technologies: []string{name},
+	}
+	keyA, _ := resultKey(spec)
+	restore := RegisterTechnology(name, edited)
+	keyB, _ := resultKey(spec)
+	restore()
+	fpA, fpB := gate.CNTFET32().Fingerprint(), edited().Fingerprint()
+	if keyA == keyB || fpA == fpB {
+		t.Fatal("the two bindings are indistinguishable; the test proves nothing")
+	}
+
+	shared := gate.StratixVEmulation() // fingerprinted first by many goroutines at once
+	wantShared := gate.StratixVEmulation().Fingerprint()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			RegisterTechnology(name, edited)()
+		}
+	}()
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if fp := shared.Fingerprint(); fp != wantShared {
+					t.Errorf("shared model fingerprint %s, want %s", fp, wantShared)
+					return
+				}
+				techs, err := Technologies([]string{name})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fp := techs[0].Fingerprint()
+				if fp != fpA && fp != fpB {
+					t.Errorf("handed a model fingerprinting %s, neither binding's", fp)
+					return
+				}
+				p := techs[0].Props[gate.TFA]
+				p.DelayPs += float64(i + 1)
+				techs[0].Props[gate.TFA] = p
+				if techs[0].Fingerprint() == fp {
+					t.Error("editing a handed-out model left its fingerprint unchanged")
+					return
+				}
+				if key, ok := resultKey(spec); !ok || (key != keyA && key != keyB) {
+					t.Errorf("resultKey = %q, %v; want one of the two bindings' keys", key, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	techs, err := Technologies([]string{name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := techs[0].Fingerprint(); fp != fpA {
+		t.Fatalf("after the swaps the binding fingerprints %s, want the built-in's %s", fp, fpA)
+	}
+	if key, _ := resultKey(spec); key != keyA {
+		t.Fatal("after the swaps the result key is not the built-in's")
 	}
 }

@@ -55,9 +55,6 @@ func (k CellKind) String() string {
 	return fmt.Sprintf("cell(%d)", uint8(k))
 }
 
-// IsSequential reports whether the cell breaks timing paths.
-func (k CellKind) IsSequential() bool { return k == TDFF }
-
 // Cell is one instantiated cell.
 type Cell struct {
 	Kind  CellKind

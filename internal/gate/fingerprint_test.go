@@ -1,7 +1,10 @@
 package gate
 
 import (
+	"maps"
+	"math"
 	"regexp"
+	"sync/atomic"
 	"testing"
 )
 
@@ -33,58 +36,130 @@ func TestFingerprintStable(t *testing.T) {
 
 // TestFingerprintFieldSensitivity flips each field class once and
 // asserts the digest moves — the property the result cache's
-// invalidation contract rests on.
+// invalidation contract rests on. Each instance is fingerprinted before
+// its edit, so a memo that outlives an edit fails here, and the edited
+// digest must be the one a freshly built model with those fields has.
 func TestFingerprintFieldSensitivity(t *testing.T) {
 	base := CNTFET32().Fingerprint()
+	withoutTBUF := func() *Technology {
+		tech := CNTFET32()
+		delete(tech.Props, TBUF)
+		return tech
+	}
 	for _, tc := range []struct {
 		name string
+		from func() *Technology // CNTFET32 when nil
 		edit func(*Technology)
 	}{
-		{"name", func(t *Technology) { t.Name = "CNTFET-32nm-edited" }},
-		{"cell-delay", func(t *Technology) {
+		{"name", nil, func(t *Technology) { t.Name = "CNTFET-32nm-edited" }},
+		{"cell-delay", nil, func(t *Technology) {
 			p := t.Props[TFA]
 			p.DelayPs++
 			t.Props[TFA] = p
 		}},
-		{"cell-energy", func(t *Technology) {
+		{"cell-energy", nil, func(t *Technology) {
 			p := t.Props[TXOR]
 			p.EnergyFJ += 0.01
 			t.Props[TXOR] = p
 		}},
-		{"cell-leakage", func(t *Technology) {
+		{"cell-leakage", nil, func(t *Technology) {
 			p := t.Props[TNAND]
 			p.LeakNW += 0.1
 			t.Props[TNAND] = p
 		}},
-		{"cell-alms", func(t *Technology) {
+		{"cell-alms", nil, func(t *Technology) {
 			p := t.Props[STI]
 			p.ALMs += 0.5
 			t.Props[STI] = p
 		}},
-		{"voltage", func(t *Technology) { t.VoltageV += 0.1 }},
-		{"clkq", func(t *Technology) { t.ClkQPs++ }},
-		{"setup", func(t *Technology) { t.SetupPs++ }},
-		{"activity", func(t *Technology) { t.Activity += 0.01 }},
-		{"static-w", func(t *Technology) { t.StaticW += 0.01 }},
-		{"io-w", func(t *Technology) { t.IOW += 0.01 }},
-		{"mem-read", func(t *Technology) { t.MemReadEnergyFJ++ }},
-		{"mem-write", func(t *Technology) { t.MemWriteEnergyFJ++ }},
-		{"mem-leak", func(t *Technology) { t.MemLeakageNWPerTrit += 0.1 }},
-		{"drop-cell", func(t *Technology) { delete(t.Props, TBUF) }},
+		{"voltage", nil, func(t *Technology) { t.VoltageV += 0.1 }},
+		{"clkq", nil, func(t *Technology) { t.ClkQPs++ }},
+		{"setup", nil, func(t *Technology) { t.SetupPs++ }},
+		{"activity", nil, func(t *Technology) { t.Activity += 0.01 }},
+		{"static-w", nil, func(t *Technology) { t.StaticW += 0.01 }},
+		{"static-w-negative-zero", nil, func(t *Technology) { t.StaticW = math.Copysign(0, -1) }},
+		{"io-w", nil, func(t *Technology) { t.IOW += 0.01 }},
+		{"mem-read", nil, func(t *Technology) { t.MemReadEnergyFJ++ }},
+		{"mem-write", nil, func(t *Technology) { t.MemWriteEnergyFJ++ }},
+		{"mem-leak", nil, func(t *Technology) { t.MemLeakageNWPerTrit += 0.1 }},
+		{"drop-cell", nil, func(t *Technology) { delete(t.Props, TBUF) }},
+		{"add-cell", withoutTBUF, func(t *Technology) { t.Props[TBUF] = CellProps{DelayPs: 35} }},
+		{"add-zero-cell", withoutTBUF, func(t *Technology) { t.Props[TBUF] = CellProps{} }},
+		{"swap-props-map", nil, func(t *Technology) {
+			props := maps.Clone(t.Props)
+			props[TDFF] = CellProps{EnergyFJ: 2.5, LeakNW: 32.8}
+			t.Props = props
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			edited := CNTFET32()
-			// Copy the props map so the edit cannot alias another case.
-			props := make(map[CellKind]CellProps, len(edited.Props))
-			for k, v := range edited.Props {
-				props[k] = v
+			from := tc.from
+			if from == nil {
+				from = CNTFET32
 			}
-			edited.Props = props
+			edited := from()
+			before := edited.Fingerprint()
 			tc.edit(edited)
-			if got := edited.Fingerprint(); got == base {
+			got := edited.Fingerprint()
+			if got == before {
 				t.Fatalf("editing %s did not change the fingerprint", tc.name)
 			}
+			if tc.from == nil && got == base {
+				t.Fatalf("editing %s did not move the fingerprint off the built-in's", tc.name)
+			}
+			if want := freshCopy(edited).Fingerprint(); got != want {
+				t.Fatalf("edited model reads %s, a fresh model with its fields %s", got, want)
+			}
 		})
+	}
+}
+
+// freshCopy builds a model with t's fields and no fingerprint memo.
+func freshCopy(t *Technology) *Technology {
+	c := *t
+	c.fp = atomic.Value{}
+	c.Props = maps.Clone(t.Props)
+	return &c
+}
+
+// TestFingerprintMemo pins the memo: a repeated call on an unedited
+// model allocates nothing, a clone starts with the original's digest,
+// and an edit to a clone changes only the clone's.
+func TestFingerprintMemo(t *testing.T) {
+	tech := StratixVEmulation()
+	want := tech.Fingerprint()
+	if n := testing.AllocsPerRun(100, func() { tech.Fingerprint() }); n != 0 {
+		t.Fatalf("repeated Fingerprint allocates %v times", n)
+	}
+	c := tech.Clone()
+	if got := c.Fingerprint(); got != want {
+		t.Fatalf("clone reads %s, original %s", got, want)
+	}
+	p := c.Props[TFA]
+	p.DelayPs++
+	c.Props[TFA] = p
+	c.StaticW++
+	if c.Fingerprint() == want {
+		t.Fatal("editing a clone left its fingerprint unchanged")
+	}
+	if got := tech.Fingerprint(); got != want {
+		t.Fatalf("editing a clone moved the original's fingerprint to %s", got)
+	}
+	if got := StratixVEmulation().Fingerprint(); got != want {
+		t.Fatalf("editing a clone moved a fresh built-in's fingerprint to %s", got)
+	}
+}
+
+// BenchmarkFingerprint fingerprints both built-in models, built once
+// outside the loop: every call after the first reuses the memo.
+func BenchmarkFingerprint(b *testing.B) {
+	techs := []*Technology{CNTFET32(), StratixVEmulation()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, t := range techs {
+			if len(t.Fingerprint()) != 64 {
+				b.Fatal("short digest")
+			}
+		}
 	}
 }
 

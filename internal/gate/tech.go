@@ -1,5 +1,7 @@
 package gate
 
+import "sync/atomic"
+
 // Technology is the "property description of the design technology" input
 // of Fig. 3: per-cell delay, switching energy and leakage. Values for the
 // two shipped technologies are calibrated to the publications the paper
@@ -31,6 +33,9 @@ type Technology struct {
 	MemReadEnergyFJ     float64
 	MemWriteEnergyFJ    float64
 	MemLeakageNWPerTrit float64
+
+	// fp holds the *fingerprintMemo of the last Fingerprint call.
+	fp atomic.Value
 }
 
 // CellProps are the per-cell technology characteristics.

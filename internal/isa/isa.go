@@ -167,12 +167,6 @@ func (op Op) WritesReg() bool {
 // IsBranch reports whether op is a conditional branch.
 func (op Op) IsBranch() bool { return op == BEQ || op == BNE }
 
-// IsJump reports whether op is an unconditional jump.
-func (op Op) IsJump() bool { return op == JAL || op == JALR }
-
-// IsMem reports whether op accesses TDM.
-func (op Op) IsMem() bool { return op == LOAD || op == STORE }
-
 // Reg is a general-purpose ternary register index, T0…T8 (§IV-A: the TRF
 // holds nine registers, each addressed by a 2-trit value).
 type Reg uint8

@@ -28,9 +28,6 @@ type Program struct {
 	Lines   []int // source line per instruction
 }
 
-// TextBytes returns the instruction-memory footprint in bytes.
-func (p *Program) TextBytes() int { return 4 * len(p.Insts) }
-
 // TextBits returns the instruction-memory footprint in bits — the Fig. 5
 // metric for the RV32I column.
 func (p *Program) TextBits() int { return 32 * len(p.Insts) }

@@ -42,29 +42,24 @@ func (v *VexRiscvModel) Retire(in Inst, taken bool, _ uint32) {
 		v.started = true
 		t = 1
 	}
-	use := func(r Reg) {
-		if r != 0 && v.ready[r] > t {
-			t = v.ready[r] // interlock until the producer's writeback
-		}
+	c := &opClasses[in.Op]
+	// Interlock until each source's producer reaches writeback.
+	if c.readsRs1 && in.Rs1 != 0 && v.ready[in.Rs1] > t {
+		t = v.ready[in.Rs1]
 	}
-	if in.Op.ReadsRs1() {
-		use(in.Rs1)
+	if c.readsRs2 && in.Rs2 != 0 && v.ready[in.Rs2] > t {
+		t = v.ready[in.Rs2]
 	}
-	if in.Op.ReadsRs2() {
-		use(in.Rs2)
+	switch c.exec {
+	case execMul:
+		t += v.MulExtra
+	case execDiv:
+		t += v.DivExtra
 	}
-	var extra uint64
-	switch in.Op {
-	case MUL, MULH, MULHSU, MULHU:
-		extra = v.MulExtra
-	case DIV, DIVU, REM, REMU:
-		extra = v.DivExtra
-	}
-	t += extra
-	if in.Op.WritesRd() && in.Rd != 0 {
+	if c.writesRd && in.Rd != 0 {
 		v.ready[in.Rd] = t + 3
 	}
-	if taken || in.Op == JAL || in.Op == JALR {
+	if taken || c.jump {
 		t += v.BranchPenalty
 	}
 	v.t = t
@@ -107,28 +102,29 @@ func NewPicoRV32Model() *PicoRV32Model {
 	}
 }
 
-// Retire implements Observer.
+// Retire implements Observer. The cost fields are read on every call,
+// so an ablation that edits them between runs takes effect.
 func (p *PicoRV32Model) Retire(in Inst, taken bool, shamt uint32) {
-	switch {
-	case in.Op == JAL:
+	switch opClasses[in.Op].exec {
+	case execJAL:
 		p.Cycles += p.Jump
-	case in.Op == JALR:
+	case execJALR:
 		p.Cycles += p.Jalr
-	case in.Op.IsBranch():
+	case execBranch:
 		if taken {
 			p.Cycles += p.BranchTaken
 		} else {
 			p.Cycles += p.BranchNot
 		}
-	case in.Op.IsLoad():
+	case execLoad:
 		p.Cycles += p.Load
-	case in.Op.IsStore():
+	case execStore:
 		p.Cycles += p.Store
-	case in.Op == MUL || in.Op == MULH || in.Op == MULHSU || in.Op == MULHU:
+	case execMul:
 		p.Cycles += p.Mul
-	case in.Op == DIV || in.Op == DIVU || in.Op == REM || in.Op == REMU:
+	case execDiv:
 		p.Cycles += p.Div
-	case in.Op.IsShift():
+	case execShift:
 		p.Cycles += p.ShiftBase
 		if p.SerialShift {
 			p.Cycles += uint64(shamt)

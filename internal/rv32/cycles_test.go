@@ -48,6 +48,21 @@ func TestVexBranchPenalty(t *testing.T) {
 	}
 }
 
+// TestVexJumpPenaltyIgnoresTaken pins that a jump pays the flush
+// whatever the observer is told about its outcome: the model reads the
+// transfer from the opcode, not from taken.
+func TestVexJumpPenaltyIgnoresTaken(t *testing.T) {
+	for _, op := range []Op{JAL, JALR} {
+		v := NewVexRiscvModel()
+		v.Retire(Inst{Op: op}, false, 0)
+		v.Retire(Inst{Op: ADDI}, false, 0)
+		// jump@1 (+2 flush), addi@4 → 4+4 = 8.
+		if got := v.TotalCycles(); got != 8 {
+			t.Errorf("%v reported not taken: %d cycles, want 8", op, got)
+		}
+	}
+}
+
 func TestVexMulDivLatency(t *testing.T) {
 	vex, _ := runWithModels(t, `
 		li t0, 6

@@ -140,7 +140,7 @@ func (op Op) IsMul() bool { return op >= MUL }
 
 // IsShift reports whether op is a shift (serial on PicoRV32 without the
 // barrel shifter).
-func (op Op) IsShift() bool { return opClasses[op].shift }
+func (op Op) IsShift() bool { return opClasses[op].exec == execShift }
 
 // WritesRd reports whether op writes a destination register.
 func (op Op) WritesRd() bool { return opClasses[op].writesRd }
@@ -150,18 +150,36 @@ func (op Op) ReadsRs1() bool { return opClasses[op].readsRs1 }
 
 func (op Op) ReadsRs2() bool { return opClasses[op].readsRs2 }
 
-// opClass is an opcode's encoding format and operand usage. The simulator
-// and both cycle models ask for these several times per retired
-// instruction, so each is one load from opClasses.
+// opClass is an opcode's encoding format, operand usage and execution
+// class. The simulator and both cycle models ask for these several times
+// per retired instruction, so each is one load from opClasses.
 type opClass struct {
 	fmt                          Format
 	readsRs1, readsRs2, writesRd bool
-	shift                        bool
+	exec                         execClass
+	jump                         bool // JAL or JALR: always a taken transfer
 }
 
+// execClass is what an instruction costs the baseline cycle models: each
+// class has its own PicoRV32 cost, and mul and div their own VexRiscv
+// EX occupancy.
+type execClass uint8
+
+const (
+	execALU execClass = iota
+	execJAL
+	execJALR
+	execBranch
+	execLoad
+	execStore
+	execMul
+	execDiv
+	execShift
+)
+
 // opClasses holds the class of every Op value, so indexing it needs no
-// bounds check; values past NumOps classify as I-format, as they always
-// have.
+// bounds check; values past NumOps classify as I-format ALU operations,
+// as they always have.
 var opClasses = func() (t [1 << 8]opClass) {
 	for i := range t {
 		t[i] = classify(Op(i))
@@ -196,9 +214,23 @@ func classify(op Op) opClass {
 		readsRs2: f == FmtR || f == FmtS || f == FmtB,
 		writesRd: f == FmtR || f == FmtI || f == FmtU || f == FmtJ,
 	}
-	switch op {
-	case SLL, SRL, SRA, SLLI, SRLI, SRAI:
-		c.shift = true
+	switch {
+	case op == JAL:
+		c.exec, c.jump = execJAL, true
+	case op == JALR:
+		c.exec, c.jump = execJALR, true
+	case op.IsBranch():
+		c.exec = execBranch
+	case op.IsLoad():
+		c.exec = execLoad
+	case op.IsStore():
+		c.exec = execStore
+	case op == MUL || op == MULH || op == MULHSU || op == MULHU:
+		c.exec = execMul
+	case op == DIV || op == DIVU || op == REM || op == REMU:
+		c.exec = execDiv
+	case op == SLL || op == SRL || op == SRA || op == SLLI || op == SRLI || op == SRAI:
+		c.exec = execShift
 	}
 	return c
 }

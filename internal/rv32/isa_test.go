@@ -166,11 +166,13 @@ func TestPredicates(t *testing.T) {
 	}
 }
 
-// TestOpClassesExhaustive pins Fmt, ReadsRs1, ReadsRs2, WritesRd and
-// IsShift for every Op < NumOps against the RISC-V encoding, which the
-// opClasses table does not read: the format follows from the major opcode
-// in encTable, operand usage from the format, and a shift is an OP or
-// OP-IMM instruction with funct3 001 or 101 outside the M extension.
+// TestOpClassesExhaustive pins Fmt, ReadsRs1, ReadsRs2, WritesRd,
+// IsShift and the execution class for every Op < NumOps against the
+// RISC-V encoding, which the opClasses table does not read: the format
+// follows from the major opcode in encTable, operand usage from the
+// format, a shift is an OP or OP-IMM instruction with funct3 001 or 101
+// outside the M extension, and an M-extension instruction multiplies
+// when funct3 < 4 and divides otherwise.
 func TestOpClassesExhaustive(t *testing.T) {
 	formatOf := map[uint32]Format{
 		0b0110011: FmtR,   // OP, and the M extension
@@ -213,6 +215,37 @@ func TestOpClassesExhaustive(t *testing.T) {
 		}
 		if got := op.IsShift(); got != shift {
 			t.Errorf("%v.IsShift() = %v, want %v", op, got, shift)
+		}
+		exec := execALU
+		switch {
+		case e.opcode == 0b1101111:
+			exec = execJAL
+		case e.opcode == 0b1100111:
+			exec = execJALR
+		case e.opcode == 0b1100011:
+			exec = execBranch
+		case e.opcode == 0b0000011:
+			exec = execLoad
+		case e.opcode == 0b0100011:
+			exec = execStore
+		case e.opcode == 0b0110011 && e.funct7 == 1 && e.funct3 < 4:
+			exec = execMul
+		case e.opcode == 0b0110011 && e.funct7 == 1:
+			exec = execDiv
+		case shift:
+			exec = execShift
+		}
+		c := opClasses[op]
+		if c.exec != exec {
+			t.Errorf("%v execution class = %d, want %d", op, c.exec, exec)
+		}
+		if jump := exec == execJAL || exec == execJALR; c.jump != jump {
+			t.Errorf("%v jump = %v, want %v", op, c.jump, jump)
+		}
+	}
+	for op := NumOps; op != 0; op++ {
+		if c := opClasses[op]; c.exec != execALU || c.jump {
+			t.Errorf("%v past NumOps classifies as %+v, want an ALU operation", op, c)
 		}
 	}
 }

@@ -515,6 +515,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		flush()
 	}
 	rows := 0
+	var line []byte
 	for res := range s.backend.Stream(r.Context(), jobs) {
 		if clientGone {
 			// The client is gone; keep draining so the stream's
@@ -522,7 +523,13 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 			// skip rendering rows nobody will receive.
 			continue
 		}
-		if err := enc.Encode(bench.JobReportOf(res, techs)); err != nil {
+		// A result-cache hit is written as its stored row with the
+		// job's name spliced in; other rows are encoded as before.
+		var err error
+		if line, err = bench.AppendReportLine(line[:0], res, techs); err == nil {
+			_, err = w.Write(line)
+		}
+		if err != nil {
 			clientGone = true
 			continue
 		}

@@ -66,7 +66,7 @@ func (c Config) withDefaults() Config {
 // State is the architectural state of an ART-9 core: the program counter,
 // the nine-entry ternary register file, and the two memories. PC and TRF
 // hold the bit-plane form (ternary.Packed) so the datapath never converts
-// per trit; Reg/SetReg expose the Word view at the boundary. A run starts
+// per trit; Reg exposes the Word view at the boundary. A run starts
 // at PC, keeps the PC as a TIM index while it steps, and writes it back
 // when it stops: at the halt, at a fault, or when the budget runs out.
 //
@@ -140,9 +140,6 @@ func (s *State) stop(pc int, err error) error {
 
 // Reg returns TRF[r].
 func (s *State) Reg(r isa.Reg) ternary.Word { return s.TRF[r].Unpack() }
-
-// SetReg sets TRF[r].
-func (s *State) SetReg(r isa.Reg, w ternary.Word) { s.TRF[r] = ternary.Pack(w) }
 
 // Result summarises a run.
 type Result struct {

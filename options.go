@@ -138,7 +138,9 @@ func WithScaleInterval(d time.Duration) Option {
 // a job, the dispatch front consults a content-addressed store keyed by
 // the job's spec (program source, iterations, technologies), and a hit
 // short-circuits evaluation entirely — the replayed result reports
-// Worker -1. Only spec-carrying jobs participate (SuiteJobs and the
+// Worker -1 and usually carries a *CachedRow as its Value (a stored
+// row that is not in canonical form is decoded into a *JobReport
+// instead). Only spec-carrying jobs participate (SuiteJobs and the
 // manifest loader attach specs; File jobs and bare closures always
 // compute), and failed jobs are never cached. Bound the store with
 // WithCacheMaxBytes; share it across a fleet with WithCachePeers.
