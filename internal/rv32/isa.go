@@ -135,13 +135,6 @@ func (op Op) IsStore() bool { return op >= SB && op <= SW }
 // IsBranch reports whether op is a conditional branch.
 func (op Op) IsBranch() bool { return op >= BEQ && op <= BGEU }
 
-// IsMul reports whether op belongs to the M extension.
-func (op Op) IsMul() bool { return op >= MUL }
-
-// IsShift reports whether op is a shift (serial on PicoRV32 without the
-// barrel shifter).
-func (op Op) IsShift() bool { return opClasses[op].exec == execShift }
-
 // WritesRd reports whether op writes a destination register.
 func (op Op) WritesRd() bool { return opClasses[op].writesRd }
 

@@ -149,12 +149,6 @@ func TestPredicates(t *testing.T) {
 	if !BEQ.IsBranch() || JAL.IsBranch() {
 		t.Error("branch predicate wrong")
 	}
-	if !MUL.IsMul() || ADD.IsMul() {
-		t.Error("mul predicate wrong")
-	}
-	if !SLLI.IsShift() || !SRA.IsShift() || ADD.IsShift() {
-		t.Error("shift predicate wrong")
-	}
 	if SW.WritesRd() || BEQ.WritesRd() || !ADD.WritesRd() {
 		t.Error("WritesRd wrong")
 	}
@@ -166,8 +160,8 @@ func TestPredicates(t *testing.T) {
 	}
 }
 
-// TestOpClassesExhaustive pins Fmt, ReadsRs1, ReadsRs2, WritesRd,
-// IsShift and the execution class for every Op < NumOps against the
+// TestOpClassesExhaustive pins Fmt, ReadsRs1, ReadsRs2, WritesRd and the
+// execution class for every Op < NumOps against the
 // RISC-V encoding, which the opClasses table does not read: the format
 // follows from the major opcode in encTable, operand usage from the
 // format, a shift is an OP or OP-IMM instruction with funct3 001 or 101
@@ -212,9 +206,6 @@ func TestOpClassesExhaustive(t *testing.T) {
 		}
 		if got := op.WritesRd(); got != writes {
 			t.Errorf("%v.WritesRd() = %v, want %v", op, got, writes)
-		}
-		if got := op.IsShift(); got != shift {
-			t.Errorf("%v.IsShift() = %v, want %v", op, got, shift)
 		}
 		exec := execALU
 		switch {

@@ -9,7 +9,9 @@ import (
 
 // Functional is the instruction-accurate reference core: one instruction
 // per step, no micro-architecture. It defines the architectural semantics
-// against which the pipelined core is verified.
+// against which the pipelined core is verified, and executes Table I
+// itself rather than through the pipeline's evaluate, so the two cores
+// check each other without sharing dispatch code.
 type Functional struct {
 	S   *State
 	cfg Config
@@ -33,11 +35,12 @@ const noLoad = isa.Reg(isa.NumRegs)
 // instructions. S.PC is written back when Run returns.
 func (f *Functional) Run() (Result, error) { return f.run(false) }
 
-// RunTimed executes like Run and times the retired stream as the pipelined
-// core schedules it, so that on a program that halts its Result, its TIM
-// and TDM access counts and the final TRF and TDM equal Pipeline.Run's.
-// The pipeline stalls only for load-use hazards and taken transfers
-// (§IV-B), so one instruction of lookback decides every stall:
+// RunTimed executes like Run, on the same loop, and times the retired
+// stream as the pipelined core schedules it, so that on a program that
+// halts its Result, its TIM and TDM access counts and the final TRF and
+// TDM equal Pipeline.Run's. The pipeline stalls only for load-use hazards
+// and taken transfers (§IV-B), so one instruction of lookback decides
+// every stall:
 //
 //   - an instruction that reads, through ReadsTa or ReadsTb, the register
 //     the previous instruction loaded waits one cycle (StallsLoad), the
@@ -54,16 +57,22 @@ func (f *Functional) Run() (Result, error) { return f.run(false) }
 // pipeline, so its Result and state are not the pipeline's.
 func (f *Functional) RunTimed() (Result, error) { return f.run(true) }
 
-// run is the functional core's one loop. The PC lives in a local TIM index
-// and one effect is filled in place per step. With timed set it also
-// charges the pipeline's stall and squash cycles to res and to the budget;
-// that work sits behind a check of loaded and inside the LOAD and
-// taken-transfer branches, where an untimed step skips it.
+// run is the functional core's one loop, shared by Run and RunTimed. Each
+// step fetches and then executes Table I in one switch on the opcode: the
+// case reads its operands from TRF, writes its destination through
+// writeReg, makes its own TDM access, counts its own loads, stores,
+// branches and jumps, and picks the next TIM index. The PC lives in a
+// local TIM index. A halt — a taken transfer to its own address — leaves
+// through halt before it writes a register or counts as taken. With timed
+// set the loop also charges the pipeline's stall and squash slots to res
+// and to the budget; that work sits behind a check of loaded and inside
+// the LOAD and taken-transfer cases, where an untimed step skips it.
+// Cycles and ByCategory follow from the other counters and are filled in
+// once, when the run stops (finish and State.stop).
 func (f *Functional) run(timed bool) (Result, error) {
 	var (
 		res Result
 		in  isa.Inst
-		e   effect
 	)
 	s := f.S
 	text, trf := s.text, &s.TRF
@@ -71,7 +80,6 @@ func (f *Functional) run(timed bool) (Result, error) {
 	budget := f.cfg.MaxSteps
 	loaded := noLoad // register the previous instruction loaded; set only when timed
 	if timed {
-		res.Cycles = pipelineFill
 		budget -= pipelineFill
 	}
 	for ; budget > 0; budget-- {
@@ -81,77 +89,160 @@ func (f *Functional) run(timed bool) (Result, error) {
 		} else {
 			var fault, illegal error
 			if in, fault, illegal = s.fetch(pc); fault != nil {
-				return res, s.stop(pc, fmt.Errorf("sim: fetch at PC=%d: %w", ternary.PackedFromInt(pc).Int(), fault))
+				return f.finish(&res, timed, pc, fmt.Errorf("sim: fetch at PC=%d: %w", ternary.PackedFromInt(pc).Int(), fault))
 			} else if illegal != nil {
-				return res, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(pc).Int(), illegal))
+				return f.fault(&res, timed, pc, illegal)
 			}
 		}
 		if loaded != noLoad && (in.Ta == loaded && in.Op.ReadsTa() || in.Tb == loaded && in.Op.ReadsTb()) {
 			// Load-use hazard: the pipeline holds this instruction in ID
 			// for one cycle.
 			res.StallsLoad++
-			res.Cycles++
 			if budget--; budget == 0 {
 				break
 			}
 		}
 		loaded = noLoad
-		evaluate(&e, in, pc, trf[in.Ta], trf[in.Tb])
-		if e.isLoad {
-			v, err := s.TDM.ReadP(e.addr)
-			if err != nil {
-				return res, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(pc).Int(), err))
+		next := incIndex(pc)
+		switch in.Op {
+		case isa.MV:
+			writeReg(trf, in.Ta, trf[in.Tb])
+		case isa.PTI:
+			writeReg(trf, in.Ta, trf[in.Tb].Pti())
+		case isa.NTI:
+			writeReg(trf, in.Ta, trf[in.Tb].Nti())
+		case isa.STI:
+			writeReg(trf, in.Ta, trf[in.Tb].Sti())
+		case isa.AND:
+			writeReg(trf, in.Ta, trf[in.Ta].And(trf[in.Tb]))
+		case isa.OR:
+			writeReg(trf, in.Ta, trf[in.Ta].Or(trf[in.Tb]))
+		case isa.XOR:
+			writeReg(trf, in.Ta, trf[in.Ta].Xor(trf[in.Tb]))
+		case isa.ADD:
+			writeReg(trf, in.Ta, trf[in.Ta].Add(trf[in.Tb]))
+		case isa.SUB:
+			writeReg(trf, in.Ta, trf[in.Ta].Sub(trf[in.Tb]))
+		case isa.SR:
+			writeReg(trf, in.Ta, trf[in.Ta].ShiftRight(ternary.ShiftAmount(trf[in.Tb].Field(0, 1))))
+		case isa.SL:
+			writeReg(trf, in.Ta, trf[in.Ta].ShiftLeft(ternary.ShiftAmount(trf[in.Tb].Field(0, 1))))
+		case isa.COMP:
+			writeReg(trf, in.Ta, trf[in.Ta].Comp(trf[in.Tb]))
+		case isa.ANDI:
+			writeReg(trf, in.Ta, trf[in.Ta].And(ternary.PackedFromInt(in.Imm)))
+		case isa.ADDI:
+			writeReg(trf, in.Ta, trf[in.Ta].Add(ternary.PackedFromInt(in.Imm)))
+		case isa.SRI:
+			writeReg(trf, in.Ta, trf[in.Ta].ShiftRight(ternary.ShiftAmount(in.Imm)))
+		case isa.SLI:
+			writeReg(trf, in.Ta, trf[in.Ta].ShiftLeft(ternary.ShiftAmount(in.Imm)))
+		case isa.LUI:
+			// imm fits in 4 trits, so its packed form occupies bits 0..3;
+			// shifting by 5 lands it in the upper field with zero fill.
+			writeReg(trf, in.Ta, ternary.PackedFromInt(in.Imm).ShiftLeft(5))
+		case isa.LI:
+			// Keep TRF[Ta][8:5] and replace [4:0] with the 5-trit
+			// immediate, whose packed form occupies bits 0..4 only.
+			ta, low := trf[in.Ta], ternary.PackedFromInt(in.Imm)
+			writeReg(trf, in.Ta, ternary.Packed{N: ta.N&^liLoMask | low.N, P: ta.P&^liLoMask | low.P})
+		case isa.BEQ, isa.BNE:
+			if (trf[in.Tb].Trit(0) == in.B) != (in.Op == isa.BNE) {
+				to := addIndex(pc, in.Imm)
+				if to == pc {
+					return f.halt(&res, timed, pc, in.Op)
+				}
+				next = to
+				res.Taken++
+				if timed { // the squashed fetch slot behind the transfer
+					res.StallsBranch++
+					budget--
+				}
+			} else {
+				res.NotTaken++
 			}
-			e.val = v
+		case isa.JAL:
+			to := addIndex(pc, in.Imm)
+			if to == pc {
+				return f.halt(&res, timed, pc, in.Op)
+			}
+			writeReg(trf, in.Ta, ternary.PackedFromInt(next))
+			next = to
+			res.Jumps++
+			if timed {
+				res.StallsBranch++
+				budget--
+			}
+		case isa.JALR:
+			to := addIndex(trf[in.Tb].UIndex(), in.Imm) // the base is read before the link is written
+			if to == pc {
+				return f.halt(&res, timed, pc, in.Op)
+			}
+			writeReg(trf, in.Ta, ternary.PackedFromInt(next))
+			next = to
+			res.Jumps++
+			if timed {
+				res.StallsBranch++
+				budget--
+			}
+		case isa.LOAD:
+			v, err := s.TDM.ReadP(addIndex(trf[in.Tb].UIndex(), in.Imm))
+			if err != nil {
+				return f.fault(&res, timed, pc, err)
+			}
+			writeReg(trf, in.Ta, v)
 			res.Loads++
 			if timed {
-				loaded = e.reg
+				loaded = in.Ta
 			}
-		}
-		if e.isStore {
-			if err := s.TDM.WriteP(e.addr, e.store); err != nil {
-				return res, s.stop(pc, fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(pc).Int(), err))
+		case isa.STORE:
+			if err := s.TDM.WriteP(addIndex(trf[in.Tb].UIndex(), in.Imm), trf[in.Ta]); err != nil {
+				return f.fault(&res, timed, pc, err)
 			}
 			res.Stores++
 		}
-		// The halt retires like any other instruction, so its opcode
-		// counts toward the mix — otherwise ΣOpMix < 1 and the
-		// switching-activity profile under-reports the datapath.
-		res.ByCategory[in.Op.Category()]++
 		res.ByOp[in.Op]++
-		res.Cycles++
 		res.Retired++
-		if e.isHalt(pc) {
-			res.HaltPC = pc
-			return res, s.stop(pc, nil)
-		}
-		if e.writesReg {
-			writeReg(trf, e.reg, e.val)
-		}
-		if e.taken {
-			if e.branch {
-				res.Taken++
-			} else {
-				res.Jumps++
-			}
-			if timed { // the squashed fetch slot behind the transfer
-				res.StallsBranch++
-				res.Cycles++
-				budget--
-			}
-		} else if e.branch {
-			res.NotTaken++
-		}
-		pc = e.next
+		pc = next
 	}
-	return res, s.stop(pc, ErrNoHalt{f.cfg.MaxSteps})
+	return f.finish(&res, timed, pc, ErrNoHalt{f.cfg.MaxSteps})
 }
 
-// writeReg stores v in trf[r] as two 32-bit moves. evaluate has just
-// stored v's planes separately, and a plain struct copy compiles to one
-// 64-bit load spanning both stores, which the store buffer cannot forward:
-// that stall cost about a quarter of a functional step. Masking P, a no-op
-// on a valid word, keeps the compiler from fusing the two moves.
+// halt retires op, the halt instruction at TIM index pc, and ends the run
+// there. The halt counts toward the mix like any other instruction —
+// otherwise ΣOpMix < 1 and the switching-activity profile under-reports
+// the datapath — but its transfer writes no register, squashes no slot
+// and counts as neither a taken branch nor a jump.
+func (f *Functional) halt(res *Result, timed bool, pc int, op isa.Op) (Result, error) {
+	res.ByOp[op]++
+	res.Retired++
+	res.HaltPC = pc
+	return f.finish(res, timed, pc, nil)
+}
+
+// fault ends a run at TIM index pc on err, an illegal instruction word or
+// a TDM access fault, prefixed with that PC in its balanced form.
+func (f *Functional) fault(res *Result, timed bool, pc int, err error) (Result, error) {
+	return f.finish(res, timed, pc, fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(pc).Int(), err))
+}
+
+// finish ends a run at TIM index pc with err. It fills in Cycles — one per
+// retired instruction, plus the stall and squash slots and the pipeline
+// fill when timed — and hands res to State.stop.
+func (f *Functional) finish(res *Result, timed bool, pc int, err error) (Result, error) {
+	res.Cycles = res.Retired
+	if timed {
+		res.Cycles += res.StallsLoad + res.StallsBranch + pipelineFill
+	}
+	return f.S.stop(res, pc, err)
+}
+
+// writeReg stores v in trf[r] as two 32-bit moves. A plain struct copy can
+// compile to one 64-bit load and store, and where v's planes were just
+// stored separately that load spans both stores, which the store buffer
+// cannot forward: when the functional core copied its results out of an
+// effect, that stall cost about a quarter of a step. Masking P, a no-op on
+// a valid word, keeps the compiler from fusing the two moves.
 func writeReg(trf *[isa.NumRegs]ternary.Packed, r isa.Reg, v ternary.Packed) {
 	trf[r] = ternary.Packed{N: v.N, P: v.P & ternary.PlaneMask}
 }

@@ -93,7 +93,6 @@ func (p *Pipeline) Run() (Result, error) {
 		if memwb.valid {
 			e := &memwb.eff
 			res.Retired++
-			res.ByCategory[memwb.inst.Op.Category()]++
 			res.ByOp[memwb.inst.Op]++
 			if memwb.halt {
 				// The halt idiom has no architectural effect beyond
@@ -101,7 +100,7 @@ func (p *Pipeline) Run() (Result, error) {
 				// like any other instruction, so its opcode counts
 				// toward the mix (ΣOpMix must reach 1).
 				res.HaltPC = e.next
-				return res, s.stop(e.next, nil)
+				return s.stop(&res, e.next, nil)
 			}
 			if e.writesReg {
 				s.TRF[e.reg] = e.val
@@ -123,14 +122,14 @@ func (p *Pipeline) Run() (Result, error) {
 			if e.isLoad {
 				v, err := s.TDM.ReadP(e.addr)
 				if err != nil {
-					return res, s.stop(fetchPC, fmt.Errorf("sim: MEM: %w", err))
+					return s.stop(&res, fetchPC, fmt.Errorf("sim: MEM: %w", err))
 				}
 				e.val = v
 				res.Loads++
 			}
 			if e.isStore {
 				if err := s.TDM.WriteP(e.addr, e.store); err != nil {
-					return res, s.stop(fetchPC, fmt.Errorf("sim: MEM: %w", err))
+					return s.stop(&res, fetchPC, fmt.Errorf("sim: MEM: %w", err))
 				}
 				res.Stores++
 			}
@@ -190,7 +189,7 @@ func (p *Pipeline) Run() (Result, error) {
 				in, fault, illegal := s.fetch(fetchPC)
 				if fault != nil || illegal != nil {
 					// Only one is set; both get the same IF fault text.
-					return res, s.stop(fetchPC, fmt.Errorf("sim: IF at PC=%d: %w",
+					return s.stop(&res, fetchPC, fmt.Errorf("sim: IF at PC=%d: %w",
 						ternary.PackedFromInt(fetchPC).Int(), errors.Join(fault, illegal)))
 				}
 				ifid.inst = in
@@ -206,7 +205,7 @@ func (p *Pipeline) Run() (Result, error) {
 			trace(res.Cycles, p.traceLine(ifS, idS, exS, memS, wbS, stalled, redirect))
 		}
 	}
-	return res, s.stop(fetchPC, ErrNoHalt{p.cfg.MaxSteps})
+	return s.stop(&res, fetchPC, ErrNoHalt{p.cfg.MaxSteps})
 }
 
 // forward resolves the value of register r as seen by the instruction in

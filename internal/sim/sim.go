@@ -13,6 +13,12 @@
 // instruction counts, stall accounting, final architectural state) that
 // the performance estimator (internal/perf) turns into DMIPS figures.
 //
+// The two cores share no dispatch code. The functional core executes
+// Table I inline, one switch on the opcode per step; the pipeline computes
+// each instruction's effect in evaluate, its EX stage. Each core is thus
+// an independent oracle for the other: the tests hold them equal one
+// instruction at a time and over whole programs.
+//
 // Because the pipeline stalls only on those two hazards, its whole Result
 // follows from the retired stream with one instruction of lookback.
 // Functional.RunTimed derives it that way on the functional core's loop,
@@ -130,18 +136,29 @@ func (s *State) fetch(a int) (in isa.Inst, fault, illegal error) {
 	return in, nil, err
 }
 
-// stop ends a run at TIM index pc: it writes pc back to the architectural
-// PC and returns err. The run loops keep the PC as an index and leave
-// through stop at the halt, at a fault, and when the budget runs out.
-func (s *State) stop(pc int, err error) error {
+// stop ends a run at TIM index pc: it fills in res.ByCategory from
+// res.ByOp, writes pc back to the architectural PC, and returns res and
+// err. The run loops keep the PC as an index, count only ByOp per retired
+// instruction, and leave through stop at the halt, at a fault, and when
+// the budget runs out.
+func (s *State) stop(res *Result, pc int, err error) (Result, error) {
+	res.ByCategory = [4]uint64{}
+	for op, n := range res.ByOp {
+		res.ByCategory[isa.Op(op).Category()] += n
+	}
 	s.PC = ternary.PackedFromInt(pc)
-	return err
+	return *res, err
 }
 
 // Reg returns TRF[r].
 func (s *State) Reg(r isa.Reg) ternary.Word { return s.TRF[r].Unpack() }
 
-// Result summarises a run.
+// Result summarises a run. The run loops count what each retired
+// instruction adds: Retired, ByOp, the loads, stores, branches and jumps,
+// and the stall and squash slots. ByCategory follows from ByOp and is
+// filled in once, when the run stops; so are the functional core's Cycles,
+// from Retired (plus the stall and squash slots and the pipeline fill when
+// timed).
 type Result struct {
 	Cycles       uint64 // total clock cycles (Functional.Run: == Retired)
 	Retired      uint64 // architecturally completed instructions
@@ -188,9 +205,10 @@ func (e ErrNoHalt) Error() string {
 }
 
 // effect is the architectural outcome of one instruction: the full Table I
-// semantics evaluated against a read-only view of the state. Memory reads
-// are performed by the caller so both cores share it. Control flow and
-// memory addresses are TIM/TDM indices, the unsigned view of §II-A.
+// semantics evaluated against a read-only view of the state. The pipeline
+// carries it from ID to WB, and its MEM stage performs the memory access
+// and fills in a loaded value. Control flow and memory addresses are
+// TIM/TDM indices, the unsigned view of §II-A.
 type effect struct {
 	writesReg bool
 	reg       isa.Reg
@@ -238,6 +256,11 @@ func addIndex(u, imm int) int {
 // values stay in the bit-plane form; each kernel is differentially pinned
 // to the trit-serial reference in internal/ternary, so the architectural
 // semantics of Table I are unchanged.
+//
+// evaluate is the pipeline's EX stage. The functional core does not call
+// it: it applies Table I inline in Functional.run, and
+// TestStepMatchesEvaluate and FuzzStepVsEvaluate hold that switch to
+// evaluate one instruction at a time.
 func evaluate(e *effect, in isa.Inst, pc int, ta, tb ternary.Packed) {
 	seq := incIndex(pc)
 	*e = effect{next: seq}
