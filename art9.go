@@ -217,13 +217,14 @@ func ReproduceTables() (string, error) { return bench.AllTables() }
 type (
 	// Evaluator is the one backend interface of the evaluation stack:
 	// Run (submission-order batch), Stream (completion-order channel),
-	// Stats, Close. A local worker pool (Engine), a partition over
-	// other evaluators (ShardSet) and an HTTP client proxying to a
-	// remote art9-serve instance all implement it and compose freely;
+	// Stats, Close. A local worker pool (Engine), the fronts over other
+	// evaluators (Balancer, Autoscaler) and an HTTP client proxying to
+	// a remote art9-serve instance all implement it and compose freely;
 	// build one with New.
 	Evaluator = engine.Evaluator
-	// Engine is the local worker-pool backend, with memoization caches
-	// for assembled programs and gate-level analyses.
+	// Engine is the local worker-pool backend; its jobs share the
+	// process-wide memoization caches for assembled programs and
+	// gate-level analyses.
 	Engine = engine.Engine
 	// EngineOptions size the pool and set the default per-job timeout.
 	EngineOptions = engine.Options
@@ -233,14 +234,11 @@ type (
 	EngineResult = engine.Result
 	// EngineStats are an evaluator's lifetime counters.
 	EngineStats = engine.Stats
-	// ShardSet partitions batches round-robin across backends — local
-	// engines, remote peers, or other shard sets — and merges their
-	// completion-order streams.
-	ShardSet = engine.ShardSet
 	// Balancer is the health-aware failover front: least-loaded
 	// dispatch over any mix of backends, periodic liveness probes, and
-	// bounded job-level failover when a backend dies mid-suite. Build
-	// one with New(WithFailover(), ...).
+	// bounded job-level failover when a backend dies mid-suite. New
+	// builds one for every fixed topology with more than one backend
+	// (New(WithShards(2)), New(WithPeers(...)), ...).
 	Balancer = engine.Balancer
 	// BackendHealth is one balanced backend's dispatch/failover/probe
 	// scorecard, as reported by Balancer.Health and BENCH reports.
@@ -248,7 +246,7 @@ type (
 	// Capacity is a backend's point-in-time load snapshot (live
 	// workers, busy, free, queue depth) — served by GET /v1/capacity,
 	// scraped by the Balancer's probe loop, and used to size chunked
-	// dispatch (New(WithFailover(), WithChunk(n), ...)).
+	// dispatch (New(WithPeers(...), WithChunk(n))).
 	Capacity = engine.Capacity
 	// Autoscaler is the elastic front: a pool of local shards that
 	// grows and shrinks between bounds — recruiting standby peers under
@@ -276,7 +274,7 @@ var (
 	// responds to by re-running the job elsewhere.
 	ErrUnavailable = engine.ErrUnavailable
 	// ErrInvalidOptions wraps New's rejection of incoherent option
-	// combinations — failover tuning without WithFailover, autoscale
+	// combinations — balancer tuning on a lone local engine, autoscale
 	// tuning without WithAutoscale, inverted bounds or thresholds. The
 	// message names the offending options.
 	ErrInvalidOptions = engine.ErrInvalidOptions

@@ -13,18 +13,22 @@
 //	                                             # remote art9-serve instances
 //	                                             # (add -shards N to mix in
 //	                                             # local pools)
-//	art9-batch -failover -peers ...              # health-aware dispatch: jobs
-//	                                             # on a dying peer are re-run
-//	                                             # on surviving backends; the
-//	                                             # report gains per-backend
+//	                                             # Several backends sit behind
+//	                                             # a health-aware balancer:
+//	                                             # jobs on a dying backend are
+//	                                             # re-run on the survivors, and
+//	                                             # the report gains per-backend
 //	                                             # failover counters
-//	art9-batch -failover -chunk 32 -peers ...    # chunked dispatch: up to 32
+//	art9-batch -chunk 32 -peers ...              # chunked dispatch: up to 32
 //	                                             # jobs per backend travel as
 //	                                             # one acknowledged suite
 //	                                             # stream, sized by scraped
 //	                                             # capacity; a severed chunk
 //	                                             # re-runs only its
 //	                                             # unresolved jobs
+//	art9-batch -max-retries -1 -health-interval -1 -shards 2
+//	                                             # balancer without failover
+//	                                             # or health probes
 //	art9-batch -autoscale-min 1 -autoscale-max 4 # elastic pool: local shards
 //	                                             # float between the bounds,
 //	                                             # growing under queued load
@@ -84,10 +88,9 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool size per local shard (0: GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "local engine shards (0: one, or none when -peers is set)")
 	peers := flag.String("peers", "", "comma-separated base URLs of art9-serve instances to fan jobs out to")
-	failover := flag.Bool("failover", false, "health-aware dispatch with job-level failover across the backends")
-	healthInterval := flag.Duration("health-interval", 0, "failover health-probe period (0: 2s; negative: probes off)")
-	maxRetries := flag.Int("max-retries", 0, "failover budget per job (0: 2; negative: no retries)")
-	chunk := flag.Int("chunk", 0, "failover chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0 or 1: per-job)")
+	healthInterval := flag.Duration("health-interval", 0, "balancer health-probe period, with several backends (0: 2s; negative: probes off)")
+	maxRetries := flag.Int("max-retries", 0, "balancer failover budget per job, with several backends (0: 2; negative: no failover)")
+	chunk := flag.Int("chunk", 0, "balancer chunk size, with several backends: dispatch up to N jobs per backend as one acknowledged suite stream (0 or 1: per-job)")
 	autoscaleMin := flag.Int("autoscale-min", 0, "elastic pool floor: minimum local shards (0 with -autoscale-max: 1)")
 	autoscaleMax := flag.Int("autoscale-max", 0, "elastic pool ceiling: maximum local shards (0: autoscaling off)")
 	standbyPeers := flag.String("standby-peers", "", "comma-separated art9-serve base URLs dialed only when the elastic pool's local ceiling is exhausted")
@@ -110,7 +113,6 @@ func main() {
 	warn, err := validateFleetFlags(remote.BackendConfig{
 		Shards:             *shards,
 		Peers:              peerURLs,
-		Failover:           *failover,
 		HealthInterval:     *healthInterval,
 		MaxRetries:         *maxRetries,
 		Chunk:              *chunk,
@@ -154,13 +156,12 @@ func main() {
 		art9.WithWorkers(*workers),
 		art9.WithJobTimeout(*timeout),
 		art9.WithPeers(peerURLs...),
+		art9.WithChunk(*chunk),
+		art9.WithHealthInterval(*healthInterval),
+		art9.WithMaxRetries(*maxRetries),
 	}
 	if *shards > 0 {
 		opts = append(opts, art9.WithShards(*shards))
-	}
-	if *failover {
-		opts = append(opts, art9.WithFailover(), art9.WithChunk(*chunk),
-			art9.WithHealthInterval(*healthInterval), art9.WithMaxRetries(*maxRetries))
 	}
 	if *autoscaleMin != 0 || *autoscaleMax != 0 {
 		opts = append(opts, art9.WithAutoscale(*autoscaleMin, *autoscaleMax),
@@ -215,7 +216,7 @@ func main() {
 	// pools; remote capacity is the peers field.
 	rep.Engine = bench.RunReportFor(ev)
 	rep.Workers = rep.Engine.Workers
-	// With -failover, record the fleet behaviour: which backends
+	// Behind a balancer, record the fleet behaviour: which backends
 	// carried the work and how many jobs had to be re-run elsewhere.
 	rep.Balancer = bench.BalancerReportFor(ev)
 
@@ -271,8 +272,7 @@ func applyCacheEpochEnv(epoch *uint64, cacheOn bool) {
 // validateFleetFlags applies the shared fleet rules
 // (remote.ValidateFleetFlags — the same set art9.New enforces as
 // ErrInvalidOptions) to this CLI's flag values: tuning flags without
-// their front error out, topologies with nothing to move jobs between
-// warn.
+// their front error out, an autoscaled pool that can never scale warns.
 func validateFleetFlags(cfg remote.BackendConfig) (warning string, err error) {
 	return remote.ValidateFleetFlags(cfg)
 }

@@ -20,12 +20,12 @@ func fakePeers(n int) []string {
 	return urls
 }
 
-// TestValidateFleetFlags pins the CLI flag-validation contract: failover
-// tuning flags without -failover are an error naming the flags (never a
-// silent no-op), autoscale tuning without -autoscale-max likewise,
-// -failover over a single backend warns, and well-formed topologies
-// pass clean. Every hard error wraps engine.ErrInvalidOptions — the
-// same typed error art9.New returns for the library spelling.
+// TestValidateFleetFlags pins the CLI flag-validation contract: balancer
+// tuning flags where no fixed balancer exists (a lone local engine, an
+// autoscaled pool) are an error naming the flags (never a silent no-op),
+// autoscale tuning without -autoscale-max likewise, and well-formed
+// topologies pass clean. Every hard error wraps engine.ErrInvalidOptions
+// — the same typed error art9.New returns for the library spelling.
 func TestValidateFleetFlags(t *testing.T) {
 	tests := []struct {
 		name     string
@@ -42,16 +42,16 @@ func TestValidateFleetFlags(t *testing.T) {
 			cfg:     remote.BackendConfig{Chunk: 8, MaxRetries: 3, HealthInterval: time.Second},
 			wantErr: "-chunk, -max-retries, -health-interval"},
 		{name: "negative chunk rejected",
-			cfg:     remote.BackendConfig{Failover: true, Chunk: -1, Peers: fakePeers(2)},
+			cfg:     remote.BackendConfig{Chunk: -1, Peers: fakePeers(2)},
 			wantErr: "-chunk must be >= 0"},
 		{name: "failover with nothing to fail over to",
-			cfg: remote.BackendConfig{Failover: true}, wantWarn: "single backend"},
+			cfg: remote.BackendConfig{MaxRetries: 2}, wantErr: "nothing to fail over to"},
 		{name: "failover with one explicit shard",
-			cfg: remote.BackendConfig{Failover: true, Shards: 1}, wantWarn: "single backend"},
-		{name: "failover across peers", cfg: remote.BackendConfig{Failover: true, Peers: fakePeers(2)}},
-		{name: "failover across local shards", cfg: remote.BackendConfig{Failover: true, Shards: 2}},
+			cfg: remote.BackendConfig{Shards: 1, HealthInterval: time.Second}, wantErr: "nothing to fail over to"},
+		{name: "failover across peers", cfg: remote.BackendConfig{Peers: fakePeers(2), MaxRetries: 2}},
+		{name: "failover across local shards", cfg: remote.BackendConfig{Shards: 2, HealthInterval: time.Second}},
 		{name: "chunked failover fleet",
-			cfg: remote.BackendConfig{Failover: true, Chunk: 16, MaxRetries: 1, Peers: fakePeers(2)}},
+			cfg: remote.BackendConfig{Chunk: 16, MaxRetries: 1, Peers: fakePeers(2)}},
 		{name: "negative tuning values still need failover",
 			cfg:     remote.BackendConfig{MaxRetries: -1, HealthInterval: -1},
 			wantErr: "-max-retries, -health-interval"},
@@ -71,8 +71,8 @@ func TestValidateFleetFlags(t *testing.T) {
 			cfg:     remote.BackendConfig{ScaleUpThreshold: 0.9, ScaleCooldown: time.Second},
 			wantErr: "-scale-up/-scale-down, -scale-cooldown"},
 		{name: "autoscale mixed with failover",
-			cfg:     remote.BackendConfig{Failover: true, AutoscaleMax: 4, Peers: fakePeers(2)},
-			wantErr: "-failover"},
+			cfg:     remote.BackendConfig{AutoscaleMax: 4, MaxRetries: 1, Chunk: 4},
+			wantErr: "-chunk, -max-retries: tunes a fixed balancer"},
 		{name: "autoscale mixed with fixed shards",
 			cfg:     remote.BackendConfig{Shards: 2, AutoscaleMax: 4},
 			wantErr: "-shards"},
@@ -104,7 +104,7 @@ func TestValidateFleetFlags(t *testing.T) {
 		{name: "cached fleet on a bumped epoch",
 			cfg: remote.BackendConfig{Cache: true, CachePeers: fakePeers(2), CacheEpoch: 7}},
 		{name: "cached failover fleet",
-			cfg: remote.BackendConfig{Failover: true, Peers: fakePeers(2), Cache: true}},
+			cfg: remote.BackendConfig{Peers: fakePeers(2), Cache: true, Chunk: 4}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

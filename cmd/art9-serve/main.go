@@ -10,13 +10,14 @@
 //	art9-serve -peers http://h1:9009,http://h2:9009
 //	                                            # front a fleet: fan jobs out to
 //	                                            # downstream art9-serve instances
-//	                                            # (-shards 0 for proxy-only)
-//	art9-serve -failover -peers ...             # health-aware fleet front:
-//	                                            # peers are probed, jobs go to
-//	                                            # the least-loaded live backend,
+//	                                            # (-shards 0 for proxy-only).
+//	                                            # Several backends sit behind a
+//	                                            # health-aware balancer: peers
+//	                                            # are probed, jobs go to the
+//	                                            # least-loaded live backend,
 //	                                            # and a dying peer's jobs are
 //	                                            # re-run on the survivors
-//	art9-serve -failover -chunk 32 -peers ...   # chunked dispatch: up to 32
+//	art9-serve -chunk 32 -peers ...             # chunked dispatch: up to 32
 //	                                            # jobs per peer ride one
 //	                                            # acknowledged suite stream,
 //	                                            # sized by scraped capacity
@@ -44,8 +45,8 @@
 //	GET  /v1/capacity process-local free workers + queue depth
 //	POST /v1/eval     one job (workload or inline source) → one report
 //	POST /v1/suite    manifest → NDJSON report lines in completion order
-//	                  (?ack=1: start/end acknowledgement rows for chunked
-//	                  failover dispatch)
+//	                  (?ack=1: start/end acknowledgement rows, the stream
+//	                  a balancer front's remote client consumes)
 //	POST /v1/cache/lookup  result-cache keys → NDJSON hit/miss rows
 //	                  (with -cache; absent otherwise)
 //	POST /v1/cache/fill    sibling-computed rows → stored count
@@ -81,10 +82,9 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "HTTP read-header timeout")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	peers := flag.String("peers", "", "comma-separated base URLs of downstream art9-serve instances to fan jobs out to")
-	failover := flag.Bool("failover", false, "health-aware dispatch with job-level failover across the backends")
-	healthInterval := flag.Duration("health-interval", 0, "failover health-probe period (0: 2s; negative: probes off)")
-	maxRetries := flag.Int("max-retries", 0, "failover budget per job (0: 2; negative: no retries)")
-	chunk := flag.Int("chunk", 0, "failover chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0 or 1: per-job)")
+	healthInterval := flag.Duration("health-interval", 0, "balancer health-probe period, with several backends (0: 2s; negative: probes off)")
+	maxRetries := flag.Int("max-retries", 0, "balancer failover budget per job, with several backends (0: 2; negative: no failover)")
+	chunk := flag.Int("chunk", 0, "balancer chunk size, with several backends: dispatch up to N jobs per backend as one acknowledged suite stream (0 or 1: per-job)")
 	autoscaleMin := flag.Int("autoscale-min", 0, "elastic pool floor: minimum local shards (0 with -autoscale-max: 1)")
 	autoscaleMax := flag.Int("autoscale-max", 0, "elastic pool ceiling: maximum local shards (0: autoscaling off)")
 	standbyPeers := flag.String("standby-peers", "", "comma-separated downstream art9-serve base URLs dialed only when the elastic pool's local ceiling is exhausted")
@@ -115,7 +115,6 @@ func main() {
 	warn, err := validateFleetFlags(remote.BackendConfig{
 		Shards:             *shards,
 		Peers:              peerURLs,
-		Failover:           *failover,
 		HealthInterval:     *healthInterval,
 		MaxRetries:         *maxRetries,
 		Chunk:              *chunk,
@@ -142,7 +141,6 @@ func main() {
 		Workers:            *workers,
 		JobTimeout:         *jobTimeout,
 		Peers:              peerURLs,
-		Failover:           *failover,
 		HealthInterval:     *healthInterval,
 		MaxRetries:         *maxRetries,
 		Chunk:              *chunk,
@@ -217,7 +215,7 @@ func applyCacheEpochEnv(epoch *uint64, cacheOn bool) {
 // (remote.ValidateFleetFlags — the same set art9.New enforces as
 // ErrInvalidOptions) to this CLI's flag values — the -shards default of
 // 1 rides in on the config; tuning flags without their front error out,
-// topologies with nothing to move jobs between warn.
+// an autoscaled pool that can never scale warns.
 func validateFleetFlags(cfg remote.BackendConfig) (warning string, err error) {
 	return remote.ValidateFleetFlags(cfg)
 }

@@ -22,16 +22,16 @@ func fakePeers(n int) []string {
 
 // TestValidateFleetFlags pins the server's flag-validation contract,
 // which differs from art9-batch only in its -shards default (1): the
-// balancer tuning flags require -failover, autoscale tuning requires
-// -autoscale-min/-autoscale-max, a single-backend failover topology
-// warns, and multi-backend fleets pass clean. Hard errors wrap
-// engine.ErrInvalidOptions — the same typed error art9.New returns.
+// balancer tuning flags require a balanced topology (more than one
+// shard, or peers), autoscale tuning requires
+// -autoscale-min/-autoscale-max, and multi-backend fleets pass clean.
+// Hard errors wrap engine.ErrInvalidOptions — the same typed error
+// art9.New returns.
 func TestValidateFleetFlags(t *testing.T) {
 	tests := []struct {
-		name     string
-		cfg      remote.BackendConfig
-		wantErr  string
-		wantWarn string
+		name    string
+		cfg     remote.BackendConfig
+		wantErr string
 	}{
 		{name: "default server is clean", cfg: remote.BackendConfig{Shards: 1}},
 		{name: "chunk without failover", cfg: remote.BackendConfig{Shards: 1, Chunk: 4}, wantErr: "-chunk"},
@@ -41,14 +41,14 @@ func TestValidateFleetFlags(t *testing.T) {
 			cfg:     remote.BackendConfig{Shards: 1, HealthInterval: 5 * time.Second},
 			wantErr: "-health-interval"},
 		{name: "negative chunk rejected",
-			cfg:     remote.BackendConfig{Failover: true, Chunk: -3, Peers: fakePeers(2)},
+			cfg:     remote.BackendConfig{Chunk: -3, Peers: fakePeers(2)},
 			wantErr: "-chunk must be >= 0"},
 		{name: "failover on the default single shard",
-			cfg: remote.BackendConfig{Failover: true, Shards: 1}, wantWarn: "single backend"},
-		{name: "failover proxy-only front", cfg: remote.BackendConfig{Failover: true, Peers: fakePeers(2)}},
-		{name: "failover mixed fleet", cfg: remote.BackendConfig{Failover: true, Shards: 1, Peers: fakePeers(1)}},
+			cfg: remote.BackendConfig{Shards: 1, MaxRetries: -1, HealthInterval: -1}, wantErr: "nothing to fail over to"},
+		{name: "failover proxy-only front", cfg: remote.BackendConfig{Peers: fakePeers(2), HealthInterval: time.Second}},
+		{name: "failover mixed fleet", cfg: remote.BackendConfig{Shards: 1, Peers: fakePeers(1), MaxRetries: 1}},
 		{name: "chunked failover fleet",
-			cfg: remote.BackendConfig{Failover: true, Chunk: 8, Peers: fakePeers(2)}},
+			cfg: remote.BackendConfig{Chunk: 8, Peers: fakePeers(2)}},
 		{name: "elastic server pool", cfg: remote.BackendConfig{AutoscaleMin: 1, AutoscaleMax: 4}},
 		{name: "autoscale with the fixed shard flag",
 			cfg:     remote.BackendConfig{Shards: 2, AutoscaleMax: 4},
@@ -75,11 +75,8 @@ func TestValidateFleetFlags(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			if tt.wantWarn == "" && warn != "" {
+			if warn != "" {
 				t.Fatalf("unexpected warning %q", warn)
-			}
-			if tt.wantWarn != "" && !strings.Contains(warn, tt.wantWarn) {
-				t.Fatalf("warning %q, want containing %q", warn, tt.wantWarn)
 			}
 		})
 	}

@@ -54,12 +54,12 @@ func TestNewWithShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ev.Close()
-	set, ok := ev.(*art9.ShardSet)
+	bal, ok := ev.(*art9.Balancer)
 	if !ok {
-		t.Fatalf("New(WithShards(2)) built %T, want *ShardSet", ev)
+		t.Fatalf("New(WithShards(2)) built %T, want *Balancer", ev)
 	}
-	if set.Shards() != 2 {
-		t.Fatalf("shard count %d, want 2", set.Shards())
+	if bal.Size() != 2 {
+		t.Fatalf("shard count %d, want 2", bal.Size())
 	}
 	runSuiteOn(t, ev)
 	if st := ev.Stats(); st.Workers != 2 {
@@ -101,14 +101,14 @@ func TestNewWithPeers(t *testing.T) {
 		t.Errorf("peer completed %d jobs, want at least %d (remote-only fan-out)", st.Completed, len(got))
 	}
 
-	// Mixed: one local shard + the peer behind one ShardSet.
+	// Mixed: one local shard + the peer behind one Balancer.
 	mixed, err := art9.New(art9.WithShards(1), art9.WithWorkers(1), art9.WithPeers(ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mixed.Close()
-	if set, ok := mixed.(*art9.ShardSet); !ok || set.Shards() != 2 {
-		t.Fatalf("mixed evaluator %T, want a 2-shard set", mixed)
+	if bal, ok := mixed.(*art9.Balancer); !ok || bal.Size() != 2 {
+		t.Fatalf("mixed evaluator %T, want a Balancer over 2 backends", mixed)
 	}
 	runSuiteOn(t, mixed)
 

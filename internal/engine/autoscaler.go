@@ -10,8 +10,8 @@ import (
 
 // ErrInvalidOptions is returned (wrapped, with the offending options
 // named) when an evaluator is configured with an incoherent option
-// combination — failover tuning without a failover front, inverted
-// autoscale bounds, standby peers without an autoscaler. Check with
+// combination — balancer tuning on a lone engine, inverted autoscale
+// bounds, standby peers without an autoscaler. Check with
 // errors.Is; the art9.New facade and both CLIs reject configurations
 // through the same rule set, so library and flag users get identical
 // diagnostics.
@@ -105,9 +105,7 @@ type AutoscalerOptions struct {
 	// Min and Max bound the local shard count (Min 0 selects 1; Max 0
 	// selects Min). Standby backends are recruited beyond Max.
 	Min, Max int
-	// Engine configures each spawned local shard. PrivateCaches is
-	// forced on when the pool can ever hold more than one member, so
-	// shards stay independent exactly like a ShardSet's.
+	// Engine configures each spawned local shard.
 	Engine Options
 	// Spawn overrides how a local shard is built (tests inject scripted
 	// backends); nil selects engine.New(Engine).
@@ -170,13 +168,7 @@ func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
 	}
 	spawn := opts.Spawn
 	if spawn == nil {
-		eo := opts.Engine
-		// Pools that can ever hold more than one member keep shards
-		// independent, matching NewBackendWith's composition rule.
-		if opts.Max > 1 || len(opts.Standby) > 0 {
-			eo.PrivateCaches = true
-		}
-		spawn = func() Evaluator { return New(eo) }
+		spawn = func() Evaluator { return New(opts.Engine) }
 	}
 	a := &Autoscaler{
 		// Standby peers get no probe traffic: membership is the policy's
@@ -429,6 +421,9 @@ func (a *Autoscaler) ResultCache() ResultCache { return a.b.ResultCache() }
 // without ever being placed on a member.
 func (a *Autoscaler) CacheHits() uint64 { return a.b.CacheHits() }
 
+// Streams returns how many Stream calls the autoscaler has served.
+func (a *Autoscaler) Streams() uint64 { return a.b.Streams() }
+
 // ScaleUps and ScaleDowns report the lifetime scale-event counters.
 func (a *Autoscaler) ScaleUps() uint64 {
 	a.b.mu.Lock()
@@ -485,8 +480,9 @@ func (a *Autoscaler) ScaleState() ScaleState {
 // and BENCH artifacts render both fronts identically.
 func (a *Autoscaler) Health() []BackendHealth { return a.b.Health() }
 
-// Stats sums every member's own counters — the Evaluator view. Retired
-// members stay included: the jobs they completed happened.
+// Stats sums every member's own job counters and reports the
+// autoscaler's own Stream count — the Evaluator view. Retired members
+// stay included: the jobs they completed happened.
 func (a *Autoscaler) Stats() Stats { return a.b.Stats() }
 
 // Capacity reports the active pool's load snapshot: live width, jobs in

@@ -140,7 +140,7 @@ func TestAutoscalerDrainsBeforeRetire(t *testing.T) {
 		Min: 1, Max: 2,
 		DownThreshold: 0.9,
 		Spawn: func() engine.Evaluator {
-			ct := &closeTracker{Evaluator: engine.New(engine.Options{Workers: 2, PrivateCaches: true})}
+			ct := &closeTracker{Evaluator: engine.New(engine.Options{Workers: 2})}
 			trackers = append(trackers, ct)
 			return ct
 		},
@@ -241,7 +241,7 @@ func TestAutoscalerRecruitsAndRetiresStandbys(t *testing.T) {
 			Name: "reserve-a",
 			Dial: func() (engine.Evaluator, error) {
 				dials.Add(1)
-				return engine.New(engine.Options{Workers: 1, PrivateCaches: true}), nil
+				return engine.New(engine.Options{Workers: 1}), nil
 			},
 		}},
 	})
@@ -449,11 +449,11 @@ func TestAutoscalerFailoverRetriesOnDeadMember(t *testing.T) {
 			if spawned == 1 {
 				// The first member dies immediately: every dispatch to it
 				// resolves with the retryable closed error.
-				e := engine.New(engine.Options{Workers: 1, PrivateCaches: true})
+				e := engine.New(engine.Options{Workers: 1})
 				e.Close()
 				return e
 			}
-			return engine.New(engine.Options{Workers: 1, PrivateCaches: true})
+			return engine.New(engine.Options{Workers: 1})
 		},
 	})
 
@@ -517,7 +517,7 @@ func TestAutoscalerScalesDuringStream(t *testing.T) {
 	)
 	member := func() engine.Evaluator {
 		d := &drainWatch{closeTracker: closeTracker{
-			Evaluator: engine.New(engine.Options{Workers: 1, PrivateCaches: true})}}
+			Evaluator: engine.New(engine.Options{Workers: 1})}}
 		d.inflight = func() int { return memberInflight(a, d) }
 		mu.Lock()
 		watches = append(watches, d)

@@ -10,12 +10,11 @@ import (
 )
 
 // Balancer is the health-aware front of the Evaluator stack: it wraps a
-// set of backends — local pools, remote peers, shard sets, in any mix —
-// and dispatches jobs to the healthiest backend with the most free
+// set of backends — local pools, remote peers, other fronts, in any mix
+// — and dispatches jobs to the healthiest backend with the most free
 // slots, failing jobs over to another backend when the one that held
-// them dies. Where a ShardSet partitions a batch blindly (round-robin,
-// no second chances), a Balancer places work as slots free up and keeps
-// a suite complete through mid-stream backend deaths:
+// them dies. It places work as slots free up and keeps a suite complete
+// through mid-stream backend deaths:
 //
 //   - Health: a periodic loop probes every backend that implements
 //     Prober (local engines answer from their closed flag, remote
@@ -42,9 +41,10 @@ import (
 // Failover re-runs jobs, so jobs must be idempotent — true of the whole
 // evaluation suite (pure simulation), and the same assumption the remote
 // client's dial retry already makes. Jobs reach remote backends through
-// their serializable Job.Spec exactly as with a ShardSet; spec-less
-// closure jobs fail on remote backends with a not-remotable error and
-// are not retried (placement cannot fix a job that cannot travel).
+// their serializable Job.Spec; spec-less closure jobs fail on remote
+// backends with a not-remotable error and are not retried (placement
+// cannot fix a job that cannot travel). MaxRetries -1 turns failover
+// off: a backend-level failure then ends its job where it happened.
 //
 // A chunk is one dispatch unit: one acknowledged /v1/suite stream on a
 // backend implementing ChunkDispatcher (the remote client), one Run
@@ -74,6 +74,7 @@ type Balancer struct {
 	chunks       atomic.Uint64
 	chunkResumes atomic.Uint64
 	cacheHits    atomic.Uint64
+	streams      atomic.Uint64
 
 	// mu guards members (appended by addLocked) and every member's mutable
 	// state, plus closed, rr, queued and every placement's queue; cond
@@ -254,10 +255,10 @@ func Retryable(err error) bool {
 
 // NewBalancer builds a health-aware front over the given backends and
 // takes ownership of them (Close closes every one). An empty call
-// selects one default local engine, mirroring NewShardSetOf.
+// selects one default local engine.
 func NewBalancer(opts BalancerOptions, backends ...Evaluator) *Balancer {
 	if len(backends) == 0 {
-		backends = []Evaluator{New(Options{PrivateCaches: true})}
+		backends = []Evaluator{New(Options{})}
 	}
 	b := newBalancer(opts)
 	b.mu.Lock()
@@ -368,8 +369,6 @@ func backendName(ev Evaluator, i int) string {
 	switch ev.(type) {
 	case *Engine:
 		return fmt.Sprintf("local/%d", i)
-	case *ShardSet:
-		return fmt.Sprintf("shards/%d", i)
 	default:
 		return fmt.Sprintf("backend/%d", i)
 	}
@@ -416,6 +415,9 @@ func (b *Balancer) ResultCache() ResultCache { return b.cache }
 // without ever being placed on a backend.
 func (b *Balancer) CacheHits() uint64 { return b.cacheHits.Load() }
 
+// Streams returns how many Stream calls the balancer has served.
+func (b *Balancer) Streams() uint64 { return b.streams.Load() }
+
 // Health snapshots every backend's scorecard, in backend order. It
 // reads only balancer-local state — no network I/O — so it is safe in
 // liveness paths.
@@ -450,14 +452,15 @@ func (b *Balancer) Health() []BackendHealth {
 	return out
 }
 
-// Stats sums the backends' own counters — the Evaluator view, matching
-// ShardSet.Stats. Remote backends answer with a peer scrape; for the
-// balancer's dispatch/failover view use Health.
+// Stats sums the backends' own job counters and reports the balancer's
+// own Stream count — the Evaluator view. Remote backends answer with a
+// peer scrape; for the balancer's dispatch/failover view use Health.
 func (b *Balancer) Stats() Stats {
 	var t Stats
 	for _, st := range b.BackendStats() {
 		t = t.Add(st)
 	}
+	t.Streams = b.Streams()
 	return t
 }
 
@@ -510,6 +513,7 @@ func (b *Balancer) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 // resolves (after any failover), in completion order. The channel is
 // buffered to len(jobs) and always closes — the Evaluator contract.
 func (b *Balancer) Stream(ctx context.Context, jobs []Job) <-chan Result {
+	b.streams.Add(1)
 	out := make(chan Result, len(jobs))
 	if len(jobs) == 0 {
 		close(out)

@@ -23,8 +23,8 @@ func BenchmarkBalancerDispatch(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("jobs=%d/%s", size, mode), func(b *testing.B) {
 				bal := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1, Chunk: chunk},
-					engine.New(engine.Options{Workers: 2, PrivateCaches: true}),
-					engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+					engine.New(engine.Options{Workers: 2}),
+					engine.New(engine.Options{Workers: 2}))
 				defer bal.Close()
 				jobs := make([]engine.Job, size)
 				for i := range jobs {

@@ -42,8 +42,8 @@ func TestBalancerHealthyMatchesSingleEngine(t *testing.T) {
 	want := scenariotest.Reference(t, scenariotest.Jobs(n))
 
 	b := newBalancer(t, engine.BalancerOptions{},
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}),
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}),
+		engine.New(engine.Options{Workers: 2}))
 
 	rs, err := b.Run(context.Background(), scenariotest.Jobs(n))
 	if err != nil {
@@ -80,7 +80,7 @@ func TestBalancerFailoverBackendDiesMidSuite(t *testing.T) {
 			flaky := faulttest.New("dying-peer").Width(2).FailAfter(1, nil)
 			b := newBalancer(t, engine.BalancerOptions{},
 				flaky,
-				engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+				engine.New(engine.Options{Workers: 2}))
 
 			var rs []engine.Result
 			if mode == "run" {
@@ -182,7 +182,7 @@ func TestBalancerSlowBackendDoesNotStarveSuite(t *testing.T) {
 	slow := faulttest.New("slow-peer").Delay(150 * time.Millisecond).Width(1)
 	b := newBalancer(t, engine.BalancerOptions{},
 		slow,
-		engine.New(engine.Options{Workers: 4, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 4}))
 
 	start := time.Now()
 	rs, err := b.Run(context.Background(), scenariotest.Jobs(n))
@@ -252,7 +252,7 @@ func TestBalancerCancelDuringFailover(t *testing.T) {
 // revival plus ProbeNow brings it back into dispatch.
 func TestBalancerProbeRevivesBackend(t *testing.T) {
 	flaky := faulttest.New("cycling")
-	eng := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	eng := engine.New(engine.Options{Workers: 2})
 	b := newBalancer(t, engine.BalancerOptions{}, flaky, eng)
 
 	// Healthy round-trip first, then kill and mark down via a probe.
@@ -290,7 +290,7 @@ func TestBalancerProbeRevivesBackend(t *testing.T) {
 // submitted after Close resolve with ErrClosed and Close is idempotent.
 func TestBalancerClosedResolvesJobs(t *testing.T) {
 	b := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
-		engine.New(engine.Options{Workers: 1, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 1}))
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,8 @@ func TestBalancerClosedResolvesJobs(t *testing.T) {
 // local engines report their pool sizes without any scraping.
 func TestBalancerLocalStats(t *testing.T) {
 	b := newBalancer(t, engine.BalancerOptions{},
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}),
-		engine.New(engine.Options{Workers: 3, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}),
+		engine.New(engine.Options{Workers: 3}))
 	b.Run(context.Background(), scenariotest.Jobs(5))
 	st := engine.LocalStats(b)
 	if st.Workers != 5 {
@@ -323,6 +323,33 @@ func TestBalancerLocalStats(t *testing.T) {
 	}
 	if st.Submitted != 5 || st.Completed != 5 {
 		t.Errorf("LocalStats %+v, want 5 submitted and completed", st)
+	}
+}
+
+// TestFrontsCountStreams pins the fronts' stream counter: a Balancer
+// (and the Autoscaler, through the Balancer it owns) hands its members
+// chunks through Run, so the one Stream call made on the front must show
+// in Stats and LocalStats as exactly one stream, not as the members'
+// zero.
+func TestFrontsCountStreams(t *testing.T) {
+	a := engine.NewAutoscaler(engine.AutoscalerOptions{
+		Min: 2, Max: 2, Interval: -1, Engine: engine.Options{Workers: 2},
+	})
+	t.Cleanup(func() { a.Close() })
+	for _, front := range []engine.Evaluator{
+		newBalancer(t, engine.BalancerOptions{},
+			engine.New(engine.Options{Workers: 2}),
+			engine.New(engine.Options{Workers: 2})),
+		a,
+	} {
+		for range front.Stream(context.Background(), scenariotest.Jobs(6)) {
+		}
+		if st := front.Stats(); st.Streams != 1 || st.Completed != 6 {
+			t.Errorf("%T Stats %+v, want 1 stream and 6 completed", front, st)
+		}
+		if st := engine.LocalStats(front); st.Streams != 1 {
+			t.Errorf("%T LocalStats %+v, want 1 stream", front, st)
+		}
 	}
 }
 
@@ -338,7 +365,7 @@ func TestBalancerAbandonsWedgedBackend(t *testing.T) {
 		ProbeSick(errors.New("healthz timed out"))
 	b := newBalancer(t, engine.BalancerOptions{},
 		wedged,
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}))
 
 	done := make(chan []engine.Result, 1)
 	go func() {
@@ -384,7 +411,7 @@ func TestBalancerProbeLeavesNonProberAlone(t *testing.T) {
 	dead := &proberlessBackend{err: fmt.Errorf("boom: %w", engine.ErrUnavailable)}
 	b := newBalancer(t, engine.BalancerOptions{},
 		dead,
-		engine.New(engine.Options{Workers: 1, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 1}))
 
 	if rs, _ := b.Run(context.Background(), scenariotest.Jobs(4)); len(rs) != 4 {
 		t.Fatal("run did not resolve")

@@ -12,6 +12,14 @@
 // concurrent suite reproduces the serial tables byte for byte; Stream
 // delivers them in completion order, which is how the evaluation server
 // pushes NDJSON rows to a client the moment each job finishes.
+//
+// Two fronts compose engines into fleets. A Balancer places a batch, in
+// chunks, on the healthiest of several backends — local engines, remote
+// peers, other fronts — and re-runs the jobs of a backend that dies; an
+// Autoscaler grows and shrinks a Balancer's membership with load. A
+// process serves one of three shapes: a lone Engine, a Balancer over a
+// fixed set of backends, or an Autoscaler (internal/remote's
+// NewBackendWith builds them).
 package engine
 
 import (
@@ -53,13 +61,6 @@ type Options struct {
 	// submitters (the HTTP suite endpoint, Stream fan-outs) hand off
 	// without parking one goroutine per pending send.
 	Queue int
-	// PrivateCaches gives the engine's Programs/Analyses fields fresh
-	// caches instead of pointing them at the process-wide shared ones.
-	// Only jobs that route work through those fields are isolated —
-	// the bench/core helpers (AssembleCached, AnalyzeART9) always use
-	// the shared caches. Useful for tests that assert exact hit/miss
-	// counts on work they submit themselves.
-	PrivateCaches bool
 	// Cache, when set, is consulted with each job's Spec before the
 	// job is enqueued: a hit resolves the Submit immediately with the
 	// cached value (Worker -1, counted as completed) and the job never
@@ -113,7 +114,8 @@ type Stats struct {
 }
 
 // Add accumulates another engine's counters into s, summing every job
-// counter and the pool sizes — how a ShardSet reports set-wide totals.
+// counter and the pool sizes — how a composite front reports fleet-wide
+// totals.
 func (s Stats) Add(o Stats) Stats {
 	s.Workers += o.Workers
 	s.Submitted += o.Submitted
@@ -131,9 +133,10 @@ type task struct {
 	done chan<- Result
 }
 
-// Engine is a fixed-size worker pool with a buffered dispatch queue,
+// Engine is a fixed-size worker pool with a buffered dispatch queue and
 // submission-order (Run) and completion-order (Stream) result
-// collection, and shared memoization caches.
+// collection. The memoization caches its jobs use are the process-wide
+// SharedPrograms and SharedAnalyses.
 type Engine struct {
 	workers int
 	timeout time.Duration
@@ -162,11 +165,6 @@ type Engine struct {
 	canceled  atomic.Uint64
 	rejected  atomic.Uint64
 	streams   atomic.Uint64
-
-	// Programs memoizes assembled ART-9 programs by source text.
-	Programs *ProgramCache
-	// Analyses memoizes gate-level analyses by (netlist, technology).
-	Analyses *AnalysisCache
 }
 
 // New starts a worker pool. Call Close when done with it.
@@ -180,17 +178,11 @@ func New(opts Options) *Engine {
 		q = 2 * w
 	}
 	e := &Engine{
-		workers:  w,
-		timeout:  opts.JobTimeout,
-		jobs:     make(chan task, q),
-		quit:     make(chan struct{}),
-		cache:    opts.Cache,
-		Programs: SharedPrograms,
-		Analyses: SharedAnalyses,
-	}
-	if opts.PrivateCaches {
-		e.Programs = NewProgramCache()
-		e.Analyses = NewAnalysisCache()
+		workers: w,
+		timeout: opts.JobTimeout,
+		jobs:    make(chan task, q),
+		quit:    make(chan struct{}),
+		cache:   opts.Cache,
 	}
 	e.wg.Add(w)
 	for i := 0; i < w; i++ {

@@ -8,13 +8,13 @@ import (
 
 // Evaluator is the one backend interface of the evaluation stack: a thing
 // that runs batches of Jobs and reports lifetime counters. Every way of
-// evaluating — a local worker pool (*Engine), a partition over other
-// evaluators (*ShardSet), an HTTP client proxying to a remote art9-serve
-// instance (internal/remote.Client) — implements it, so consumers
-// (internal/serve, cmd/art9-batch, the art9.New facade) are written once
-// against this surface and composed freely: shards of shards, shards
-// mixing local pools with remote peers, a serve instance fronting a fleet
-// of other serve instances.
+// evaluating — a local worker pool (*Engine), a health-aware front over
+// other evaluators (*Balancer, *Autoscaler), an HTTP client proxying to a
+// remote art9-serve instance (internal/remote.Client) — implements it, so
+// consumers (internal/serve, cmd/art9-batch, the art9.New facade) are
+// written once against this surface and composed freely: fronts mixing
+// local pools with remote peers, a serve instance fronting a fleet of
+// other serve instances.
 //
 // The contract every backend honours:
 //
@@ -27,7 +27,8 @@ import (
 //     blocks the backend. Cancelling ctx resolves outstanding jobs with
 //     the context error; the channel still closes.
 //   - Stats is a point-in-time snapshot of the backend's counters; for
-//     composite backends it aggregates the members.
+//     composite backends it aggregates the members' job counters and
+//     reports the front's own Stream count.
 //   - Close releases the backend's resources. Jobs already executing
 //     finish; anything undispatched resolves with ErrClosed. Idempotent.
 type Evaluator interface {
@@ -41,12 +42,11 @@ type Evaluator interface {
 // asserts its own conformance next to its definition.
 var (
 	_ Evaluator = (*Engine)(nil)
-	_ Evaluator = (*ShardSet)(nil)
 	_ Evaluator = (*Balancer)(nil)
 )
 
 // Composite is implemented by backends that front an ordered set of
-// other backends — ShardSet and Balancer. Generic consumers (stats
+// other backends — Balancer and Autoscaler. Generic consumers (stats
 // drill-downs, per-shard reports, LocalStats) introspect through it
 // instead of enumerating concrete types, so a new composite backend
 // works with all of them unmodified.
@@ -56,12 +56,14 @@ type Composite interface {
 	Size() int
 	// Backend returns fronted backend i.
 	Backend(i int) Evaluator
+	// Streams returns how many Stream calls the front itself served.
+	// A front hands its members chunks through Run or DispatchChunk,
+	// never Stream, so composite stats report this count instead of
+	// summing the members' stream counters.
+	Streams() uint64
 }
 
-var (
-	_ Composite = (*ShardSet)(nil)
-	_ Composite = (*Balancer)(nil)
-)
+var _ Composite = (*Balancer)(nil)
 
 // BackendStats returns one Stats snapshot per fronted backend of a
 // composite, in backend order — queried concurrently, since a remote
@@ -99,7 +101,6 @@ type Prober interface {
 // Every local backend carries its own liveness oracle.
 var (
 	_ Prober = (*Engine)(nil)
-	_ Prober = (*ShardSet)(nil)
 	_ Prober = (*Balancer)(nil)
 )
 
@@ -144,7 +145,6 @@ type CapacityReporter interface {
 // The local backends answer capacity from their own counters.
 var (
 	_ CapacityReporter = (*Engine)(nil)
-	_ CapacityReporter = (*ShardSet)(nil)
 	_ CapacityReporter = (*Balancer)(nil)
 )
 
@@ -241,16 +241,18 @@ type LocalStatser interface {
 }
 
 // LocalStats returns ev's counters without any network I/O: composite
-// backends are walked, LocalStatser backends report their local view,
-// and plain local backends answer Stats directly. Use it where blocking
-// on a peer is unacceptable (liveness probes) or where only this
-// process's submissions should be counted (per-run reports).
+// backends are walked (the front's own Stream count standing in for the
+// members'), LocalStatser backends report their local view, and plain
+// local backends answer Stats directly. Use it where blocking on a peer
+// is unacceptable (liveness probes) or where only this process's
+// submissions should be counted (per-run reports).
 func LocalStats(ev Evaluator) Stats {
 	if c, ok := ev.(Composite); ok {
 		var t Stats
 		for i := 0; i < c.Size(); i++ {
 			t = t.Add(LocalStats(c.Backend(i)))
 		}
+		t.Streams = c.Streams()
 		return t
 	}
 	if ls, ok := ev.(LocalStatser); ok {

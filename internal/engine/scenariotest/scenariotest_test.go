@@ -3,11 +3,10 @@ package scenariotest_test
 // The scenario matrix: every Evaluator topology × every fault script,
 // one harness. Each cell builds its fleet around a scripted
 // faulttest.Flaky backend, runs the same job set through Run and
-// Stream, and pins the contract the topology makes — failover fronts
-// (Balancer, per-job or chunked, local or across the HTTP stack) must
-// merge byte-identical to a healthy single-engine run; the no-failover
-// ShardSet must stay exactly-once with typed backend errors on the dead
-// share. Run under -race in CI, twice (-count=2).
+// Stream, and pins the contract every topology makes — a failover front
+// (Balancer, per-job or chunked, local or across the HTTP stack) merges
+// byte-identical to a healthy single-engine run, each job exactly once.
+// Run under -race in CI, twice (-count=2).
 
 import (
 	"net/http/httptest"
@@ -23,7 +22,7 @@ import (
 
 // localEngine is the healthy survivor every fleet includes.
 func localEngine() *engine.Engine {
-	return engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	return engine.New(engine.Options{Workers: 2})
 }
 
 // serveClient wraps a backend in an httptest art9-serve instance and
@@ -50,16 +49,14 @@ func TestScenarioMatrix(t *testing.T) {
 	faults := []struct {
 		name   string
 		script func(f *faulttest.Flaky)
-		deadly bool // jobs held by the faulty backend die with it
 	}{
 		{name: "healthy", script: func(f *faulttest.Flaky) {}},
 		// Width 2 guarantees the initial dispatch burst hands the dying
 		// backend two jobs — one executes, the second trips the
 		// scripted death mid-suite under any scheduling.
-		{name: "dies-mid-suite", script: func(f *faulttest.Flaky) { f.Width(2).FailAfter(1, nil) }, deadly: true},
-		{name: "dead-on-arrival", script: func(f *faulttest.Flaky) { f.FailAfter(0, nil) }, deadly: true},
-		// A slow-but-correct peer: every job eventually succeeds, so
-		// even the no-failover topologies stay identical to healthy.
+		{name: "dies-mid-suite", script: func(f *faulttest.Flaky) { f.Width(2).FailAfter(1, nil) }},
+		{name: "dead-on-arrival", script: func(f *faulttest.Flaky) { f.FailAfter(0, nil) }},
+		// A slow-but-correct peer: every job eventually succeeds.
 		{name: "slow-peer", script: func(f *faulttest.Flaky) { f.Width(1).Delay(20 * time.Millisecond) }},
 	}
 
@@ -68,27 +65,20 @@ func TestScenarioMatrix(t *testing.T) {
 		// build assembles the evaluator under test around the scripted
 		// faulty backend (nil for topologies without a faulty slot).
 		build func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator
-		// failover topologies re-run a dead backend's jobs on the
-		// survivors, so deadly faults still merge identical to healthy.
-		failover bool
 		// faultless topologies have no slot for the scripted backend
 		// and only run the healthy cell.
 		faultless bool
 	}{
-		{name: "engine", faultless: true, failover: true,
+		{name: "engine", faultless: true,
 			build: func(t *testing.T, _ *faulttest.Flaky) engine.Evaluator {
 				return localEngine()
 			}},
-		{name: "shardset",
-			build: func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator {
-				return engine.NewShardSetOf(flaky, localEngine())
-			}},
-		{name: "balancer", failover: true,
+		{name: "balancer",
 			build: func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator {
 				return engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
 					flaky, localEngine())
 			}},
-		{name: "balancer-chunked", failover: true,
+		{name: "balancer-chunked",
 			build: func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator {
 				return engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1, Chunk: 4},
 					flaky, localEngine())
@@ -96,19 +86,19 @@ func TestScenarioMatrix(t *testing.T) {
 		// The faulty backend sits on the far side of an HTTP hop: its
 		// failures reach the balancer as typed NDJSON rows and severed
 		// streams, not direct errors.
-		{name: "remote", failover: true,
+		{name: "remote",
 			build: func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator {
 				return engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
 					serveClient(t, flaky), localEngine())
 			}},
-		{name: "remote-chunked", failover: true,
+		{name: "remote-chunked",
 			build: func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator {
 				return engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1, Chunk: 4},
 					serveClient(t, flaky), localEngine())
 			}},
 		// A three-way mix: scripted backend, local pool, and a healthy
 		// peer behind HTTP, all under one chunked failover front.
-		{name: "mixed-chunked", failover: true,
+		{name: "mixed-chunked",
 			build: func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator {
 				return engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1, Chunk: 4},
 					flaky, localEngine(), serveClient(t, localEngine()))
@@ -132,12 +122,8 @@ func TestScenarioMatrix(t *testing.T) {
 				ev := topo.build(t, flaky)
 				t.Cleanup(func() { ev.Close() })
 
-				expect := scenariotest.Identical
-				if fault.deadly && !topo.failover {
-					expect = scenariotest.Degraded
-				}
 				scenariotest.Check(t, ev, scenariotest.BenchJobs(t, n), want,
-					scenariotest.RenderRows, expect)
+					scenariotest.RenderRows)
 			})
 		}
 	}
@@ -159,7 +145,7 @@ func TestChunkedBalancerRecordsResumes(t *testing.T) {
 	t.Cleanup(func() { b.Close() })
 
 	scenariotest.Check(t, b, scenariotest.BenchJobs(t, n), want,
-		scenariotest.RenderRows, scenariotest.Identical)
+		scenariotest.RenderRows)
 
 	if b.Chunks() == 0 {
 		t.Error("chunked balancer issued no chunks")

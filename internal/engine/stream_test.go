@@ -14,7 +14,7 @@ import (
 // the property that distinguishes Stream from Run.
 func TestStreamCompletionOrder(t *testing.T) {
 	const n = 4
-	e := New(Options{Workers: n, PrivateCaches: true})
+	e := New(Options{Workers: n})
 	defer e.Close()
 
 	gates := make([]chan struct{}, n)
@@ -56,7 +56,7 @@ func TestStreamCompletionOrder(t *testing.T) {
 
 // TestStreamEmpty: a zero-job stream closes immediately.
 func TestStreamEmpty(t *testing.T) {
-	e := New(Options{Workers: 1, PrivateCaches: true})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 	select {
 	case _, ok := <-e.Stream(context.Background(), nil):
@@ -72,7 +72,7 @@ func TestStreamEmpty(t *testing.T) {
 // only worker; every outstanding job must resolve (with the context
 // error) and the stream must close.
 func TestStreamCancelMidStream(t *testing.T) {
-	e := New(Options{Workers: 1, PrivateCaches: true})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -128,7 +128,7 @@ func TestStreamCancelMidStream(t *testing.T) {
 // result must be success, ErrClosed, or a context error — nothing
 // stranded, no double-resolution, no races on the counters.
 func TestStreamCloseRaceStress(t *testing.T) {
-	e := New(Options{Workers: 4, Queue: 2, PrivateCaches: true})
+	e := New(Options{Workers: 4, Queue: 2})
 
 	const streams, perStream = 8, 25
 	var wg sync.WaitGroup
@@ -161,100 +161,5 @@ func TestStreamCloseRaceStress(t *testing.T) {
 	s := e.Stats()
 	if s.Submitted != s.Completed+s.Failed+s.Canceled+s.Rejected {
 		t.Errorf("stats %+v do not balance after Close", s)
-	}
-}
-
-func TestShardSetRunAllAndStream(t *testing.T) {
-	s := NewShardSet(3, Options{Workers: 2})
-	defer s.Close()
-	if s.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", s.Shards())
-	}
-
-	jobs := make([]Job, 30)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job{
-			ID: fmt.Sprintf("job-%d", i),
-			Fn: func(context.Context) (any, error) { return i, nil },
-		}
-	}
-	results, err := s.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil || r.Value.(int) != i {
-			t.Errorf("result %d = %+v, want value %d in submission order", i, r, i)
-		}
-	}
-
-	seen := map[string]bool{}
-	for r := range s.Stream(context.Background(), jobs) {
-		if r.Err != nil {
-			t.Errorf("job %s: %v", r.ID, r.Err)
-		}
-		if seen[r.ID] {
-			t.Errorf("job %s delivered twice", r.ID)
-		}
-		seen[r.ID] = true
-	}
-	if len(seen) != len(jobs) {
-		t.Errorf("stream delivered %d distinct jobs, want %d", len(seen), len(jobs))
-	}
-
-	// Round-robin must spread a 30-job batch run twice (Run + Stream)
-	// as 10+10 per shard, and the totals must equal the sum.
-	var sum uint64
-	for i, st := range s.ShardStats() {
-		if st.Submitted != 20 {
-			t.Errorf("shard %d submitted %d, want 20", i, st.Submitted)
-		}
-		sum += st.Submitted
-	}
-	if tot := s.Stats(); tot.Submitted != sum || tot.Workers != 6 {
-		t.Errorf("Stats %+v, want submitted %d over 6 workers", tot, sum)
-	}
-}
-
-// TestShardSetCursorBalancesSmallBatches drives many one-job batches —
-// the resident server's /v1/eval pattern — and asserts the persistent
-// round-robin cursor spreads them evenly instead of piling every batch
-// onto shard 0.
-func TestShardSetCursorBalancesSmallBatches(t *testing.T) {
-	s := NewShardSet(3, Options{Workers: 1})
-	defer s.Close()
-
-	for i := 0; i < 30; i++ {
-		if _, err := s.Run(context.Background(), []Job{{
-			ID: fmt.Sprintf("one-%d", i),
-			Fn: func(context.Context) (any, error) { return nil, nil },
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, st := range s.ShardStats() {
-		if st.Submitted != 10 {
-			t.Errorf("shard %d got %d of 30 one-job batches, want 10", i, st.Submitted)
-		}
-	}
-}
-
-// TestShardSetIndependentCaches asserts the shards do not share engine
-// cache fields — the property that makes them rehearsals for remote
-// peers.
-func TestShardSetIndependentCaches(t *testing.T) {
-	s := NewShardSet(2, Options{Workers: 1})
-	defer s.Close()
-	e0, ok0 := s.Backend(0).(*Engine)
-	e1, ok1 := s.Backend(1).(*Engine)
-	if !ok0 || !ok1 {
-		t.Fatal("NewShardSet backends are not local engines")
-	}
-	if e0.Programs == e1.Programs {
-		t.Error("shards share a ProgramCache")
-	}
-	if e0.Programs == SharedPrograms {
-		t.Error("shard 0 uses the process-wide ProgramCache")
 	}
 }

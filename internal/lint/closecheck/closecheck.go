@@ -32,7 +32,7 @@ var Analyzer = &analysis.Analyzer{
 // stored, or passed on transfer ownership and are not flagged.
 var constructors = map[string]map[string]bool{
 	"repro":                 {"New": true, "NewEngine": true},
-	"repro/internal/engine": {"New": true, "NewShardSet": true, "NewShardSetOf": true, "NewBalancer": true, "NewAutoscaler": true},
+	"repro/internal/engine": {"New": true, "NewBalancer": true, "NewAutoscaler": true},
 	"repro/internal/remote": {"New": true, "NewBackendWith": true},
 }
 

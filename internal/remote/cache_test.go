@@ -10,10 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/rescache"
-	"repro/internal/xlate"
 )
 
 // cachePeerStub is a minimal /v1/cache peer: an LRU behind the wire
@@ -214,7 +212,7 @@ func TestValidateCacheTopology(t *testing.T) {
 		{"cache with peers and bound", BackendConfig{
 			Cache: true, CachePeers: []string{"http://h:1"}, CacheMaxBytes: 1 << 20,
 		}, ""},
-		{"cache with failover", BackendConfig{Cache: true, Failover: true, Shards: 2}, ""},
+		{"cache with failover", BackendConfig{Cache: true, Shards: 2}, ""},
 		{"cache with autoscale", BackendConfig{Cache: true, AutoscaleMin: 1, AutoscaleMax: 2}, ""},
 	} {
 		_, err := ValidateFleetFlags(tc.cfg)
@@ -231,72 +229,4 @@ func TestValidateCacheTopology(t *testing.T) {
 			t.Errorf("%s: error %v does not wrap ErrInvalidOptions", tc.name, err)
 		}
 	}
-}
-
-func TestBackendCacheShortCircuitsEveryTopology(t *testing.T) {
-	jobs, m := cacheManifestJobs(t)
-	for _, tc := range []struct {
-		name string
-		cfg  BackendConfig
-	}{
-		{"plain engine", BackendConfig{Cache: true}},
-		{"shard set", BackendConfig{Cache: true, Shards: 2}},
-		{"failover front", BackendConfig{Cache: true, Failover: true, Shards: 2}},
-		{"chunked failover", BackendConfig{Cache: true, Failover: true, Shards: 2, Chunk: 2}},
-		{"autoscale front", BackendConfig{Cache: true, AutoscaleMin: 1, AutoscaleMax: 2}},
-	} {
-		cfg := tc.cfg
-		cfg.Engine.Workers = 2
-		ev, err := NewBackendWith(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		adapter, ok := engine.ResultCacheOf(ev).(*bench.ResultCache)
-		if !ok {
-			t.Fatalf("%s: no ResultCache reachable from the topology", tc.name)
-		}
-		ctx := context.Background()
-		if _, err := ev.Run(ctx, jobs); err != nil {
-			t.Fatalf("%s: cold run: %v", tc.name, err)
-		}
-		warm, err := ev.Run(ctx, jobs)
-		if err != nil {
-			t.Fatalf("%s: warm run: %v", tc.name, err)
-		}
-		for _, r := range warm {
-			if r.Err != nil {
-				t.Fatalf("%s: warm job %s failed: %v", tc.name, r.ID, r.Err)
-			}
-			if r.Worker != -1 {
-				t.Fatalf("%s: warm job %s ran on worker %d, want cache hit", tc.name, r.ID, r.Worker)
-			}
-		}
-		st := adapter.Stats()
-		if st.Hits != uint64(len(jobs)) || st.Puts != uint64(len(jobs)) {
-			t.Fatalf("%s: stats %+v, want %d hits and %d puts", tc.name, st, len(jobs), len(jobs))
-		}
-		ev.Close()
-		_ = m
-	}
-}
-
-// cacheManifestJobs builds a small spec-carrying batch — cache keys
-// require real bench specs, not bare Fns.
-func cacheManifestJobs(t *testing.T) ([]engine.Job, *bench.Manifest) {
-	t.Helper()
-	m, err := bench.ParseManifest([]byte(`{
-		"technologies": ["cntfet32"],
-		"jobs": [
-			{"name": "bubble", "workload": "bubble"},
-			{"name": "gemm", "workload": "gemm"}
-		]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := m.EngineJobs("", xlate.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return jobs, m
 }

@@ -239,18 +239,10 @@ func TestCapacityScrape(t *testing.T) {
 }
 
 // countingPeer is a stub fleet leaf that counts requests and answers
-// /v1/eval and /v1/suite (both stream variants) with cheap ok rows —
-// the wire-overhead microscope for the dispatch-mode comparison.
+// /v1/suite (both stream variants) with cheap ok rows — the
+// wire-overhead microscope for the dispatch-mode comparison.
 func countingPeer(requests *atomic.Int64) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/eval", func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		var req struct {
-			Name string `json:"name"`
-		}
-		json.NewDecoder(r.Body).Decode(&req)
-		json.NewEncoder(w).Encode(bench.JobReport{Name: req.Name, OK: true})
-	})
 	mux.HandleFunc("/v1/suite", func(w http.ResponseWriter, r *http.Request) {
 		requests.Add(1)
 		var m struct {

@@ -9,11 +9,13 @@ import (
 	"repro/internal/bench"
 )
 
-// FuzzScanRows throws arbitrary peer bytes at the client's NDJSON row
-// parser — the surface a malicious or dying art9-serve peer writes to.
-// Invariants: never panic, never error on blank input, stop cleanly
-// when the row handler is satisfied, and decode every row it reports.
-// Seed corpus: f.Add cases below plus testdata/fuzz/FuzzScanRows.
+// FuzzScanRows throws arbitrary plain (ack-free) peer bytes at the
+// client's row parser, scanAckRows — the rows a dying peer, or one that
+// ignores ?ack=1, writes. Invariants: never panic, never error on blank
+// input, never report an ack for a stream that carries none, stop
+// cleanly when a handler is satisfied, and decode every row it reports.
+// Seed corpus: f.Add cases below plus testdata/fuzz/FuzzScanRows;
+// FuzzScanAckRows covers streams that mix in ack rows.
 func FuzzScanRows(f *testing.F) {
 	f.Add([]byte(`{"name":"a","ok":true,"elapsed_ms":1.5,"worker":3}` + "\n"))
 	f.Add([]byte("{\"name\":\"a\",\"ok\":true}\n\n{\"name\":\"b\",\"ok\":false,\"error\":\"boom\",\"error_kind\":\"timeout\"}\n"))
@@ -27,12 +29,19 @@ func FuzzScanRows(f *testing.F) {
 	f.Add([]byte(strings.Repeat("{\"name\":\"r\"}\n", 64))) // many rows
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows := 0
-		err := scanRows(bytes.NewReader(data), func(jr bench.JobReport) bool {
-			rows++
-			return true
-		})
-		if err == nil && rows == 0 && len(bytes.TrimSpace(data)) > 0 {
+		// Without the key spelled out or escaped, no line can be an ack.
+		plain := !bytes.Contains(data, []byte("ack")) && !bytes.Contains(data, []byte(`\`))
+		rows, acks := 0, 0
+		err := scanAckRows(bytes.NewReader(data),
+			func(bench.JobReport) bool { rows++; return true },
+			func(a ackRow) bool {
+				if plain {
+					t.Fatalf("ack-free input %.80q produced ack %+v", data, a)
+				}
+				acks++
+				return true
+			})
+		if err == nil && rows == 0 && acks == 0 && len(bytes.TrimSpace(data)) > 0 {
 			// Every non-blank line must either decode into a row or
 			// stop the scan with an error; swallowing peer bytes
 			// silently would let a dying peer's suite "succeed" short.
@@ -44,14 +53,13 @@ func FuzzScanRows(f *testing.F) {
 
 		// The early-stop path must never error: the first row decided.
 		stopped := 0
-		if stopErr := scanRows(bytes.NewReader(data), func(bench.JobReport) bool {
-			stopped++
-			return false
-		}); stopped > 0 && stopErr != nil {
+		if stopErr := scanAckRows(bytes.NewReader(data),
+			func(bench.JobReport) bool { stopped++; return false },
+			func(ackRow) bool { stopped++; return false }); stopped > 0 && stopErr != nil {
 			t.Fatalf("satisfied scan still errored: %v", stopErr)
 		}
 		if stopped > 1 {
-			t.Fatalf("scan continued after the handler was satisfied (%d rows)", stopped)
+			t.Fatalf("scan continued after the handler was satisfied (%d lines)", stopped)
 		}
 	})
 }

@@ -49,8 +49,9 @@ func suiteRows(t *testing.T, ev engine.Evaluator, m *bench.Manifest, techs []*ga
 }
 
 // TestMixedLocalRemoteShardSetMatchesLocal is the acceptance pin of the
-// Evaluator redesign: a ShardSet mixing one local Engine with one
-// internal/remote client (backed by an in-process httptest art9-serve)
+// Evaluator redesign: the topology NewBackendWith builds for one local
+// shard plus one peer — a Balancer over a local Engine and an
+// internal/remote client backed by an in-process httptest art9-serve —
 // must yield byte-identical sorted suite results to a purely local run.
 func TestMixedLocalRemoteShardSetMatchesLocal(t *testing.T) {
 	m := &bench.Manifest{
@@ -79,14 +80,10 @@ func TestMixedLocalRemoteShardSetMatchesLocal(t *testing.T) {
 		peerTS.Close()
 		peerSrv.Close()
 	}()
-	client, err := remote.New(peerTS.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	mixed := engine.NewShardSetOf(engine.New(engine.Options{Workers: 2, PrivateCaches: true}), client)
+	mixed, client := mixedBackend(t, peerTS.URL, 2)
 	defer mixed.Close()
-	local := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	local := engine.New(engine.Options{Workers: 2})
 	defer local.Close()
 
 	mixedRows := suiteRows(t, mixed, m, techs)
@@ -101,17 +98,42 @@ func TestMixedLocalRemoteShardSetMatchesLocal(t *testing.T) {
 		}
 	}
 
-	// The remote shard must actually have carried half the batch — the
-	// equality above would also hold for a set that quietly ran
-	// everything locally.
-	if st := client.LocalStats(); st.Completed != uint64(len(m.Jobs))/2 {
-		t.Errorf("remote client stats %+v, want %d jobs completed via the peer", st, len(m.Jobs)/2)
+	// The remote shard must actually have carried work — the equality
+	// above would also hold for a front that quietly ran everything
+	// locally.
+	if st := client.LocalStats(); st.Completed == 0 {
+		t.Errorf("remote client stats %+v, want jobs completed via the peer", st)
 	}
+}
+
+// mixedBackend builds the one-local-shard-plus-one-peer topology through
+// NewBackendWith and returns it with its remote member.
+func mixedBackend(t *testing.T, peer string, workers int) (*engine.Balancer, *remote.Client) {
+	t.Helper()
+	ev, err := remote.NewBackendWith(remote.BackendConfig{
+		Shards: 1, Peers: []string{peer}, HealthInterval: -1,
+		Engine: engine.Options{Workers: workers},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bal, ok := ev.(*engine.Balancer)
+	if !ok {
+		ev.Close()
+		t.Fatalf("NewBackendWith(1 shard, 1 peer) built %T, want *engine.Balancer", ev)
+	}
+	client, ok := bal.Backend(1).(*remote.Client)
+	if !ok {
+		bal.Close()
+		t.Fatalf("backend 1 is %T, want the peer's *remote.Client", bal.Backend(1))
+	}
+	return bal, client
 }
 
 // TestMixedShardSetStream checks the streaming path through the same
 // mixed topology: every job resolves exactly once, remote rows pass
-// through as *bench.JobReport values, local rows as *bench.Outcome.
+// through as *bench.JobReport values and local rows as *bench.Outcome,
+// one value per job each backend completed.
 func TestMixedShardSetStream(t *testing.T) {
 	peerSrv, err := serve.New(serve.Config{Workers: 1})
 	if err != nil {
@@ -122,11 +144,7 @@ func TestMixedShardSetStream(t *testing.T) {
 		peerTS.Close()
 		peerSrv.Close()
 	}()
-	client, err := remote.New(peerTS.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := engine.NewShardSetOf(engine.New(engine.Options{Workers: 1, PrivateCaches: true}), client)
+	mixed, client := mixedBackend(t, peerTS.URL, 1)
 	defer mixed.Close()
 
 	m := &bench.Manifest{Jobs: []bench.ManifestJob{
@@ -159,8 +177,11 @@ func TestMixedShardSetStream(t *testing.T) {
 			t.Fatalf("job %s: value %T, want *Outcome or *JobReport", r.ID, r.Value)
 		}
 	}
-	if outcomes != 2 || reports != 2 {
-		t.Errorf("stream saw %d local outcomes and %d remote reports, want 2 and 2", outcomes, reports)
+	local := engine.LocalStats(mixed.Backend(0)).Completed
+	remoteDone := client.LocalStats().Completed
+	if outcomes+reports != len(jobs) || uint64(outcomes) != local || uint64(reports) != remoteDone {
+		t.Errorf("stream saw %d local outcomes and %d remote reports, want %d and %d",
+			outcomes, reports, local, remoteDone)
 	}
 }
 
@@ -211,9 +232,9 @@ func TestBalancerFleetSurvivesDeadPeer(t *testing.T) {
 	}
 
 	fleet := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
-		live, dead, engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		live, dead, engine.New(engine.Options{Workers: 2}))
 	defer fleet.Close()
-	local := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	local := engine.New(engine.Options{Workers: 2})
 	defer local.Close()
 
 	fleetRows := suiteRows(t, fleet, m, techs)

@@ -1,15 +1,17 @@
 // Package remote is the multi-machine backend of the evaluation stack:
 // an engine.Evaluator whose "worker pool" is another art9-serve instance
-// reached over HTTP. It speaks the existing /v1 protocol — single jobs
-// through POST /v1/eval, batches through POST /v1/suite consuming the
-// NDJSON rows the moment the peer flushes them — so any running
-// art9-serve is already a valid shard.
+// reached over HTTP. Every batch travels over one wire path, the
+// acknowledged /v1/suite stream (?ack=1): the client consumes the NDJSON
+// rows the moment the peer flushes them, and the peer's end
+// acknowledgement tells a complete stream from a severed one. Any
+// running art9-serve is therefore already a valid peer.
 //
 // Because a Client is just an Evaluator, it composes with everything
-// else behind that interface: engine.NewShardSetOf(localEngine, client)
-// splits one batch between this process and a peer, art9-serve --peers
-// fronts a fleet of other art9-serve instances, and shards of shards
-// build arbitrary topologies.
+// else behind that interface: an engine.Balancer over a local engine and
+// a client splits one batch between this process and a peer, art9-serve
+// -peers fronts a fleet of other art9-serve instances, and fronts of
+// fronts build arbitrary topologies. NewBackendWith builds the standard
+// shapes.
 //
 // Jobs are shipped by their engine.Job.Spec (a *bench.JobSpec, attached
 // by bench.SuiteJobs / Manifest.EngineJobs): the program travels inline
@@ -160,12 +162,12 @@ func (c *Client) Close() error {
 }
 
 // Run ships the batch to the peer and returns one result per job in
-// submission order — engine.Evaluator Run semantics over HTTP. The
-// returned error is non-nil only when ctx ended before the batch
-// resolved.
+// submission order — engine.Evaluator Run semantics over HTTP (see
+// resolve). The returned error is non-nil only when ctx ended before the
+// batch resolved.
 func (c *Client) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
 	out := make([]engine.Result, len(jobs))
-	c.dispatch(ctx, jobs, func(i int, r engine.Result) { out[i] = r })
+	c.resolve(ctx, jobs, func(i int, r engine.Result) { out[i] = r })
 	return out, ctx.Err()
 }
 
@@ -183,9 +185,29 @@ func (c *Client) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Re
 	}
 	go func() {
 		defer close(out)
-		c.dispatch(ctx, jobs, func(_ int, r engine.Result) { out <- r })
+		c.resolve(ctx, jobs, func(_ int, r engine.Result) { out <- r })
 	}()
 	return out
+}
+
+// resolve runs the batch as one DispatchChunk and resolves every job
+// exactly once through emit(jobIndex, result): each acknowledged job as
+// its row arrives, every job the chunk left unacknowledged with the
+// error DispatchChunk returned (engine.ErrClosed for a closed client).
+func (c *Client) resolve(ctx context.Context, jobs []engine.Job, emit func(int, engine.Result)) {
+	acked := make([]bool, len(jobs))
+	err := c.DispatchChunk(ctx, jobs, func(i int, r engine.Result) {
+		acked[i] = true
+		emit(i, r)
+	})
+	if err == nil {
+		return
+	}
+	for i, j := range jobs {
+		if !acked[i] {
+			emit(i, engine.Result{ID: j.ID, Err: err, Worker: -1})
+		}
+	}
 }
 
 // Stats scrapes the peer's /v1/stats and reports the peer's engine
@@ -285,49 +307,6 @@ func (c *Client) PeerStats(ctx context.Context) (engine.Stats, error) {
 	}, nil
 }
 
-// evalRequest mirrors the POST /v1/eval body (internal/serve's
-// EvalRequest); redefined here to keep serve → remote a one-way
-// dependency.
-type evalRequest struct {
-	bench.ManifestJob
-	Technologies []string `json:"technologies,omitempty"`
-}
-
-// dispatch resolves every job exactly once through emit(jobIndex,
-// result): invalid jobs inline, one valid job via /v1/eval, larger
-// batches via /v1/suite.
-func (c *Client) dispatch(ctx context.Context, jobs []engine.Job, emit func(int, engine.Result)) {
-	c.submitted.Add(uint64(len(jobs)))
-	if c.closed.Load() {
-		c.rejected.Add(uint64(len(jobs)))
-		for i, j := range jobs {
-			emit(i, engine.Result{ID: j.ID, Err: engine.ErrClosed, Worker: -1})
-		}
-		return
-	}
-
-	var valid []int
-	specs := make([]*bench.JobSpec, len(jobs))
-	for i, j := range jobs {
-		spec, err := specOf(j)
-		if err != nil {
-			c.failed.Add(1)
-			emit(i, engine.Result{ID: j.ID, Err: err, Worker: -1})
-			continue
-		}
-		specs[i] = spec
-		valid = append(valid, i)
-	}
-	switch len(valid) {
-	case 0:
-	case 1:
-		i := valid[0]
-		emit(i, c.evalOne(ctx, jobs[i], specs[i]))
-	default:
-		c.suite(ctx, jobs, specs, valid, emit)
-	}
-}
-
 // specOf extracts the serializable description of one job.
 func specOf(j engine.Job) (*bench.JobSpec, error) {
 	switch s := j.Spec.(type) {
@@ -344,71 +323,8 @@ func specOf(j engine.Job) (*bench.JobSpec, error) {
 	}
 }
 
-// evalOne runs a single job through POST /v1/eval.
-func (c *Client) evalOne(ctx context.Context, j engine.Job, spec *bench.JobSpec) engine.Result {
-	mj := wireJobOf(j, spec)
-	body, err := json.Marshal(evalRequest{ManifestJob: mj, Technologies: spec.Technologies})
-	if err != nil {
-		c.failed.Add(1)
-		return engine.Result{ID: j.ID, Err: fmt.Errorf("remote %s: encode job: %w", c.base, err), Worker: -1}
-	}
-	start := time.Now()
-	resp, err := c.post(ctx, "/v1/eval", body)
-	if err != nil {
-		err = c.classify(ctx, err)
-		c.countFailure(err)
-		return engine.Result{ID: j.ID, Err: err, Worker: -1}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		c.failed.Add(1)
-		return engine.Result{ID: j.ID, Err: c.statusErr(resp), Worker: -1,
-			Elapsed: time.Since(start)}
-	}
-	var jr bench.JobReport
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRow)).Decode(&jr); err != nil {
-		// A truncated or garbled 200 body is transport-class (the peer
-		// died mid-response), so classify it retryable like a severed
-		// stream.
-		err = c.classify(ctx, fmt.Errorf("remote %s: decode report: %w", c.base, err))
-		c.countFailure(err)
-		return engine.Result{ID: j.ID, Err: err, Worker: -1}
-	}
-	return c.rowResult(j.ID, &jr)
-}
-
-// suite runs a multi-job batch through POST /v1/suite. Jobs are grouped
-// by their technology list first — one request per distinct list, run
-// concurrently — so no job is ever evaluated against technologies it
-// did not ask for (in practice a batch comes from one manifest and
-// forms a single group).
-func (c *Client) suite(ctx context.Context, jobs []engine.Job, specs []*bench.JobSpec, valid []int, emit func(int, engine.Result)) {
-	groups := map[string][]int{}
-	var order []string
-	for _, i := range valid {
-		key := strings.Join(specs[i].Technologies, "\x00")
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	if len(order) == 1 {
-		c.suiteGroup(ctx, jobs, specs, valid, emit)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, key := range order {
-		wg.Add(1)
-		go func(idx []int) {
-			defer wg.Done()
-			c.suiteGroup(ctx, jobs, specs, idx, emit)
-		}(groups[key])
-	}
-	wg.Wait()
-}
-
-// pendingJob tracks one not-yet-resolved suite job: its index in the
-// batch and its original (pre-deduplication) name.
+// pendingJob tracks one not-yet-acknowledged job of a wire chunk: its
+// index in the batch and its original (pre-deduplication) name.
 type pendingJob struct {
 	index int
 	name  string
@@ -418,27 +334,6 @@ type pendingJob struct {
 type wireEntry struct {
 	mj bench.ManifestJob
 	pj pendingJob
-}
-
-// suiteGroup ships jobs sharing a technology list, chunked so no single
-// request exceeds the peer's per-request job or body caps; chunks run
-// concurrently.
-func (c *Client) suiteGroup(ctx context.Context, jobs []engine.Job, specs []*bench.JobSpec, idx []int, emit func(int, engine.Result)) {
-	techs := specs[idx[0]].Technologies
-	chunks := buildWireChunks(jobs, specs, idx)
-	if len(chunks) == 1 {
-		c.suitePost(ctx, techs, chunks[0], jobs, emit)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(ch []wireEntry) {
-			defer wg.Done()
-			c.suitePost(ctx, techs, ch, jobs, emit)
-		}(ch)
-	}
-	wg.Wait()
 }
 
 // buildWireChunks renders the jobs at idx as manifest entries and
@@ -470,56 +365,6 @@ func buildWireChunks(jobs []engine.Job, specs []*bench.JobSpec, idx []int) [][]w
 		size += esz
 	}
 	return append(chunks, cur)
-}
-
-// suitePost issues one POST /v1/suite for a chunk, resolving each job
-// as its NDJSON row arrives.
-func (c *Client) suitePost(ctx context.Context, techs []string, entries []wireEntry, jobs []engine.Job, emit func(int, engine.Result)) {
-	m := bench.Manifest{Technologies: techs}
-	pending := make(map[string]pendingJob, len(entries))
-	for _, e := range entries {
-		m.Jobs = append(m.Jobs, e.mj)
-		pending[e.mj.Name] = e.pj
-	}
-	body, err := json.Marshal(&m)
-	if err != nil {
-		c.fail(jobs, pending, emit, fmt.Errorf("remote %s: encode manifest: %w", c.base, err))
-		return
-	}
-
-	resp, err := c.post(ctx, "/v1/suite", body)
-	if err != nil {
-		c.fail(jobs, pending, emit, c.classify(ctx, err))
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		c.fail(jobs, pending, emit, c.statusErr(resp))
-		return
-	}
-
-	streamErr := scanRows(resp.Body, func(jr bench.JobReport) bool {
-		p, ok := pending[jr.Name]
-		if !ok {
-			// A row for a job we never sent (or already resolved):
-			// ignore it rather than mis-crediting some other job.
-			return true
-		}
-		delete(pending, jr.Name)
-		row := jr
-		row.Name = p.name // undo any wire-level "#n" deduplication
-		emit(p.index, c.rowResult(jobs[p.index].ID, &row))
-		return len(pending) > 0
-	})
-	if streamErr != nil {
-		streamErr = fmt.Errorf("remote %s: suite stream: %w", c.base, streamErr)
-	}
-	if len(pending) > 0 {
-		if streamErr == nil {
-			streamErr = fmt.Errorf("remote %s: suite stream ended with jobs unresolved", c.base)
-		}
-		c.fail(jobs, pending, emit, c.classify(ctx, streamErr))
-	}
 }
 
 // DispatchChunk implements engine.ChunkDispatcher: the chunk travels
@@ -678,8 +523,8 @@ type ackRow struct {
 // returning false stops the scan cleanly. The row kind is detected by
 // the "ack" field, which a JobReport never carries. Blank lines are
 // skipped; a malformed or over-long line stops the scan with an error.
-// Like scanRows this is the one parser of its stream, extracted so it
-// can be fuzzed directly against arbitrary peer bytes. The line buffer
+// This is the client's one row parser, extracted so it can be fuzzed
+// directly against arbitrary peer bytes. The line buffer
 // starts at the scanner's 4 KiB and grows only as rows require, up to
 // maxRow: per-job dispatch sends one short acknowledged stream per job.
 func scanAckRows(r io.Reader, onRow func(bench.JobReport) bool, onAck func(ackRow) bool) error {
@@ -752,31 +597,6 @@ func (c *Client) Capacity(ctx context.Context) (engine.Capacity, error) {
 	return snap, nil
 }
 
-// scanRows consumes an NDJSON report stream, calling fn for each
-// decoded row until fn returns false (the caller is satisfied) or the
-// input ends. Blank lines are skipped; a malformed row or an over-long
-// line (> maxRow) stops the scan with an error. This is the one row
-// parser of the client, extracted so it can be fuzzed directly against
-// arbitrary peer bytes.
-func scanRows(r io.Reader, fn func(bench.JobReport) bool) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxRow)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var jr bench.JobReport
-		if err := json.Unmarshal(line, &jr); err != nil {
-			return fmt.Errorf("malformed NDJSON row %.80q: %w", line, err)
-		}
-		if !fn(jr) {
-			return nil
-		}
-	}
-	return sc.Err()
-}
-
 // wireJobOf renders one job as the manifest entry shipped to the peer:
 // the spec's entry, defaulting the name to the job ID and forwarding an
 // engine-level per-job timeout the spec did not already carry.
@@ -820,14 +640,6 @@ func (c *Client) rowResult(id string, jr *bench.JobReport) engine.Result {
 		r.Err = fmt.Errorf("remote %s: job %q: %s", c.base, jr.Name, jr.Error)
 	}
 	return r
-}
-
-// fail resolves every still-pending job with err, counting each one.
-func (c *Client) fail(jobs []engine.Job, pending map[string]pendingJob, emit func(int, engine.Result), err error) {
-	for _, p := range pending {
-		c.countFailure(err)
-		emit(p.index, engine.Result{ID: jobs[p.index].ID, Err: err, Worker: -1})
-	}
 }
 
 // countFailure books one unresolved job as canceled (the caller's
@@ -942,14 +754,14 @@ func SplitPeerList(s string) []string {
 // diagnostics for library callers (functional options) and CLI
 // operators (flags).
 type optionNames struct {
-	failover, chunk, maxRetries, healthInterval   string
+	chunk, maxRetries, healthInterval             string
 	autoscale, standbyPeers, shards, peers        string
 	scaleThresholds, scaleCooldown, scaleInterval string
 	cache, cachePeers, cacheMaxBytes, cacheEpoch  string
 }
 
 var libraryNames = optionNames{
-	failover: "WithFailover", chunk: "WithChunk",
+	chunk:      "WithChunk",
 	maxRetries: "WithMaxRetries", healthInterval: "WithHealthInterval",
 	autoscale: "WithAutoscale", standbyPeers: "WithStandbyPeers",
 	shards: "WithShards", peers: "WithPeers",
@@ -960,7 +772,7 @@ var libraryNames = optionNames{
 }
 
 var flagNames = optionNames{
-	failover: "-failover", chunk: "-chunk",
+	chunk:      "-chunk",
 	maxRetries: "-max-retries", healthInterval: "-health-interval",
 	autoscale: "-autoscale-min/-autoscale-max", standbyPeers: "-standby-peers",
 	shards: "-shards", peers: "-peers",
@@ -971,11 +783,11 @@ var flagNames = optionNames{
 }
 
 // ValidateConfig vets a BackendConfig's option coherence with library
-// naming (WithFailover, WithChunk, ...). NewBackendWith applies it, so
+// naming (WithChunk, WithAutoscale, ...). NewBackendWith applies it, so
 // art9.New and serve.New reject incoherent combinations with an error
 // wrapping engine.ErrInvalidOptions instead of silently ignoring
-// options. The warning (non-fatal advice, e.g. failover over a single
-// backend) is surfaced by the CLIs and ignored by the library.
+// options. The warning (non-fatal advice, e.g. an autoscaled pool whose
+// bounds pin it) is surfaced by the CLIs and ignored by the library.
 func ValidateConfig(cfg BackendConfig) (warning string, err error) {
 	return validateTopology(cfg, libraryNames)
 }
@@ -989,12 +801,13 @@ func ValidateFleetFlags(cfg BackendConfig) (warning string, err error) {
 }
 
 // validateTopology is the one rule set: options that only tune an
-// absent front (failover tuning without Failover, scale tuning or
-// standby peers without Autoscale) error out, since silently ignoring
-// them would leave the user believing they are in effect; incoherent
-// autoscale bounds and thresholds error out; topologies that merely
-// waste a front (failover or autoscale with nothing to move jobs
-// between) warn. Hard errors wrap engine.ErrInvalidOptions.
+// absent front (balancer tuning where NewBackendWith builds no fixed
+// Balancer, scale tuning or standby peers without Autoscale, cache
+// tuning without Cache) error out, since silently ignoring them would
+// leave the user believing they are in effect; incoherent autoscale
+// bounds and thresholds, and autoscaling mixed with a fixed topology,
+// error out; an autoscaled pool that can never scale warns. Hard errors
+// wrap engine.ErrInvalidOptions.
 func validateTopology(cfg BackendConfig, n optionNames) (warning string, err error) {
 	invalid := func(format string, args ...any) error {
 		return fmt.Errorf(format+": %w", append(args, engine.ErrInvalidOptions)...)
@@ -1022,7 +835,7 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 		}
 	}
 	autoscale := cfg.AutoscaleMin != 0 || cfg.AutoscaleMax != 0
-	if !cfg.Failover {
+	if autoscale || !cfg.balanced() {
 		var orphaned []string
 		if cfg.Chunk > 0 {
 			orphaned = append(orphaned, n.chunk)
@@ -1033,9 +846,14 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 		if cfg.HealthInterval != 0 {
 			orphaned = append(orphaned, n.healthInterval)
 		}
-		if len(orphaned) > 0 {
-			return "", invalid("%s: only meaningful with %s (otherwise silently ignored); add %s or drop it",
-				strings.Join(orphaned, ", "), n.failover, n.failover)
+		switch {
+		case len(orphaned) == 0:
+		case autoscale:
+			return "", invalid("%s: tunes a fixed balancer, but %s builds an elastic pool that balances its own members; drop it",
+				strings.Join(orphaned, ", "), n.autoscale)
+		default:
+			return "", invalid("%s: only meaningful over several backends, and a lone local engine has nothing to fail over to; add %s or %s above 1, or drop it",
+				strings.Join(orphaned, ", "), n.peers, n.shards)
 		}
 	}
 	if !autoscale {
@@ -1056,55 +874,39 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 			return "", invalid("%s: only meaningful with %s (otherwise silently ignored); add %s or drop it",
 				strings.Join(orphaned, ", "), n.autoscale, n.autoscale)
 		}
-	}
-	if autoscale {
-		if cfg.AutoscaleMin < 0 || cfg.AutoscaleMax < 0 {
-			return "", invalid("%s bounds must be >= 0 (got min %d, max %d)",
-				n.autoscale, cfg.AutoscaleMin, cfg.AutoscaleMax)
-		}
-		if cfg.AutoscaleMax < cfg.AutoscaleMin {
-			return "", invalid("%s bounds inverted: max %d < min %d",
-				n.autoscale, cfg.AutoscaleMax, cfg.AutoscaleMin)
-		}
-		// The autoscaler owns its topology — an elastic local pool plus
-		// standby peers. Fixed shard counts, fixed peer sets, and a
-		// second dispatch front cannot compose with it coherently.
-		if cfg.Failover {
-			return "", invalid("%s and %s are both dispatch fronts; use %s for an elastic pool or %s for a fixed fleet",
-				n.autoscale, n.failover, n.autoscale, n.failover)
-		}
-		if cfg.Shards > 0 {
-			return "", invalid("%s fixes the shard count, which contradicts %s; drop %s (the pool floats between the bounds)",
-				n.shards, n.autoscale, n.shards)
-		}
-		if len(cfg.Peers) > 0 {
-			return "", invalid("%s is a fixed backend set, which contradicts %s; list elastic peers with %s instead",
-				n.peers, n.autoscale, n.standbyPeers)
-		}
-		up, down := cfg.ScaleUpThreshold, cfg.ScaleDownThreshold
-		if up < 0 || up > 1 || down < 0 || down >= 1 {
-			return "", invalid("%s thresholds must be within [0,1] with down < 1 (got up %g, down %g)",
-				n.scaleThresholds, up, down)
-		}
-		if up != 0 && down != 0 && down >= up {
-			return "", invalid("%s scale-down threshold %g must be below the scale-up threshold %g (hysteresis needs a gap)",
-				n.scaleThresholds, down, up)
-		}
-		if cfg.AutoscaleMin == cfg.AutoscaleMax && len(cfg.StandbyPeers) == 0 {
-			return fmt.Sprintf("%s bounds pin the pool at %d with no standby peers; nothing will ever scale",
-				n.autoscale, cfg.AutoscaleMax), nil
-		}
 		return "", nil
 	}
-	if cfg.Failover {
-		backends := cfg.Shards + len(cfg.Peers)
-		if cfg.Shards <= 0 && len(cfg.Peers) == 0 {
-			backends = 1 // the implicit single local shard
-		}
-		if backends <= 1 {
-			return fmt.Sprintf("%s over a single backend has nothing to fail over to; add %s or %s",
-				n.failover, n.peers, n.shards), nil
-		}
+	if cfg.AutoscaleMin < 0 || cfg.AutoscaleMax < 0 {
+		return "", invalid("%s bounds must be >= 0 (got min %d, max %d)",
+			n.autoscale, cfg.AutoscaleMin, cfg.AutoscaleMax)
+	}
+	if cfg.AutoscaleMax < cfg.AutoscaleMin {
+		return "", invalid("%s bounds inverted: max %d < min %d",
+			n.autoscale, cfg.AutoscaleMax, cfg.AutoscaleMin)
+	}
+	// The autoscaler owns its topology — an elastic local pool plus
+	// standby peers — so fixed shard counts and fixed peer sets cannot
+	// compose with it coherently.
+	if cfg.Shards > 0 {
+		return "", invalid("%s fixes the shard count, which contradicts %s; drop %s (the pool floats between the bounds)",
+			n.shards, n.autoscale, n.shards)
+	}
+	if len(cfg.Peers) > 0 {
+		return "", invalid("%s is a fixed backend set, which contradicts %s; list elastic peers with %s instead",
+			n.peers, n.autoscale, n.standbyPeers)
+	}
+	up, down := cfg.ScaleUpThreshold, cfg.ScaleDownThreshold
+	if up < 0 || up > 1 || down < 0 || down >= 1 {
+		return "", invalid("%s thresholds must be within [0,1] with down < 1 (got up %g, down %g)",
+			n.scaleThresholds, up, down)
+	}
+	if up != 0 && down != 0 && down >= up {
+		return "", invalid("%s scale-down threshold %g must be below the scale-up threshold %g (hysteresis needs a gap)",
+			n.scaleThresholds, down, up)
+	}
+	if cfg.AutoscaleMin == cfg.AutoscaleMax && len(cfg.StandbyPeers) == 0 {
+		return fmt.Sprintf("%s bounds pin the pool at %d with no standby peers; nothing will ever scale",
+			n.autoscale, cfg.AutoscaleMax), nil
 	}
 	return "", nil
 }
@@ -1120,25 +922,24 @@ type BackendConfig struct {
 	Engine engine.Options
 	// Peers lists art9-serve base URLs, one remote Client each.
 	Peers []string
-	// Failover fronts the backends with a health-aware engine.Balancer
-	// (least-loaded dispatch, probe loop, job-level failover) instead of
-	// the round-robin ShardSet.
-	Failover bool
-	// HealthInterval and MaxRetries tune the Balancer (engine defaults
-	// apply at zero); ignored without Failover.
+	// HealthInterval and MaxRetries tune the engine.Balancer that fronts
+	// more than one local shard or any peer (engine defaults apply at
+	// zero; MaxRetries -1 turns failover off, HealthInterval -1 the
+	// probe loop). An error on a lone local engine or an autoscaled
+	// pool, which have no fixed balancer to tune.
 	HealthInterval time.Duration
 	MaxRetries     int
 	// Chunk makes the Balancer dispatch in chunks of up to this many
 	// jobs — remote backends receive a chunk as one acknowledged
 	// /v1/suite stream, sized down by scraped live capacity. 0 or 1
-	// places each job on its own, one acknowledged stream per job;
-	// ignored without Failover.
+	// places each job on its own, one acknowledged stream per job. An
+	// error where HealthInterval and MaxRetries are.
 	Chunk int
 	// AutoscaleMin and AutoscaleMax, when either is non-zero, select
 	// the elastic engine.Autoscaler front instead of a fixed topology:
 	// the local shard count floats between the bounds (min 0 selects 1)
-	// driven by queue depth and utilization. Incompatible with Shards,
-	// Peers and Failover — the autoscaler owns its topology.
+	// driven by queue depth and utilization. Incompatible with Shards
+	// and Peers — the autoscaler owns its topology.
 	AutoscaleMin, AutoscaleMax int
 	// StandbyPeers lists art9-serve base URLs the autoscaler dials only
 	// when the local bound is exhausted and retires first when load
@@ -1174,23 +975,35 @@ type BackendConfig struct {
 	CacheStore rescache.Cache
 }
 
+// balanced reports whether the fixed topology has a Balancer front: any
+// peer, or more than one local shard. Only a lone local engine has none.
+func (cfg BackendConfig) balanced() bool {
+	return len(cfg.Peers) > 0 || cfg.Shards > 1
+}
+
 // NewBackendWith assembles the standard backend topology shared by
-// art9.New and serve.New: Shards local engines plus one Client per peer
-// URL, composed behind a ShardSet when there is more than one backend,
-// a health-aware Balancer with Failover, or the elastic Autoscaler when
-// autoscale bounds are set. Cache fields go private exactly when
-// backends multiply, so a solitary local pool keeps the process-wide
-// shared caches. With zero shards and zero peers it falls back to one
-// local engine. Incoherent configurations are rejected through
-// ValidateConfig with an error wrapping engine.ErrInvalidOptions.
+// art9.New and serve.New. It builds exactly one of three shapes: the
+// elastic Autoscaler when autoscale bounds are set; a bare local Engine
+// for one local shard and no peers (the default); and otherwise a
+// health-aware Balancer over Shards local engines plus one Client per
+// peer URL. The result cache attaches to the front that places jobs —
+// the Autoscaler, the Balancer, or the lone engine — which also closes
+// it. Incoherent configurations are rejected through ValidateConfig
+// with an error wrapping engine.ErrInvalidOptions.
 func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 	if _, err := ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
-	// The result cache attaches to the dispatch FRONT only — the
-	// autoscaler or balancer when one fronts the topology, otherwise
-	// each local engine — so one lookup answers one job and hit/miss
-	// counters are not doubled by inner layers re-consulting the store.
+	// Clients hold no resources until they carry a job, so building them
+	// first lets a bad peer URL fail before anything needs closing.
+	var peers []engine.Evaluator
+	for _, p := range cfg.Peers {
+		client, err := New(p)
+		if err != nil {
+			return nil, err
+		}
+		peers = append(peers, client)
+	}
 	var resultCache engine.ResultCache
 	if cfg.Cache || cfg.CacheStore != nil {
 		store := cfg.CacheStore
@@ -1238,46 +1051,19 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 			Cache:         resultCache,
 		}), nil
 	}
-	localShards := cfg.Shards
-	if localShards < 0 {
-		localShards = 0
-	}
-	if localShards == 0 && len(cfg.Peers) == 0 {
-		localShards = 1
-	}
-	opts := cfg.Engine
-	opts.PrivateCaches = localShards+len(cfg.Peers) > 1
-	if resultCache != nil && !cfg.Failover {
-		// No front to attach the cache to: each local engine consults
-		// it before running a job (remote shards stay pass-through).
+	if !cfg.balanced() {
+		opts := cfg.Engine
 		opts.Cache = resultCache
+		return engine.New(opts), nil
 	}
-	var backends []engine.Evaluator
-	for i := 0; i < localShards; i++ {
-		backends = append(backends, engine.New(opts))
+	backends := make([]engine.Evaluator, max(cfg.Shards, 0), max(cfg.Shards, 0)+len(peers))
+	for i := range backends {
+		backends[i] = engine.New(cfg.Engine)
 	}
-	for _, p := range cfg.Peers {
-		client, err := New(p)
-		if err != nil {
-			for _, b := range backends {
-				// Construction failed before any job was submitted;
-				// the dial error is the one worth returning.
-				_ = b.Close()
-			}
-			return nil, err
-		}
-		backends = append(backends, client)
-	}
-	if cfg.Failover {
-		return engine.NewBalancer(engine.BalancerOptions{
-			MaxRetries:     cfg.MaxRetries,
-			HealthInterval: cfg.HealthInterval,
-			Chunk:          cfg.Chunk,
-			Cache:          resultCache,
-		}, backends...), nil
-	}
-	if len(backends) == 1 {
-		return backends[0], nil
-	}
-	return engine.NewShardSetOf(backends...), nil
+	return engine.NewBalancer(engine.BalancerOptions{
+		MaxRetries:     cfg.MaxRetries,
+		HealthInterval: cfg.HealthInterval,
+		Chunk:          cfg.Chunk,
+		Cache:          resultCache,
+	}, append(backends, peers...)...), nil
 }

@@ -80,7 +80,7 @@ func TestPeerDownAtDial(t *testing.T) {
 		t.Errorf("local stats %+v, want 2 submitted / 2 failed", st)
 	}
 
-	// A single-job batch takes the /v1/eval path; its failure must be
+	// A single-job batch is a one-job stream; its failure must be
 	// counted too, keeping the submitted = resolved invariant.
 	c2 := mustClient(t, dead, remote.WithRetries(0))
 	if results, _ := c2.Run(context.Background(), []engine.Job{specJob("solo")}); results[0].Err == nil {
@@ -167,6 +167,20 @@ func ndjsonHandler(rows []string, tail func(w http.ResponseWriter, r *http.Reque
 func okRow(name string) string {
 	raw, _ := json.Marshal(bench.JobReport{Name: name, OK: true, Worker: 3})
 	return string(raw)
+}
+
+// ackStream answers a stub peer's /v1/suite request the way art9-serve
+// answers ?ack=1: it writes the start acknowledgement for jobs and
+// returns the writer of the end acknowledgement, to call after the
+// result rows. A request for any other path or stream variant fails the
+// test — the client dispatches over the acknowledged stream only.
+func ackStream(t *testing.T, w http.ResponseWriter, r *http.Request, jobs int) (end func(rows int)) {
+	if r.URL.Path != "/v1/suite" || r.URL.Query().Get("ack") != "1" {
+		t.Errorf("peer got %s %s, want POST /v1/suite?ack=1", r.Method, r.URL)
+	}
+	enc := json.NewEncoder(w)
+	enc.Encode(map[string]any{"ack": "start", "jobs": jobs})
+	return func(rows int) { enc.Encode(map[string]any{"ack": "end", "rows": rows}) }
 }
 
 // TestPeerDiesMidStream: the peer flushes one good row, then drops the
@@ -321,7 +335,7 @@ func TestNotRemotableJob(t *testing.T) {
 		t.Errorf("remotable job failed: %v", results[1].Err)
 	}
 	if hits.Load() != 1 {
-		t.Errorf("peer saw %d requests, want 1 (/v1/eval for the one valid job)", hits.Load())
+		t.Errorf("peer saw %d requests, want 1 (one stream for the one valid job)", hits.Load())
 	}
 }
 
@@ -358,6 +372,7 @@ func TestDuplicateNamesDistinctSpecs(t *testing.T) {
 		if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
 			t.Errorf("peer: bad manifest: %v", err)
 		}
+		end := ackStream(t, w, r, len(m.Jobs))
 		fl, _ := w.(http.Flusher)
 		for i := len(m.Jobs) - 1; i >= 0; i-- {
 			json.NewEncoder(w).Encode(bench.JobReport{
@@ -368,6 +383,7 @@ func TestDuplicateNamesDistinctSpecs(t *testing.T) {
 				fl.Flush()
 			}
 		}
+		end(len(m.Jobs))
 	}))
 	defer ts.Close()
 
@@ -395,28 +411,19 @@ func TestDuplicateNamesDistinctSpecs(t *testing.T) {
 }
 
 // TestJobTimeoutShipped: an engine-level per-job Timeout reaches the
-// peer as the manifest entry's timeout_ms, on both the eval and the
-// suite path.
+// peer as the manifest entry's timeout_ms, for a one-job batch and a
+// multi-job one alike.
 func TestJobTimeoutShipped(t *testing.T) {
 	var timeouts []int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/eval":
-			var req struct {
-				bench.ManifestJob
-				Technologies []string `json:"technologies"`
-			}
-			json.NewDecoder(r.Body).Decode(&req)
-			timeouts = append(timeouts, req.TimeoutMS)
-			json.NewEncoder(w).Encode(bench.JobReport{Name: req.Name, OK: true})
-		case "/v1/suite":
-			var m bench.Manifest
-			json.NewDecoder(r.Body).Decode(&m)
-			for _, mj := range m.Jobs {
-				timeouts = append(timeouts, mj.TimeoutMS)
-				json.NewEncoder(w).Encode(bench.JobReport{Name: mj.Name, OK: true})
-			}
+		var m bench.Manifest
+		json.NewDecoder(r.Body).Decode(&m)
+		end := ackStream(t, w, r, len(m.Jobs))
+		for _, mj := range m.Jobs {
+			timeouts = append(timeouts, mj.TimeoutMS)
+			json.NewEncoder(w).Encode(bench.JobReport{Name: mj.Name, OK: true})
 		}
+		end(len(m.Jobs))
 	}))
 	defer ts.Close()
 
@@ -430,7 +437,7 @@ func TestJobTimeoutShipped(t *testing.T) {
 	two.Timeout = 250 * time.Millisecond
 	three := specJob("c")
 	if results, _ := c.Run(context.Background(), []engine.Job{two, three}); results[0].Err != nil || results[1].Err != nil {
-		t.Fatalf("suite path: %v / %v", results[0].Err, results[1].Err)
+		t.Fatalf("multi-job batch: %v / %v", results[0].Err, results[1].Err)
 	}
 	want := []int64{1500, 250, 0}
 	for i, w := range want {
@@ -454,9 +461,11 @@ func TestHeterogeneousTechnologyGroups(t *testing.T) {
 			techsByJob[mj.Name] = m.Technologies
 		}
 		mu.Unlock()
+		end := ackStream(t, w, r, len(m.Jobs))
 		for _, mj := range m.Jobs {
 			json.NewEncoder(w).Encode(bench.JobReport{Name: mj.Name, OK: true})
 		}
+		end(len(m.Jobs))
 	}))
 	defer ts.Close()
 
@@ -500,9 +509,11 @@ func TestLargeBatchesAreChunked(t *testing.T) {
 		if l := int32(len(m.Jobs)); l > maxPerRequest.Load() {
 			maxPerRequest.Store(l)
 		}
+		end := ackStream(t, w, r, len(m.Jobs))
 		for _, mj := range m.Jobs {
 			json.NewEncoder(w).Encode(bench.JobReport{Name: mj.Name, OK: true})
 		}
+		end(len(m.Jobs))
 	}))
 	defer ts.Close()
 
@@ -539,8 +550,7 @@ func TestLargeBatchesAreChunked(t *testing.T) {
 
 // TestTypedErrorsSurviveSuiteRows: rows rendered by the serve layer
 // from typed failures carry error_kind, and the client maps them back —
-// errors.Is works identically for multi-job batches, not just the
-// /v1/eval single-job path.
+// errors.Is works on a row's error exactly as on a failed request.
 func TestTypedErrorsSurviveSuiteRows(t *testing.T) {
 	rows := map[string]bench.JobReport{
 		"t": bench.JobReportOf(engine.Result{ID: "t",
@@ -551,9 +561,11 @@ func TestTypedErrorsSurviveSuiteRows(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var m bench.Manifest
 		json.NewDecoder(r.Body).Decode(&m)
+		end := ackStream(t, w, r, len(m.Jobs))
 		for _, mj := range m.Jobs {
 			json.NewEncoder(w).Encode(rows[mj.Name])
 		}
+		end(len(m.Jobs))
 	}))
 	defer ts.Close()
 
@@ -581,24 +593,21 @@ func TestRunReportForUsesLocalCounters(t *testing.T) {
 			json.NewEncoder(w).Encode(map[string]any{
 				"engine": bench.EngineReport{Workers: 16, Submitted: 99999, Completed: 99999},
 			})
-		case "/v1/eval":
-			var req struct {
-				bench.ManifestJob
-			}
-			json.NewDecoder(r.Body).Decode(&req)
-			json.NewEncoder(w).Encode(bench.JobReport{Name: req.Name, OK: true})
 		default:
 			var m bench.Manifest
 			json.NewDecoder(r.Body).Decode(&m)
+			end := ackStream(t, w, r, len(m.Jobs))
 			for _, mj := range m.Jobs {
 				json.NewEncoder(w).Encode(bench.JobReport{Name: mj.Name, OK: true})
 			}
+			end(len(m.Jobs))
 		}
 	}))
 	defer ts.Close()
 
 	c := mustClient(t, ts.URL)
-	set := engine.NewShardSetOf(engine.New(engine.Options{Workers: 1, PrivateCaches: true}), c)
+	set := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
+		engine.New(engine.Options{Workers: 1}), c)
 	defer set.Close()
 	jobs := []engine.Job{
 		{ID: "local", Fn: func(context.Context) (any, error) { return 1, nil },
@@ -615,7 +624,7 @@ func TestRunReportForUsesLocalCounters(t *testing.T) {
 	if rep.Shards != 2 || rep.Workers != 1 {
 		t.Errorf("run report %+v, want 2 shards and the 1 local worker", rep)
 	}
-	// The fleet view still scrapes: the set-wide Stats include the
+	// The fleet view still scrapes: the front-wide Stats include the
 	// peer's lifetime counters.
 	if st := set.Stats(); st.Submitted < 99999 {
 		t.Errorf("scraped set stats %+v, want the peer's lifetime counters included", st)
@@ -732,9 +741,9 @@ func TestProbe(t *testing.T) {
 }
 
 // TestTransportFailuresAreUnavailable pins the failover contract: every
-// transport-class failure — dead peer at dial, severed mid-stream,
-// truncated eval body — wraps engine.ErrUnavailable so a Balancer
-// re-runs the job, while a caller's cancellation does not.
+// transport-class failure — dead peer at dial, severed mid-stream —
+// wraps engine.ErrUnavailable so a Balancer re-runs the job, while a
+// caller's cancellation does not.
 func TestTransportFailuresAreUnavailable(t *testing.T) {
 	t.Run("dial", func(t *testing.T) {
 		ts := httptest.NewServer(nil)
@@ -809,8 +818,8 @@ func TestUnavailableKindSurvivesSuiteRows(t *testing.T) {
 	}
 }
 
-// TestUnavailableKindSurvives503 pins the typed-error round trip on the
-// single-job path: a 503 whose body carries error_kind "unavailable"
+// TestUnavailableKindSurvives503 pins the typed-error round trip of a
+// refused request: a 503 whose body carries error_kind "unavailable"
 // (a front whose own backends are unreachable) re-types to
 // engine.ErrUnavailable, while a bare 503 stays ErrClosed.
 func TestUnavailableKindSurvives503(t *testing.T) {

@@ -21,12 +21,13 @@
 //	POST /v1/cache/fill    sibling-computed result rows in, stored
 //	                  count out (Config.Cache; absent otherwise)
 //
-// Jobs are fanned out across an engine.Evaluator backend — a local
-// shard set by default, or (Config.Peers) a set fronting other
-// art9-serve instances through internal/remote clients, which is how one
-// instance serves a multi-machine fleet. Each request's jobs are
-// cancelled with the request context, so a disconnected client stops
-// paying for evaluation it can no longer receive.
+// Jobs are fanned out across an engine.Evaluator backend — one local
+// engine by default; a health-aware engine.Balancer over several local
+// shards and (Config.Peers) other art9-serve instances reached through
+// internal/remote clients, which is how one instance serves a
+// multi-machine fleet; or an elastic engine.Autoscaler. Each request's
+// jobs are cancelled with the request context, so a disconnected client
+// stops paying for evaluation it can no longer receive.
 package serve
 
 import (
@@ -80,26 +81,23 @@ type Config struct {
 	// jobs out to alongside the local shards (serve→serve proxying).
 	// Do not point a fleet at itself — a cycle proxies forever.
 	Peers []string
-	// Failover fronts the backends with a health-aware engine.Balancer:
-	// least-loaded dispatch, a periodic health-probe loop, and job-level
-	// failover re-running jobs a dying backend dropped. Without it the
-	// backends sit behind the round-robin ShardSet.
-	Failover bool
-	// HealthInterval is the Balancer's probe period and MaxRetries its
-	// per-job failover budget (engine defaults at zero); both ignored
-	// without Failover.
+	// More than one local shard, or any peer, puts a health-aware
+	// engine.Balancer in front: least-loaded dispatch, a periodic
+	// health-probe loop, and job-level failover re-running jobs a dying
+	// backend dropped. HealthInterval is its probe period and MaxRetries
+	// its per-job failover budget (engine defaults at zero; -1 turns
+	// either off). Chunk makes it dispatch in chunks of up to this many
+	// jobs (acknowledged /v1/suite streams to downstream peers), sized
+	// down by live capacity; 0 or 1 places each job on its own. All
+	// three are rejected on a lone local engine and an autoscaled pool.
 	HealthInterval time.Duration
 	MaxRetries     int
-	// Chunk makes the Balancer dispatch in chunks of up to this many
-	// jobs (acknowledged /v1/suite streams to downstream peers), sized
-	// down by live capacity; 0 or 1 places each job on its own. Ignored
-	// without Failover.
-	Chunk int
+	Chunk          int
 	// AutoscaleMin/AutoscaleMax select the elastic engine.Autoscaler
 	// front instead of a fixed topology: local shards float between the
 	// bounds, growing under queued load and draining every retired
-	// member before it closes. Mutually exclusive with Shards, Peers
-	// and Failover.
+	// member before it closes. Mutually exclusive with Shards and
+	// Peers.
 	AutoscaleMin int
 	AutoscaleMax int
 	// StandbyPeers lists downstream art9-serve base URLs the autoscaler
@@ -152,15 +150,16 @@ type Server struct {
 	cacheEpochRejects atomic.Uint64
 }
 
-// New starts the evaluation back end: local engine shards, remote
-// clients for cfg.Peers, or a shard set mixing both. The backend (and
-// the process-wide program/analysis caches the bench jobs share) lives
-// for the server's lifetime, so every request after the first reuses
-// prior work. Fails only on an invalid peer URL.
+// New starts the evaluation back end: one local engine, a Balancer over
+// local shards and remote clients for cfg.Peers, or an Autoscaler. The
+// backend (and the process-wide program/analysis caches the bench jobs
+// share) lives for the server's lifetime, so every request after the
+// first reuses prior work. Fails on an invalid peer URL or an
+// incoherent option combination.
 func New(cfg Config) (*Server, error) {
 	// remote.NewBackendWith owns the defaulting (one local shard unless
-	// peers make a proxy-only topology meaningful) and the failover
-	// composition.
+	// peers make a proxy-only topology meaningful) and the choice of
+	// front.
 	bc := remote.BackendConfig{
 		Shards: cfg.Shards,
 		Engine: engine.Options{
@@ -168,7 +167,6 @@ func New(cfg Config) (*Server, error) {
 			JobTimeout: cfg.JobTimeout,
 		},
 		Peers:              cfg.Peers,
-		Failover:           cfg.Failover,
 		HealthInterval:     cfg.HealthInterval,
 		MaxRetries:         cfg.MaxRetries,
 		Chunk:              cfg.Chunk,
@@ -305,7 +303,8 @@ type healthzReply struct {
 	Workers int    `json:"workers"`
 	Peers   int    `json:"peers,omitempty"`
 	// Failover reports whether a health-aware Balancer fronts the
-	// backends; its per-backend scorecards live in /v1/stats.
+	// backends — every topology with more than one local shard or any
+	// peer; its per-backend scorecards live in /v1/stats.
 	Failover bool `json:"failover,omitempty"`
 	// Autoscale reports whether an elastic Autoscaler fronts the
 	// backends; its scale state and scorecards live in /v1/stats.
@@ -359,11 +358,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	// One scrape round serves both views: remote shards answer Stats()
 	// with a live peer scrape, so summing the per-shard snapshots —
-	// instead of asking the backend again — halves the network cost.
+	// instead of asking the backend again — halves the network cost. A
+	// front hands its members chunks, not streams, so the stream count
+	// is the front's own.
 	per := s.shardStats()
 	var total engine.Stats
 	for _, st := range per {
 		total = total.Add(st)
+	}
+	if c, ok := s.backend.(engine.Composite); ok {
+		total.Streams = c.Streams()
 	}
 	reply := StatsReply{
 		UptimeSeconds: time.Since(s.started).Seconds(),

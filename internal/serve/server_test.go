@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -457,6 +458,13 @@ func TestStatsEndpoint(t *testing.T) {
 		strings.NewReader(`{"name":"bubble","workload":"bubble"}`)); err != nil {
 		t.Fatal(err)
 	}
+	suite, err := http.Post(ts.URL+"/v1/suite", "application/json",
+		strings.NewReader(`{"jobs":[{"name":"gemm","workload":"gemm"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, suite.Body)
+	suite.Body.Close()
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -469,8 +477,13 @@ func TestStatsEndpoint(t *testing.T) {
 	if sr.Engine.Shards != 2 || len(sr.ShardStats) != 2 {
 		t.Errorf("stats %+v, want 2 shards", sr.Engine)
 	}
-	if sr.Engine.Submitted < 1 || sr.Requests < 2 {
-		t.Errorf("stats %+v / %d requests, want at least the eval job and both requests", sr.Engine, sr.Requests)
+	if sr.Engine.Submitted < 2 || sr.Requests < 3 {
+		t.Errorf("stats %+v / %d requests, want at least the eval and suite jobs and all three requests", sr.Engine, sr.Requests)
+	}
+	// The two shards sit behind a Balancer, which hands them chunks
+	// through Run: the one suite stream is counted at the front.
+	if sr.Engine.Streams != 1 {
+		t.Errorf("stats %+v, want the suite's 1 stream counted", sr.Engine)
 	}
 }
 
@@ -654,7 +667,7 @@ func TestSuiteFailoverSurvivesDyingBackend(t *testing.T) {
 	// deterministic mid-suite failure under any scheduling.
 	flaky := faulttest.New("dying-leaf").Width(2).FailAfter(1, nil)
 	bal := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
-		flaky, engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		flaky, engine.New(engine.Options{Workers: 2}))
 	s := NewWithBackend(bal)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -768,16 +781,16 @@ func TestSuiteFailoverSurvivesDyingBackend(t *testing.T) {
 	}
 }
 
-// TestNewFailoverConfig pins the Config wiring: Failover selects a
-// Balancer backend.
+// TestNewFailoverConfig pins the Config wiring: more than one shard
+// selects a Balancer backend, which takes the balancer tuning.
 func TestNewFailoverConfig(t *testing.T) {
-	s, err := New(Config{Shards: 2, Workers: 1, Failover: true, HealthInterval: -1})
+	s, err := New(Config{Shards: 2, Workers: 1, HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	if _, ok := s.Backend().(*engine.Balancer); !ok {
-		t.Fatalf("Failover config built %T, want *engine.Balancer", s.Backend())
+		t.Fatalf("two-shard config built %T, want *engine.Balancer", s.Backend())
 	}
 	if s.shardCount() != 2 {
 		t.Errorf("shardCount = %d, want 2", s.shardCount())
@@ -838,7 +851,7 @@ func TestNewAutoscaleConfig(t *testing.T) {
 // instead of silently ignoring it.
 func TestNewRejectsIncoherentConfig(t *testing.T) {
 	if _, err := New(Config{Workers: 1, Chunk: 4}); !errors.Is(err, engine.ErrInvalidOptions) {
-		t.Errorf("New(Chunk without Failover) = %v, want engine.ErrInvalidOptions", err)
+		t.Errorf("New(Chunk on a lone engine) = %v, want engine.ErrInvalidOptions", err)
 	}
 	if _, err := New(Config{AutoscaleMin: 3, AutoscaleMax: 1}); !errors.Is(err, engine.ErrInvalidOptions) {
 		t.Errorf("New(inverted autoscale bounds) = %v, want engine.ErrInvalidOptions", err)

@@ -16,7 +16,6 @@ type evalConfig struct {
 	queue          int
 	jobTimeout     time.Duration
 	peers          []string
-	failover       bool
 	healthInterval time.Duration
 	maxRetries     int
 	chunk          int
@@ -60,34 +59,34 @@ func WithPeers(urls ...string) Option {
 	return func(c *evalConfig) { c.peers = append(c.peers, urls...) }
 }
 
-// WithFailover fronts the backends with a health-aware Balancer instead
-// of the round-robin ShardSet: each job goes to the least-loaded healthy
-// backend (liveness from local state and remote /v1/healthz probes), and
-// jobs dropped by a dying backend — engine-closed results, severed
-// streams, unreachable peers — are re-run on another backend within a
-// bounded retry budget, so a suite completes as long as any backend
-// survives. Tune with WithHealthInterval and WithMaxRetries.
-func WithFailover() Option { return func(c *evalConfig) { c.failover = true } }
+// WithFailover is a no-op: every fixed topology with more than one
+// backend (WithShards above 1, or any WithPeers) is already fronted by a
+// health-aware Balancer that fails jobs over.
+//
+// Deprecated: drop the option; turn failover off with WithMaxRetries(-1)
+// and the probe loop with WithHealthInterval(-1).
+func WithFailover() Option { return func(*evalConfig) {} }
 
-// WithHealthInterval sets the failover Balancer's health-probe period
-// (0 selects 2s; negative disables the background loop). Only
-// meaningful with WithFailover.
+// WithHealthInterval sets the Balancer's health-probe period (0 selects
+// 2s; negative disables the background loop). Only meaningful where New
+// builds a Balancer: WithShards above 1, or any WithPeers.
 func WithHealthInterval(d time.Duration) Option {
 	return func(c *evalConfig) { c.healthInterval = d }
 }
 
 // WithMaxRetries bounds how many times one job is re-dispatched after a
-// backend-level failure (0 selects 2; negative disables failover
-// retries). Only meaningful with WithFailover.
+// backend-level failure (0 selects 2; negative disables failover). Only
+// meaningful where New builds a Balancer: WithShards above 1, or any
+// WithPeers.
 func WithMaxRetries(n int) Option { return func(c *evalConfig) { c.maxRetries = n } }
 
-// WithChunk makes the failover Balancer dispatch in chunks of up to n
-// jobs: a chunk reaches a remote backend as one acknowledged /v1/suite
-// NDJSON stream (per-row acknowledgement, so a severed chunk
-// re-dispatches only its unresolved jobs on the survivors), and chunk
-// sizes follow the backend's free slots and scraped live capacity. 0 or
-// 1 places each job on its own, one acknowledged stream per job. Only
-// meaningful with WithFailover.
+// WithChunk makes the Balancer dispatch in chunks of up to n jobs: a
+// chunk reaches a remote backend as one acknowledged /v1/suite NDJSON
+// stream (per-row acknowledgement, so a severed chunk re-dispatches only
+// its unresolved jobs on the survivors), and chunk sizes follow the
+// backend's free slots and scraped live capacity. 0 or 1 places each job
+// on its own, one acknowledged stream per job. Only meaningful where New
+// builds a Balancer: WithShards above 1, or any WithPeers.
 func WithChunk(n int) Option { return func(c *evalConfig) { c.chunk = n } }
 
 // WithAutoscale selects the elastic Autoscaler front: the local shard
@@ -96,8 +95,9 @@ func WithChunk(n int) Option { return func(c *evalConfig) { c.chunk = n } }
 // shard drained before it is closed, so no in-flight job is lost —
 // when utilization falls. Tune the hysteresis with WithScaleThresholds,
 // WithScaleCooldown and WithScaleInterval; recruit remote capacity
-// beyond max with WithStandbyPeers. Incompatible with WithShards,
-// WithPeers and WithFailover: the autoscaler owns its topology.
+// beyond max with WithStandbyPeers. Incompatible with WithShards and
+// WithPeers, and takes no balancer tuning (WithChunk, WithMaxRetries,
+// WithHealthInterval): the autoscaler owns its topology.
 func WithAutoscale(min, max int) Option {
 	return func(c *evalConfig) { c.autoscaleMin, c.autoscaleMax = min, max }
 }
@@ -183,34 +183,35 @@ func WithCacheEpoch(epoch uint64) Option {
 //	art9.New(art9.WithPeers("http://h1:9009"))     // remote-only
 //	art9.New(art9.WithShards(2),                   // mixed: 2 local shards
 //	         art9.WithPeers("http://h1:9009"))     //  + 1 remote peer
-//	art9.New(art9.WithFailover(),                  // health-aware fleet with
-//	         art9.WithPeers("http://h1:9009",      //  least-loaded dispatch
-//	                        "http://h2:9009"))     //  and job failover
+//	art9.New(art9.WithPeers("http://h1:9009",      // two peers, chunks of
+//	                        "http://h2:9009"),     //  up to 8 jobs
+//	         art9.WithChunk(8))
 //	art9.New(art9.WithAutoscale(1, 4),             // elastic pool: 1–4 local
 //	         art9.WithStandbyPeers(                //  shards, standby peers
 //	                "http://h1:9009"))             //  recruited under burst
 //
-// Multiple backends compose behind a ShardSet that partitions batches
-// round-robin and merges completion-order streams. Close the returned
-// Evaluator when done; closing a composite closes every backend.
+// One local shard and no peers is a bare Engine. Every other fixed
+// topology is a Balancer: least-loaded dispatch over the backends,
+// health probes, and job-level failover when a backend dies. Close the
+// returned Evaluator when done; closing a front closes every backend.
 //
 // New fails on an invalid peer URL and on incoherent option
-// combinations — failover tuning (WithChunk, WithMaxRetries,
-// WithHealthInterval) without WithFailover, autoscale tuning or standby
-// peers without WithAutoscale, inverted autoscale bounds or thresholds,
-// WithAutoscale mixed with a fixed topology, cache tuning
-// (WithCachePeers, WithCacheMaxBytes, WithCacheEpoch) without
-// WithResultCache — with an error wrapping the typed ErrInvalidOptions. The CLIs vet their flags
-// through the same rule set, so the diagnostics match.
+// combinations — balancer tuning (WithChunk, WithMaxRetries,
+// WithHealthInterval) on a lone local engine or with WithAutoscale,
+// autoscale tuning or standby peers without WithAutoscale, inverted
+// autoscale bounds or thresholds, WithAutoscale mixed with a fixed
+// topology, cache tuning (WithCachePeers, WithCacheMaxBytes,
+// WithCacheEpoch) without WithResultCache — with an error wrapping the
+// typed ErrInvalidOptions. The CLIs vet their flags through the same
+// rule set, so the diagnostics match.
 func New(opts ...Option) (Evaluator, error) {
 	var cfg evalConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	// remote.NewBackendWith owns the validation and composition rules
-	// (shard defaulting, shared vs private caches, ShardSet, Balancer
-	// or Autoscaler wrapping) so this constructor and serve.New cannot
-	// drift.
+	// (shard defaulting, and the choice of Engine, Balancer or
+	// Autoscaler) so this constructor and serve.New cannot drift.
 	return remote.NewBackendWith(remote.BackendConfig{
 		Shards: cfg.shards,
 		Engine: engine.Options{
@@ -219,7 +220,6 @@ func New(opts ...Option) (Evaluator, error) {
 			JobTimeout: cfg.jobTimeout,
 		},
 		Peers:              cfg.peers,
-		Failover:           cfg.failover,
 		HealthInterval:     cfg.healthInterval,
 		MaxRetries:         cfg.maxRetries,
 		Chunk:              cfg.chunk,

@@ -23,7 +23,7 @@ func TestNewRejectsInvalidOptionCombinations(t *testing.T) {
 			opts: []art9.Option{art9.WithChunk(8)},
 			want: "WithChunk"},
 		{name: "max-retries without failover",
-			opts: []art9.Option{art9.WithMaxRetries(3)},
+			opts: []art9.Option{art9.WithShards(1), art9.WithMaxRetries(3)},
 			want: "WithMaxRetries"},
 		{name: "health-interval without failover",
 			opts: []art9.Option{art9.WithHealthInterval(time.Second)},
@@ -33,9 +33,9 @@ func TestNewRejectsInvalidOptionCombinations(t *testing.T) {
 			want: "WithChunk, WithMaxRetries, WithHealthInterval"},
 		{name: "negative tuning still needs failover",
 			opts: []art9.Option{art9.WithMaxRetries(-1), art9.WithHealthInterval(-1)},
-			want: "WithFailover"},
+			want: "nothing to fail over to; add WithPeers or WithShards above 1"},
 		{name: "negative chunk",
-			opts: []art9.Option{art9.WithFailover(), art9.WithShards(2), art9.WithChunk(-1)},
+			opts: []art9.Option{art9.WithShards(2), art9.WithChunk(-1)},
 			want: "WithChunk must be >= 0"},
 		{name: "cache peers without result cache",
 			opts: []art9.Option{art9.WithCachePeers("http://h:1")},
@@ -70,8 +70,8 @@ func TestNewRejectsInvalidOptionCombinations(t *testing.T) {
 				art9.WithScaleInterval(time.Second)},
 			want: "WithStandbyPeers, WithScaleThresholds, WithScaleCooldown, WithScaleInterval"},
 		{name: "autoscale mixed with failover",
-			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithFailover()},
-			want: "both dispatch fronts"},
+			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithMaxRetries(1)},
+			want: "WithMaxRetries: tunes a fixed balancer, but WithAutoscale builds an elastic pool"},
 		{name: "autoscale mixed with fixed shards",
 			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithShards(2)},
 			want: "WithShards"},
@@ -115,9 +115,9 @@ func TestNewAcceptsCoherentCombinations(t *testing.T) {
 	}{
 		{name: "default local pool"},
 		{name: "failover over local shards",
-			opts: []art9.Option{art9.WithFailover(), art9.WithShards(2), art9.WithWorkers(1)}},
+			opts: []art9.Option{art9.WithShards(2), art9.WithWorkers(1)}},
 		{name: "tuned failover fleet",
-			opts: []art9.Option{art9.WithFailover(), art9.WithShards(2), art9.WithWorkers(1),
+			opts: []art9.Option{art9.WithShards(2), art9.WithWorkers(1),
 				art9.WithChunk(4), art9.WithMaxRetries(1), art9.WithHealthInterval(-1)}},
 		{name: "elastic pool",
 			opts: []art9.Option{art9.WithAutoscale(1, 2), art9.WithWorkers(1),
@@ -129,7 +129,7 @@ func TestNewAcceptsCoherentCombinations(t *testing.T) {
 		{name: "result cache over local pool",
 			opts: []art9.Option{art9.WithResultCache(), art9.WithWorkers(1)}},
 		{name: "tuned result cache over failover fleet",
-			opts: []art9.Option{art9.WithFailover(), art9.WithShards(2), art9.WithWorkers(1),
+			opts: []art9.Option{art9.WithShards(2), art9.WithWorkers(1),
 				art9.WithResultCache(), art9.WithCacheMaxBytes(1 << 20),
 				art9.WithCachePeers("http://localhost:9")}},
 	}

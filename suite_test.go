@@ -108,16 +108,17 @@ func TestFacadeSuiteStream(t *testing.T) {
 	}
 }
 
-// TestFacadeShardSet builds a sharded evaluator through New and checks
-// submission-order results and summed stats across the shards.
+// TestFacadeShardSet builds a sharded evaluator through New — a
+// Balancer over two local engines — and checks submission-order results
+// and summed stats across the shards.
 func TestFacadeShardSet(t *testing.T) {
 	ev, err := art9.New(art9.WithShards(2), art9.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ev.Close()
-	if _, ok := ev.(*art9.ShardSet); !ok {
-		t.Fatalf("New(WithShards(2)) = %T, want *ShardSet", ev)
+	if _, ok := ev.(*art9.Balancer); !ok {
+		t.Fatalf("New(WithShards(2)) = %T, want *Balancer", ev)
 	}
 
 	jobs := []art9.EngineJob{
