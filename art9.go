@@ -290,5 +290,5 @@ func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 // backends ship to peers. Successful local results hold *Outcome;
 // results from remote backends hold the peer's report row.
 func SuiteJobs() []EngineJob {
-	return bench.SuiteJobs(bench.Workloads, xlate.Options{})
+	return bench.SuiteJobs(bench.Workloads)
 }

@@ -20,54 +20,87 @@ func TestAssembleDisassembleProperty(t *testing.T) {
 		// Build a random but label-free instruction stream (numeric
 		// branch offsets kept in range and pointing anywhere — the
 		// assembler does not execute them).
-		n := rng.Intn(40) + 5
-		var src strings.Builder
-		for i := 0; i < n; i++ {
-			op := isa.Op(rng.Intn(isa.NumOps))
-			in := isa.Inst{Op: op}
-			if op.HasTa() {
-				in.Ta = isa.Reg(rng.Intn(isa.NumRegs))
-			}
-			if op.HasTb() {
-				in.Tb = isa.Reg(rng.Intn(isa.NumRegs))
-			}
-			if k := op.ImmTrits(); k > 0 {
-				max := ternary.MaxForTrits(k)
-				in.Imm = rng.Intn(2*max+1) - max
-			}
-			if op.IsBranch() {
-				in.B = ternary.Trit(rng.Intn(3) - 1)
-			}
-			src.WriteString(in.String())
-			src.WriteByte('\n')
+		insts := make([]isa.Inst, rng.Intn(40)+5)
+		for i := range insts {
+			insts[i] = instOf(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)),
+				byte(rng.Intn(256)), byte(rng.Intn(256)))
 		}
-		p1, err := Assemble(src.String())
-		if err != nil {
-			t.Fatalf("trial %d: assemble: %v\n%s", trial, err, src.String())
+		checkRoundTrip(t, insts)
+	}
+}
+
+// FuzzAssembleDisassemble is TestAssembleDisassembleProperty over
+// arbitrary inputs: every five bytes become one Table I instruction
+// (opcode, Ta, Tb, branch trit, immediate), each field reduced into its
+// range. The seed corpus is in testdata/fuzz/FuzzAssembleDisassemble.
+func FuzzAssembleDisassemble(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var insts []isa.Inst
+		for ; len(data) >= 5 && len(insts) < 256; data = data[5:] {
+			insts = append(insts, instOf(data[0], data[1], data[2], data[3], data[4]))
 		}
-		for i, w := range p1.Words {
-			if in, err := isa.DecodePacked(ternary.Pack(w)); err != nil || in != p1.Text[i] {
-				t.Fatalf("trial %d: Text[%d] = %v, but Words[%d] decodes as %v (%v)\n%s",
-					trial, i, p1.Text[i], i, in, err, src.String())
-			}
+		if len(insts) == 0 {
+			t.Skip("fewer than five bytes")
 		}
-		// Disassemble and reassemble.
-		var back strings.Builder
-		for _, l := range strings.Split(strings.TrimSpace(Disassemble(p1.Words)), "\n") {
-			f := strings.Fields(l)
-			back.WriteString(strings.Join(f[2:], " ") + "\n")
+		checkRoundTrip(t, insts)
+	})
+}
+
+// instOf reduces five bytes to an instruction whose every field is in
+// range for its opcode.
+func instOf(op, ta, tb, b, imm byte) isa.Inst {
+	in := isa.Inst{Op: isa.Op(int(op) % isa.NumOps)}
+	if in.Op.HasTa() {
+		in.Ta = isa.Reg(int(ta) % isa.NumRegs)
+	}
+	if in.Op.HasTb() {
+		in.Tb = isa.Reg(int(tb) % isa.NumRegs)
+	}
+	if k := in.Op.ImmTrits(); k > 0 {
+		max := ternary.MaxForTrits(k)
+		in.Imm = int(imm)%(2*max+1) - max
+	}
+	if in.Op.IsBranch() {
+		in.B = ternary.Trit(int(b)%3 - 1)
+	}
+	return in
+}
+
+// checkRoundTrip renders insts as source and checks that it assembles,
+// that Text is the decode of Words, and that disassembling and
+// reassembling gives the same Words.
+func checkRoundTrip(t *testing.T, insts []isa.Inst) {
+	t.Helper()
+	var src strings.Builder
+	for _, in := range insts {
+		src.WriteString(in.String())
+		src.WriteByte('\n')
+	}
+	p1, err := Assemble(src.String())
+	if err != nil {
+		t.Fatalf("assemble: %v\n%s", err, src.String())
+	}
+	for i, w := range p1.Words {
+		if in, err := isa.DecodePacked(ternary.Pack(w)); err != nil || in != p1.Text[i] {
+			t.Fatalf("Text[%d] = %v, but Words[%d] decodes as %v (%v)\n%s",
+				i, p1.Text[i], i, in, err, src.String())
 		}
-		p2, err := Assemble(back.String())
-		if err != nil {
-			t.Fatalf("trial %d: reassemble: %v\n%s", trial, err, back.String())
-		}
-		if len(p1.Words) != len(p2.Words) {
-			t.Fatalf("trial %d: length drift %d -> %d", trial, len(p1.Words), len(p2.Words))
-		}
-		for i := range p1.Words {
-			if p1.Words[i] != p2.Words[i] {
-				t.Fatalf("trial %d: word %d drift", trial, i)
-			}
+	}
+	var back strings.Builder
+	for _, l := range strings.Split(strings.TrimSpace(Disassemble(p1.Words)), "\n") {
+		f := strings.Fields(l)
+		back.WriteString(strings.Join(f[2:], " ") + "\n")
+	}
+	p2, err := Assemble(back.String())
+	if err != nil {
+		t.Fatalf("reassemble: %v\n%s", err, back.String())
+	}
+	if len(p1.Words) != len(p2.Words) {
+		t.Fatalf("length drift %d -> %d\n%s", len(p1.Words), len(p2.Words), src.String())
+	}
+	for i := range p1.Words {
+		if p1.Words[i] != p2.Words[i] {
+			t.Fatalf("word %d drift\n%s", i, src.String())
 		}
 	}
 }

@@ -102,7 +102,7 @@ func TestRunAllOnCancelled(t *testing.T) {
 }
 
 func TestSuiteJobsCoverEveryWorkload(t *testing.T) {
-	jobs := SuiteJobs(Workloads, xlate.Options{})
+	jobs := SuiteJobs(Workloads)
 	if len(jobs) != len(Workloads) {
 		t.Fatalf("%d jobs for %d workloads", len(jobs), len(Workloads))
 	}

@@ -195,7 +195,7 @@ func RunAllSerial() (map[string]*Outcome, error) {
 // failure (or a ctx cancellation) is returned as an error, matching the
 // serial path's fail-fast contract.
 func RunAllOn(ctx context.Context, eng *engine.Engine) (map[string]*Outcome, error) {
-	results, _ := eng.Run(ctx, SuiteJobs(Workloads, xlate.Options{}))
+	results, _ := eng.Run(ctx, SuiteJobs(Workloads))
 	res := make(map[string]*Outcome, len(results))
 	for _, r := range results {
 		if r.Err != nil {
@@ -207,21 +207,24 @@ func RunAllOn(ctx context.Context, eng *engine.Engine) (map[string]*Outcome, err
 }
 
 // SuiteJobs wraps workloads as engine jobs, one per workload; each job is
-// one RunCtx: the RV32 reference with both baseline cycle observers, then
-// one timed run of the translated program on the ART-9 functional core.
+// one RunCtx under the default translator options: the RV32 reference
+// with both baseline cycle observers, then one timed run of the
+// translated program on the ART-9 functional core.
 //
 // Each job also carries a *JobSpec with the workload inlined as source
 // text, so remote backends (internal/remote) can ship the exact same
 // work to a peer; attach technologies with JobSpec.Technologies (done by
 // Manifest.EngineJobs) when the peer should also estimate
-// implementations.
-func SuiteJobs(ws []Workload, opts xlate.Options) []engine.Job {
+// implementations. The spec is the job's whole identity — a peer and the
+// result cache see nothing else — which is why a job takes no translator
+// options: ablations call Run directly.
+func SuiteJobs(ws []Workload) []engine.Job {
 	jobs := make([]engine.Job, len(ws))
 	for i, w := range ws {
 		w := w
 		jobs[i] = engine.Job{
 			ID:   w.Name,
-			Fn:   func(ctx context.Context) (any, error) { return RunCtx(ctx, w, opts) },
+			Fn:   func(ctx context.Context) (any, error) { return RunCtx(ctx, w, xlate.Options{}) },
 			Spec: &JobSpec{Job: ManifestJob{Name: w.Name, Source: w.Source, Iterations: w.Iterations}},
 		}
 	}

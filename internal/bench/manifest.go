@@ -149,13 +149,18 @@ type JobSpec struct {
 // each running the full multi-core evaluation of its workload. The
 // manifest's technologies and each entry's timeout ride on the jobs'
 // JobSpecs, so a remote backend applies the same implementation
-// estimates and per-job bounds the local path does.
+// estimates and per-job bounds the local path does. A JobSpec carries
+// no translator options, so any opts but the defaults are refused (see
+// SuiteJobs); the parameter stays only for existing callers.
 func (m *Manifest) EngineJobs(dir string, opts xlate.Options) ([]engine.Job, error) {
+	if opts != (xlate.Options{}) {
+		return nil, fmt.Errorf("manifest: translator options %+v: a job spec carries only the defaults", opts)
+	}
 	ws, err := m.Workloads(dir)
 	if err != nil {
 		return nil, err
 	}
-	jobs := SuiteJobs(ws, opts)
+	jobs := SuiteJobs(ws)
 	for i, j := range jobs {
 		spec := j.Spec.(*JobSpec)
 		spec.Technologies = m.Technologies

@@ -41,3 +41,18 @@ func TestManifestTimeoutRidesTheJobs(t *testing.T) {
 			jobs[1].Timeout, jobs[1].Spec.(*JobSpec).Job.TimeoutMS)
 	}
 }
+
+// TestEngineJobsRefusesTranslatorOptions pins that a job's identity is
+// its spec: JobSpec carries no translator options, so a remote peer and
+// the result cache would see a NoPeephole job as a default one, and a
+// cached backend would replay its row for a later default job.
+// EngineJobs refuses such options instead.
+func TestEngineJobsRefusesTranslatorOptions(t *testing.T) {
+	m, err := ParseManifest([]byte(`{"jobs": [{"name": "bubble", "workload": "bubble"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs, err := m.EngineJobs("", xlate.Options{NoPeephole: true}); err == nil {
+		t.Fatalf("EngineJobs built %d jobs under NoPeephole, want an error", len(jobs))
+	}
+}

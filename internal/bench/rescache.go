@@ -39,6 +39,9 @@ func NewResultCache(store rescache.Cache) *ResultCache {
 	return &ResultCache{store: store}
 }
 
+// Backing returns the store this adapter wraps.
+func (c *ResultCache) Backing() rescache.Cache { return c.store }
+
 // Stats exposes the underlying tier's counters for reports, folding in
 // the codec-level corrupt-entry count only this adapter can observe.
 func (c *ResultCache) Stats() rescache.Stats {

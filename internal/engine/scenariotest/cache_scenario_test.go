@@ -50,31 +50,31 @@ func TestScenarioResultCacheWarmIdentical(t *testing.T) {
 	}{
 		{name: "engine", build: func(t *testing.T) engine.Evaluator {
 			return mustBackend(t, remote.BackendConfig{
-				Cache: true, Engine: engine.Options{Workers: 2}})
+				Cache: true, Workers: 2})
 		}},
 		{name: "shard-set", build: func(t *testing.T) engine.Evaluator {
 			return mustBackend(t, remote.BackendConfig{
-				Cache: true, Shards: 2, Engine: engine.Options{Workers: 2}})
+				Cache: true, Shards: 2, Workers: 2})
 		}},
 		{name: "failover", build: func(t *testing.T) engine.Evaluator {
 			return mustBackend(t, remote.BackendConfig{
 				Cache: true, Shards: 2,
-				HealthInterval: -1, Engine: engine.Options{Workers: 2}})
+				HealthInterval: -1, Workers: 2})
 		}},
 		{name: "failover-chunked", build: func(t *testing.T) engine.Evaluator {
 			return mustBackend(t, remote.BackendConfig{
 				Cache: true, Shards: 2, Chunk: 3,
-				HealthInterval: -1, Engine: engine.Options{Workers: 2}})
+				HealthInterval: -1, Workers: 2})
 		}},
 		{name: "autoscale", build: func(t *testing.T) engine.Evaluator {
 			return mustBackend(t, remote.BackendConfig{
 				Cache: true, AutoscaleMin: 1, AutoscaleMax: 2,
-				ScaleInterval: -1, Engine: engine.Options{Workers: 2}})
+				ScaleInterval: -1, Workers: 2})
 		}},
 		{name: "engine-with-cache-peer", build: func(t *testing.T) engine.Evaluator {
 			return mustBackend(t, remote.BackendConfig{
 				Cache: true, CachePeers: []string{cacheServePeer(t)},
-				Engine: engine.Options{Workers: 2}})
+				Workers: 2})
 		}},
 	}
 	for _, tc := range topologies {
@@ -141,7 +141,7 @@ func TestScenarioCachePeerDiesMidSuite(t *testing.T) {
 	want := scenariotest.ReferenceRows(t, jobs)
 	ev := mustBackend(t, remote.BackendConfig{
 		Cache: true, CachePeers: []string{ts.URL},
-		Engine: engine.Options{Workers: 2},
+		Workers: 2,
 	})
 	defer ev.Close()
 

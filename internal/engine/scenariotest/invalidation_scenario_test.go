@@ -94,7 +94,7 @@ func TestScenarioTechnologyEditedBetweenRuns(t *testing.T) {
 	}
 
 	ev := mustBackend(t, remote.BackendConfig{
-		Cache: true, Engine: engine.Options{Workers: 2}})
+		Cache: true, Workers: 2})
 	defer ev.Close()
 	adapter, ok := engine.ResultCacheOf(ev).(*bench.ResultCache)
 	if !ok {

@@ -332,7 +332,7 @@ func NewResultCache(maxBytes int64, peerURLs []string) (*rescache.Tiered, error)
 }
 
 // NewResultCacheWith assembles a tier from an explicit configuration —
-// the epoch-aware entry point serve and the CLIs use.
+// the epoch-aware entry point NewBackendWith uses for BackendConfig.Cache.
 func NewResultCacheWith(cfg ResultCacheConfig) (*rescache.Tiered, error) {
 	local := rescache.NewLRU(cfg.MaxBytes, 0)
 	var peers []rescache.Cache

@@ -3,14 +3,11 @@ package remote
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/rescache"
 )
 
@@ -196,37 +193,5 @@ func TestNewResultCacheTier(t *testing.T) {
 	st := tier.Stats()
 	if st.Hits != 2 || st.PeerHits != 1 || st.PeerErrors != 0 {
 		t.Fatalf("stats %+v, want 2 hits / 1 peer hit / 0 errors", st)
-	}
-}
-
-func TestValidateCacheTopology(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  BackendConfig
-		want string // substring of the error; "" means valid
-	}{
-		{"peers without cache", BackendConfig{CachePeers: []string{"http://h:1"}}, "-cache-peers"},
-		{"max-bytes without cache", BackendConfig{CacheMaxBytes: 1 << 20}, "-cache-max-bytes"},
-		{"negative max-bytes", BackendConfig{Cache: true, CacheMaxBytes: -1}, "-cache-max-bytes"},
-		{"cache alone", BackendConfig{Cache: true}, ""},
-		{"cache with peers and bound", BackendConfig{
-			Cache: true, CachePeers: []string{"http://h:1"}, CacheMaxBytes: 1 << 20,
-		}, ""},
-		{"cache with failover", BackendConfig{Cache: true, Shards: 2}, ""},
-		{"cache with autoscale", BackendConfig{Cache: true, AutoscaleMin: 1, AutoscaleMax: 2}, ""},
-	} {
-		_, err := ValidateFleetFlags(tc.cfg)
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want mention of %s", tc.name, err, tc.want)
-		}
-		if !errors.Is(err, engine.ErrInvalidOptions) {
-			t.Errorf("%s: error %v does not wrap ErrInvalidOptions", tc.name, err)
-		}
 	}
 }

@@ -112,7 +112,7 @@ func mixedBackend(t *testing.T, peer string, workers int) (*engine.Balancer, *re
 	t.Helper()
 	ev, err := remote.NewBackendWith(remote.BackendConfig{
 		Shards: 1, Peers: []string{peer}, HealthInterval: -1,
-		Engine: engine.Options{Workers: workers},
+		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,10 @@
 // a client splits one batch between this process and a peer, art9-serve
 // -peers fronts a fleet of other art9-serve instances, and fronts of
 // fronts build arbitrary topologies. NewBackendWith builds the standard
-// shapes.
+// shapes from a BackendConfig, the one declaration of a fleet topology:
+// art9's functional options write into it, serve.Config is an alias of
+// it, and FleetFlags reads it from the flags art9-batch and art9-serve
+// share.
 //
 // Jobs are shipped by their engine.Job.Spec (a *bench.JobSpec, attached
 // by bench.SuiteJobs / Manifest.EngineJobs): the program travels inline
@@ -45,7 +48,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/rescache"
 )
 
 // ErrNotRemotable is wrapped into the result of any job submitted to a
@@ -736,19 +738,6 @@ func isConnectError(err error) bool {
 	return errors.Is(err, syscall.ECONNREFUSED)
 }
 
-// SplitPeerList parses a comma-separated peer-URL flag value, dropping
-// blanks so trailing commas are harmless — shared by the art9-batch and
-// art9-serve CLIs.
-func SplitPeerList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // optionNames maps each fleet-configuration knob to the name a user
 // knows it by, so the one validation rule set renders identical
 // diagnostics for library callers (functional options) and CLI
@@ -782,32 +771,16 @@ var flagNames = optionNames{
 	cacheMaxBytes: "-cache-max-bytes", cacheEpoch: "-cache-epoch",
 }
 
-// ValidateConfig vets a BackendConfig's option coherence with library
-// naming (WithChunk, WithAutoscale, ...). NewBackendWith applies it, so
-// art9.New and serve.New reject incoherent combinations with an error
-// wrapping engine.ErrInvalidOptions instead of silently ignoring
-// options. The warning (non-fatal advice, e.g. an autoscaled pool whose
-// bounds pin it) is surfaced by the CLIs and ignored by the library.
-func ValidateConfig(cfg BackendConfig) (warning string, err error) {
-	return validateTopology(cfg, libraryNames)
-}
-
-// ValidateFleetFlags vets the same rule set with CLI flag naming — the
-// one validation behind both art9-batch and art9-serve. Each CLI folds
-// its flag values into a BackendConfig (its -shards default rides in as
-// Shards) and reports the warning on stderr.
-func ValidateFleetFlags(cfg BackendConfig) (warning string, err error) {
-	return validateTopology(cfg, flagNames)
-}
-
-// validateTopology is the one rule set: options that only tune an
-// absent front (balancer tuning where NewBackendWith builds no fixed
+// validateTopology is the one rule set, applied by NewBackendWith with
+// libraryNames and by FleetFlags with flagNames: options that only tune
+// an absent front (balancer tuning where NewBackendWith builds no fixed
 // Balancer, scale tuning or standby peers without Autoscale, cache
 // tuning without Cache) error out, since silently ignoring them would
 // leave the user believing they are in effect; incoherent autoscale
 // bounds and thresholds, and autoscaling mixed with a fixed topology,
-// error out; an autoscaled pool that can never scale warns. Hard errors
-// wrap engine.ErrInvalidOptions.
+// error out; an autoscaled pool that can never scale warns (the CLIs
+// print it; the library ignores it). Hard errors wrap
+// engine.ErrInvalidOptions.
 func validateTopology(cfg BackendConfig, n optionNames) (warning string, err error) {
 	invalid := func(format string, args ...any) error {
 		return fmt.Errorf(format+": %w", append(args, engine.ErrInvalidOptions)...)
@@ -818,7 +791,7 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 	if cfg.CacheMaxBytes < 0 {
 		return "", invalid("%s must be >= 0 (got %d)", n.cacheMaxBytes, cfg.CacheMaxBytes)
 	}
-	if !cfg.Cache && cfg.CacheStore == nil {
+	if !cfg.Cache {
 		var orphaned []string
 		if len(cfg.CachePeers) > 0 {
 			orphaned = append(orphaned, n.cachePeers)
@@ -911,16 +884,20 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 	return "", nil
 }
 
-// BackendConfig describes the backend topology NewBackendWith builds —
-// the one place the composition rules live so art9.New and serve.New
-// cannot drift.
+// BackendConfig is the one declaration of a fleet topology: what
+// NewBackendWith builds, what art9's functional options and serve.Config
+// (an alias) set, and what FleetFlags reads from both CLIs' flags.
 type BackendConfig struct {
 	// Shards is the number of local engines (0: one, unless Peers makes
 	// a proxy-only topology meaningful).
 	Shards int
-	// Engine configures each local shard.
-	Engine engine.Options
-	// Peers lists art9-serve base URLs, one remote Client each.
+	// Workers is each local shard's pool size (0 selects GOMAXPROCS).
+	Workers int
+	// JobTimeout bounds each local evaluation job unless the job sets
+	// its own Timeout; 0 means no deadline.
+	JobTimeout time.Duration
+	// Peers lists art9-serve base URLs, one remote Client each. Do not
+	// point a fleet at itself: a cycle proxies forever.
 	Peers []string
 	// HealthInterval and MaxRetries tune the engine.Balancer that fronts
 	// more than one local shard or any peer (engine defaults apply at
@@ -957,8 +934,9 @@ type BackendConfig struct {
 	// consults a content-addressed store before placing a job, so a hit
 	// short-circuits evaluation entirely (Worker -1). The store is a
 	// bounded local LRU (CacheMaxBytes, 0 selects the rescache default)
-	// fronting one /v1/cache client per CachePeers URL. CachePeers and
-	// CacheMaxBytes require Cache.
+	// fronting one /v1/cache client per CachePeers URL; serve exposes
+	// the same store to siblings on its /v1/cache endpoints.
+	// CachePeers and CacheMaxBytes require Cache.
 	Cache         bool
 	CacheMaxBytes int64
 	CachePeers    []string
@@ -968,11 +946,6 @@ type BackendConfig struct {
 	// touching peers still on the old generation (their rows become
 	// standing misses). Requires Cache.
 	CacheEpoch uint64
-	// CacheStore substitutes a pre-built store (serve passes its own
-	// tier here so the HTTP endpoints and the dispatch path share one
-	// cache); it implies Cache and ignores CacheMaxBytes/CachePeers/
-	// CacheEpoch.
-	CacheStore rescache.Cache
 }
 
 // balanced reports whether the fixed topology has a Balancer front: any
@@ -982,20 +955,21 @@ func (cfg BackendConfig) balanced() bool {
 }
 
 // NewBackendWith assembles the standard backend topology shared by
-// art9.New and serve.New. It builds exactly one of three shapes: the
-// elastic Autoscaler when autoscale bounds are set; a bare local Engine
-// for one local shard and no peers (the default); and otherwise a
-// health-aware Balancer over Shards local engines plus one Client per
-// peer URL. The result cache attaches to the front that places jobs —
-// the Autoscaler, the Balancer, or the lone engine — which also closes
-// it. Incoherent configurations are rejected through ValidateConfig
-// with an error wrapping engine.ErrInvalidOptions.
+// art9.New, serve.New and art9-batch. It builds exactly one of three
+// shapes: the elastic Autoscaler when autoscale bounds are set; a bare
+// local Engine for one local shard and no peers (the default); and
+// otherwise a health-aware Balancer over Shards local engines plus one
+// Client per peer URL. The result cache attaches to the front that
+// places jobs — the Autoscaler, the Balancer, or the lone engine — which
+// also closes it. Incoherent configurations are rejected with an error
+// wrapping engine.ErrInvalidOptions that names the art9 options.
 func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
-	if _, err := ValidateConfig(cfg); err != nil {
+	if _, err := validateTopology(cfg, libraryNames); err != nil {
 		return nil, err
 	}
 	// Clients hold no resources until they carry a job, so building them
-	// first lets a bad peer URL fail before anything needs closing.
+	// first lets a bad peer or standby URL fail before the cache tier,
+	// whose fill worker would then need closing, exists.
 	var peers []engine.Evaluator
 	for _, p := range cfg.Peers {
 		client, err := New(p)
@@ -1004,45 +978,42 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 		}
 		peers = append(peers, client)
 	}
-	var resultCache engine.ResultCache
-	if cfg.Cache || cfg.CacheStore != nil {
-		store := cfg.CacheStore
-		if store == nil {
-			tier, err := NewResultCacheWith(ResultCacheConfig{
-				MaxBytes: cfg.CacheMaxBytes,
-				Peers:    cfg.CachePeers,
-				Epoch:    cfg.CacheEpoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			store = tier
+	var standbys []engine.StandbyBackend
+	for _, p := range cfg.StandbyPeers {
+		p := p
+		// Validate eagerly so a misconfigured fleet fails at
+		// construction, not at the first burst; the probe client is
+		// discarded and each recruitment dials fresh.
+		probe, err := New(p)
+		if err != nil {
+			return nil, err
 		}
-		resultCache = bench.NewResultCache(store)
+		// The probe never carried a job, so its close verdict is
+		// uninteresting by construction.
+		_ = probe.Close()
+		standbys = append(standbys, engine.StandbyBackend{
+			Name: p,
+			Dial: func() (engine.Evaluator, error) { return New(p) },
+		})
+	}
+	eo := engine.Options{Workers: cfg.Workers, JobTimeout: cfg.JobTimeout}
+	var resultCache engine.ResultCache
+	if cfg.Cache {
+		tier, err := NewResultCacheWith(ResultCacheConfig{
+			MaxBytes: cfg.CacheMaxBytes,
+			Peers:    cfg.CachePeers,
+			Epoch:    cfg.CacheEpoch,
+		})
+		if err != nil {
+			return nil, err
+		}
+		resultCache = bench.NewResultCache(tier)
 	}
 	if cfg.AutoscaleMin != 0 || cfg.AutoscaleMax != 0 {
-		var standbys []engine.StandbyBackend
-		for _, p := range cfg.StandbyPeers {
-			p := p
-			// Validate eagerly so a misconfigured fleet fails at
-			// construction, not at the first burst; the probe client is
-			// discarded and each recruitment dials fresh.
-			probe, err := New(p)
-			if err != nil {
-				return nil, err
-			}
-			// The probe never carried a job, so its close verdict is
-			// uninteresting by construction.
-			_ = probe.Close()
-			standbys = append(standbys, engine.StandbyBackend{
-				Name: p,
-				Dial: func() (engine.Evaluator, error) { return New(p) },
-			})
-		}
 		return engine.NewAutoscaler(engine.AutoscalerOptions{
 			Min:           cfg.AutoscaleMin,
 			Max:           cfg.AutoscaleMax,
-			Engine:        cfg.Engine,
+			Engine:        eo,
 			Standby:       standbys,
 			UpThreshold:   cfg.ScaleUpThreshold,
 			DownThreshold: cfg.ScaleDownThreshold,
@@ -1052,13 +1023,12 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 		}), nil
 	}
 	if !cfg.balanced() {
-		opts := cfg.Engine
-		opts.Cache = resultCache
-		return engine.New(opts), nil
+		eo.Cache = resultCache
+		return engine.New(eo), nil
 	}
 	backends := make([]engine.Evaluator, max(cfg.Shards, 0), max(cfg.Shards, 0)+len(peers))
 	for i := range backends {
-		backends[i] = engine.New(cfg.Engine)
+		backends[i] = engine.New(eo)
 	}
 	return engine.NewBalancer(engine.BalancerOptions{
 		MaxRetries:     cfg.MaxRetries,

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/engine"
@@ -51,7 +53,7 @@ func TestNewBackendWithShapes(t *testing.T) {
 		for _, cache := range []bool{false, true} {
 			cfg := tc.cfg
 			cfg.Cache = cache
-			cfg.Engine.Workers = 1
+			cfg.Workers = 1
 			ev, err := remote.NewBackendWith(cfg)
 			if err != nil {
 				t.Fatalf("%s (cache %v): %v", tc.name, cache, err)
@@ -95,7 +97,7 @@ func TestBackendCacheShortCircuitsEveryTopology(t *testing.T) {
 		{"proxy-only fleet", remote.BackendConfig{Cache: true, Peers: []string{leaf, leaf}}},
 	} {
 		cfg := tc.cfg
-		cfg.Engine.Workers = 2
+		cfg.Workers = 2
 		ev, err := remote.NewBackendWith(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -147,4 +149,40 @@ func cacheManifestJobs(t *testing.T) []engine.Job {
 		t.Fatal(err)
 	}
 	return jobs
+}
+
+// TestFailedBuildLeaksNoGoroutine pins that a build refused over a bad
+// peer or standby URL leaves nothing running: the cache tier, whose fill
+// worker starts when CachePeers is set, is built only after every URL
+// has parsed. It covers NewBackendWith and serve.New, which builds
+// through it.
+func TestFailedBuildLeaksNoGoroutine(t *testing.T) {
+	cachePeers := []string{"http://127.0.0.1:9"}
+	builds := map[string]func() error{
+		"NewBackendWith bad standby": func() error {
+			_, err := remote.NewBackendWith(remote.BackendConfig{
+				AutoscaleMax: 2, StandbyPeers: []string{"ftp://bad"}, Cache: true, CachePeers: cachePeers})
+			return err
+		},
+		"serve.New bad peer": func() error {
+			_, err := serve.New(serve.Config{Cache: true, CachePeers: cachePeers, Peers: []string{"ftp://bad"}})
+			return err
+		},
+	}
+	for name, build := range builds {
+		before := runtime.NumGoroutine()
+		for i := 0; i < 5; i++ {
+			if err := build(); err == nil {
+				t.Fatalf("%s: built, want a URL error", name)
+			}
+		}
+		// Goroutines of earlier tests may still be exiting; a leak never does.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: five failed builds raised the goroutine count from %d to %d", name, before, after)
+		}
+	}
 }

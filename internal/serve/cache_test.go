@@ -3,13 +3,17 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/rescache"
+	"repro/internal/xlate"
 )
 
 func postJSON(t *testing.T, url string, body string) *http.Response {
@@ -123,8 +127,20 @@ func TestCacheRequestLimitsAndMethods(t *testing.T) {
 // serve instances pointed at each other as cache peers; a suite run on
 // one seeds the tier, so the same manifest run on the OTHER answers
 // from the cache (nonzero hits in its /v1/stats) with identical rows.
+// The filling instance is built as each of the three fronts, so its
+// /v1/cache endpoints must answer from the tier its dispatch path fills.
 func TestFleetCacheSecondRunHits(t *testing.T) {
-	sA, tsA := newTestServer(t, Config{Workers: 2, Cache: true})
+	for name, fill := range map[string]Config{
+		"engine":     {Workers: 2, Cache: true},
+		"balancer":   {Workers: 2, Cache: true, Shards: 2},
+		"autoscaler": {Workers: 2, Cache: true, AutoscaleMax: 2},
+	} {
+		t.Run(name, func(t *testing.T) { testFleetCacheSecondRunHits(t, fill) })
+	}
+}
+
+func testFleetCacheSecondRunHits(t *testing.T, fill Config) {
+	sA, tsA := newTestServer(t, fill)
 	// B joins with A as its cache peer; A is not re-pointed at B, which
 	// also exercises the asymmetric (one-way) fleet shape.
 	_, tsB := newTestServer(t, Config{Workers: 2, Cache: true, CachePeers: []string{tsA.URL}})
@@ -219,5 +235,58 @@ func TestFleetCacheSecondRunHits(t *testing.T) {
 		if jr.Worker != -1 {
 			t.Fatalf("warm job %s ran on worker %d, want -1 (cache hit)", jr.Name, jr.Worker)
 		}
+	}
+}
+
+// keyRecorder is a rescache.Cache that misses every lookup and records
+// the key asked for, which is how a test learns a job's result key.
+type keyRecorder struct{ key string }
+
+func (k *keyRecorder) Get(_ context.Context, key string) ([]byte, bool) {
+	k.key = key
+	return nil, false
+}
+func (k *keyRecorder) Put(context.Context, string, []byte) {}
+func (k *keyRecorder) Stats() rescache.Stats               { return rescache.Stats{} }
+
+// TestStatsCountCorruptRows pins that /v1/stats reports the rows the
+// dispatch path found unusable: a non-OK row planted under a job's key
+// is evicted and counted, and only the bench adapter on the front sees
+// that, so the count must come from it rather than from the tier.
+func TestStatsCountCorruptRows(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Cache: true})
+	manifest := `{"technologies":["cntfet32"],"jobs":[{"name":"bubble","workload":"bubble"}]}`
+	m, err := bench.ParseManifest([]byte(manifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := m.EngineJobs("", xlate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var rec keyRecorder
+	bench.NewResultCache(&rec).Lookup(ctx, jobs[0].Spec)
+	if rec.key == "" {
+		t.Fatal("the job has no result key")
+	}
+	planted, _ := json.Marshal(bench.JobReport{Name: "bubble", Error: "planted"})
+	s.cache.Local().Put(ctx, rec.key, planted)
+
+	resp := postJSON(t, ts.URL+"/v1/suite", manifest)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats StatsReply
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if r := stats.Cache.Results; r == nil || r.Corrupt != 1 {
+		t.Fatalf("stats cache.results %+v, want corrupt 1", r)
 	}
 }

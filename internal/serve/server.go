@@ -21,13 +21,18 @@
 //	POST /v1/cache/fill    sibling-computed result rows in, stored
 //	                  count out (Config.Cache; absent otherwise)
 //
-// Jobs are fanned out across an engine.Evaluator backend — one local
+// Jobs are fanned out across an engine.Evaluator backend, which New
+// builds with remote.NewBackendWith from a Config (an alias of
+// remote.BackendConfig, the one fleet topology declaration): one local
 // engine by default; a health-aware engine.Balancer over several local
 // shards and (Config.Peers) other art9-serve instances reached through
 // internal/remote clients, which is how one instance serves a
-// multi-machine fleet; or an elastic engine.Autoscaler. Each request's
-// jobs are cancelled with the request context, so a disconnected client
-// stops paying for evaluation it can no longer receive.
+// multi-machine fleet; or an elastic engine.Autoscaler. With
+// Config.Cache the /v1/cache endpoints serve the result-cache tier that
+// backend's front consults, so there is one tier per server. Each
+// request's jobs are cancelled with the request context, so a
+// disconnected client stops paying for evaluation it can no longer
+// receive.
 package serve
 
 import (
@@ -68,76 +73,24 @@ const (
 	maxCacheValue = 1 << 20
 )
 
-// Config sizes the server's evaluation back end.
-type Config struct {
-	// Shards is the number of local engines. 0 selects one — unless
-	// Peers is non-empty, where 0 means proxy-only (no local pool).
-	Shards int
-	// Workers is the per-shard pool size; 0 selects GOMAXPROCS.
-	Workers int
-	// JobTimeout bounds each local evaluation job; 0 means no deadline.
-	JobTimeout time.Duration
-	// Peers lists base URLs of downstream art9-serve instances to fan
-	// jobs out to alongside the local shards (serve→serve proxying).
-	// Do not point a fleet at itself — a cycle proxies forever.
-	Peers []string
-	// More than one local shard, or any peer, puts a health-aware
-	// engine.Balancer in front: least-loaded dispatch, a periodic
-	// health-probe loop, and job-level failover re-running jobs a dying
-	// backend dropped. HealthInterval is its probe period and MaxRetries
-	// its per-job failover budget (engine defaults at zero; -1 turns
-	// either off). Chunk makes it dispatch in chunks of up to this many
-	// jobs (acknowledged /v1/suite streams to downstream peers), sized
-	// down by live capacity; 0 or 1 places each job on its own. All
-	// three are rejected on a lone local engine and an autoscaled pool.
-	HealthInterval time.Duration
-	MaxRetries     int
-	Chunk          int
-	// AutoscaleMin/AutoscaleMax select the elastic engine.Autoscaler
-	// front instead of a fixed topology: local shards float between the
-	// bounds, growing under queued load and draining every retired
-	// member before it closes. Mutually exclusive with Shards and
-	// Peers.
-	AutoscaleMin int
-	AutoscaleMax int
-	// StandbyPeers lists downstream art9-serve base URLs the autoscaler
-	// dials only once the local ceiling is exhausted, and retires first
-	// when load drops.
-	StandbyPeers []string
-	// ScaleUpThreshold/ScaleDownThreshold, ScaleCooldown and
-	// ScaleInterval tune the autoscaler's hysteresis (engine defaults
-	// at zero); all ignored without AutoscaleMin/AutoscaleMax.
-	ScaleUpThreshold   float64
-	ScaleDownThreshold float64
-	ScaleCooldown      time.Duration
-	ScaleInterval      time.Duration
-	// Cache enables the fleet-wide result cache: the dispatch path
-	// consults a content-addressed store before placing a job, and the
-	// /v1/cache/{lookup,fill} endpoints expose this instance's local
-	// store to sibling serve instances. CacheMaxBytes bounds the local
-	// store (0 selects the rescache default); CachePeers lists sibling
-	// base URLs whose /v1/cache tier is consulted on a local miss and
-	// filled on a local compute. CacheEpoch is the fleet-wide
-	// invalidation generation: every /v1/cache exchange carries it and
-	// a disagreement is a standing miss (lookup) or a rejected entry
-	// (fill), so restarting with a bumped epoch abandons every
-	// previously cached row fleet-wide. All three require Cache.
-	Cache         bool
-	CacheMaxBytes int64
-	CachePeers    []string
-	CacheEpoch    uint64
-}
+// Config sizes the server's evaluation back end. It is the one fleet
+// topology declaration, remote.BackendConfig: Shards 0 selects one local
+// engine unless Peers makes the front proxy-only, and Cache also mounts
+// the /v1/cache/{lookup,fill} endpoints, which serve the same tier the
+// dispatch path fills.
+type Config = remote.BackendConfig
 
 // Server owns an Evaluator backend and serves the /v1 API. Create with
 // New, mount via Handler, release with Close.
 type Server struct {
 	backend engine.Evaluator
 	peers   int
-	// cache is the result-cache tier the dispatch path consults; its
-	// Local() store is what /v1/cache/{lookup,fill} serve to siblings.
-	// Nil when Config.Cache is off (the endpoints then 404, which cache
-	// clients treat as a standing miss).
-	cache *rescache.Tiered
+	// results is the result cache on the backend's dispatch path, and
+	// cache the tier it wraps, whose Local() store /v1/cache/{lookup,fill}
+	// serve to siblings. Both nil when Config.Cache is off (the endpoints
+	// then 404, which cache clients treat as a standing miss).
+	results *bench.ResultCache
+	cache   *rescache.Tiered
 	// jobTimeout is Config.JobTimeout, stamped onto jobs that carry no
 	// bound of their own so the deadline rides the wire spec to peer
 	// backends — the engine option only covers local shards.
@@ -151,65 +104,25 @@ type Server struct {
 }
 
 // New starts the evaluation back end: one local engine, a Balancer over
-// local shards and remote clients for cfg.Peers, or an Autoscaler. The
-// backend (and the process-wide program/analysis caches the bench jobs
-// share) lives for the server's lifetime, so every request after the
-// first reuses prior work. Fails on an invalid peer URL or an
-// incoherent option combination.
+// local shards and remote clients for cfg.Peers, or an Autoscaler, as
+// remote.NewBackendWith builds it. The backend (and the process-wide
+// program/analysis caches the bench jobs share) lives for the server's
+// lifetime, so every request after the first reuses prior work. Fails
+// on an invalid peer URL or an incoherent option combination.
 func New(cfg Config) (*Server, error) {
-	// remote.NewBackendWith owns the defaulting (one local shard unless
-	// peers make a proxy-only topology meaningful) and the choice of
-	// front.
-	bc := remote.BackendConfig{
-		Shards: cfg.Shards,
-		Engine: engine.Options{
-			Workers:    cfg.Workers,
-			JobTimeout: cfg.JobTimeout,
-		},
-		Peers:              cfg.Peers,
-		HealthInterval:     cfg.HealthInterval,
-		MaxRetries:         cfg.MaxRetries,
-		Chunk:              cfg.Chunk,
-		AutoscaleMin:       cfg.AutoscaleMin,
-		AutoscaleMax:       cfg.AutoscaleMax,
-		StandbyPeers:       cfg.StandbyPeers,
-		ScaleUpThreshold:   cfg.ScaleUpThreshold,
-		ScaleDownThreshold: cfg.ScaleDownThreshold,
-		ScaleCooldown:      cfg.ScaleCooldown,
-		ScaleInterval:      cfg.ScaleInterval,
-		Cache:              cfg.Cache,
-		CacheMaxBytes:      cfg.CacheMaxBytes,
-		CachePeers:         cfg.CachePeers,
-		CacheEpoch:         cfg.CacheEpoch,
-	}
-	// Validate before building the tier so an incoherent cache config
-	// fails with the shared rule set's diagnostic, not a partial build.
-	if _, err := remote.ValidateConfig(bc); err != nil {
-		return nil, err
-	}
-	var tier *rescache.Tiered
-	if cfg.Cache {
-		var err error
-		tier, err = remote.NewResultCacheWith(remote.ResultCacheConfig{
-			MaxBytes: cfg.CacheMaxBytes,
-			Peers:    cfg.CachePeers,
-			Epoch:    cfg.CacheEpoch,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// The server and its dispatch path share one tier: what the
-		// backend computes, /v1/cache/lookup can answer for siblings.
-		bc.CacheStore = tier
-	}
-	backend, err := remote.NewBackendWith(bc)
+	backend, err := remote.NewBackendWith(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := NewWithBackend(backend)
 	s.peers = len(cfg.Peers)
 	s.jobTimeout = cfg.JobTimeout
-	s.cache = tier
+	// The /v1/cache endpoints answer from the tier the front's dispatch
+	// path fills, so what the backend computes, siblings can look up.
+	if rc, ok := engine.ResultCacheOf(backend).(*bench.ResultCache); ok {
+		s.results = rc
+		s.cache, _ = rc.Backing().(*rescache.Tiered)
+	}
 	return s, nil
 }
 
@@ -377,8 +290,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache:         bench.SharedCacheReport(),
 		Capacity:      engine.LocalCapacity(s.backend),
 	}
-	if s.cache != nil {
-		reply.Cache.Results = bench.ResultCacheReportFrom(s.cache.Stats())
+	if s.results != nil {
+		// The adapter's Stats fold in the corrupt rows only it sees.
+		reply.Cache.Results = bench.ResultCacheReportFrom(s.results.Stats())
 		reply.Cache.Results.EpochRejects += s.cacheEpochRejects.Load()
 	}
 	switch front := s.backend.(type) {
@@ -426,7 +340,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	jobs := bench.SuiteJobs([]bench.Workload{wl}, xlate.Options{})
+	jobs := bench.SuiteJobs([]bench.Workload{wl})
 	// Forward the request's technologies and timeout on the job spec so
 	// a peer backend applies the same estimates and bounds the local
 	// path does.

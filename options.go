@@ -3,60 +3,37 @@ package art9
 import (
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/remote"
 )
 
-// Option configures the Evaluator built by New.
-type Option func(*evalConfig)
-
-type evalConfig struct {
-	workers        int
-	shards         int
-	queue          int
-	jobTimeout     time.Duration
-	peers          []string
-	healthInterval time.Duration
-	maxRetries     int
-	chunk          int
-	autoscaleMin   int
-	autoscaleMax   int
-	standbyPeers   []string
-	scaleUp        float64
-	scaleDown      float64
-	scaleCooldown  time.Duration
-	scaleInterval  time.Duration
-	cache          bool
-	cacheMaxBytes  int64
-	cachePeers     []string
-	cacheEpoch     uint64
-}
+// Option configures the Evaluator built by New: each one sets fields of
+// the fleet topology New hands to the shared backend constructor, the
+// same declaration serve.Config and the CLIs' fleet flags fill.
+type Option func(*remote.BackendConfig)
 
 // WithWorkers sets the pool size of each local shard (0 selects
 // GOMAXPROCS).
-func WithWorkers(n int) Option { return func(c *evalConfig) { c.workers = n } }
+func WithWorkers(n int) Option { return func(c *remote.BackendConfig) { c.Workers = n } }
 
 // WithShards sets the number of local engine shards. Left at zero, one
 // local shard is used — unless peers are configured, where zero means
 // remote-only; WithShards(n > 0) adds local shards alongside the peers.
 func WithShards(n int) Option {
-	return func(c *evalConfig) { c.shards = n }
+	return func(c *remote.BackendConfig) { c.Shards = n }
 }
-
-// WithQueue sets each local shard's buffered dispatch-queue depth
-// (0 selects 2× the workers).
-func WithQueue(n int) Option { return func(c *evalConfig) { c.queue = n } }
 
 // WithJobTimeout bounds each local evaluation job; jobs that exceed it
 // fail with ErrTimeout.
-func WithJobTimeout(d time.Duration) Option { return func(c *evalConfig) { c.jobTimeout = d } }
+func WithJobTimeout(d time.Duration) Option {
+	return func(c *remote.BackendConfig) { c.JobTimeout = d }
+}
 
 // WithPeers adds one remote backend per art9-serve base URL (e.g.
 // "http://host:9009"). Jobs fanned to a peer must carry a serializable
 // spec — SuiteJobs and the manifest loader attach one; bare closure
 // jobs fail on remote shards with a not-remotable error.
 func WithPeers(urls ...string) Option {
-	return func(c *evalConfig) { c.peers = append(c.peers, urls...) }
+	return func(c *remote.BackendConfig) { c.Peers = append(c.Peers, urls...) }
 }
 
 // WithFailover is a no-op: every fixed topology with more than one
@@ -65,20 +42,20 @@ func WithPeers(urls ...string) Option {
 //
 // Deprecated: drop the option; turn failover off with WithMaxRetries(-1)
 // and the probe loop with WithHealthInterval(-1).
-func WithFailover() Option { return func(*evalConfig) {} }
+func WithFailover() Option { return func(*remote.BackendConfig) {} }
 
 // WithHealthInterval sets the Balancer's health-probe period (0 selects
 // 2s; negative disables the background loop). Only meaningful where New
 // builds a Balancer: WithShards above 1, or any WithPeers.
 func WithHealthInterval(d time.Duration) Option {
-	return func(c *evalConfig) { c.healthInterval = d }
+	return func(c *remote.BackendConfig) { c.HealthInterval = d }
 }
 
 // WithMaxRetries bounds how many times one job is re-dispatched after a
 // backend-level failure (0 selects 2; negative disables failover). Only
 // meaningful where New builds a Balancer: WithShards above 1, or any
 // WithPeers.
-func WithMaxRetries(n int) Option { return func(c *evalConfig) { c.maxRetries = n } }
+func WithMaxRetries(n int) Option { return func(c *remote.BackendConfig) { c.MaxRetries = n } }
 
 // WithChunk makes the Balancer dispatch in chunks of up to n jobs: a
 // chunk reaches a remote backend as one acknowledged /v1/suite NDJSON
@@ -87,7 +64,7 @@ func WithMaxRetries(n int) Option { return func(c *evalConfig) { c.maxRetries = 
 // backend's free slots and scraped live capacity. 0 or 1 places each job
 // on its own, one acknowledged stream per job. Only meaningful where New
 // builds a Balancer: WithShards above 1, or any WithPeers.
-func WithChunk(n int) Option { return func(c *evalConfig) { c.chunk = n } }
+func WithChunk(n int) Option { return func(c *remote.BackendConfig) { c.Chunk = n } }
 
 // WithAutoscale selects the elastic Autoscaler front: the local shard
 // count floats between min and max (min 0 selects 1), growing when
@@ -99,7 +76,7 @@ func WithChunk(n int) Option { return func(c *evalConfig) { c.chunk = n } }
 // WithPeers, and takes no balancer tuning (WithChunk, WithMaxRetries,
 // WithHealthInterval): the autoscaler owns its topology.
 func WithAutoscale(min, max int) Option {
-	return func(c *evalConfig) { c.autoscaleMin, c.autoscaleMax = min, max }
+	return func(c *remote.BackendConfig) { c.AutoscaleMin, c.AutoscaleMax = min, max }
 }
 
 // WithStandbyPeers lists art9-serve base URLs the autoscaler dials only
@@ -107,7 +84,7 @@ func WithAutoscale(min, max int) Option {
 // reserve capacity, not a fixed fleet (that is WithPeers). Only
 // meaningful with WithAutoscale.
 func WithStandbyPeers(urls ...string) Option {
-	return func(c *evalConfig) { c.standbyPeers = append(c.standbyPeers, urls...) }
+	return func(c *remote.BackendConfig) { c.StandbyPeers = append(c.StandbyPeers, urls...) }
 }
 
 // WithScaleThresholds sets the autoscaler's hysteresis bounds on pool
@@ -116,14 +93,14 @@ func WithStandbyPeers(urls ...string) Option {
 // down must stay below up — hysteresis needs the gap. Only meaningful
 // with WithAutoscale.
 func WithScaleThresholds(up, down float64) Option {
-	return func(c *evalConfig) { c.scaleUp, c.scaleDown = up, down }
+	return func(c *remote.BackendConfig) { c.ScaleUpThreshold, c.ScaleDownThreshold = up, down }
 }
 
 // WithScaleCooldown sets the minimum gap between consecutive scale
 // events (0 selects 2s; negative disables the gap). Only meaningful
 // with WithAutoscale.
 func WithScaleCooldown(d time.Duration) Option {
-	return func(c *evalConfig) { c.scaleCooldown = d }
+	return func(c *remote.BackendConfig) { c.ScaleCooldown = d }
 }
 
 // WithScaleInterval sets the period of the autoscaler's background
@@ -131,7 +108,7 @@ func WithScaleCooldown(d time.Duration) Option {
 // only happens through Autoscaler.ScaleNow). Only meaningful with
 // WithAutoscale.
 func WithScaleInterval(d time.Duration) Option {
-	return func(c *evalConfig) { c.scaleInterval = d }
+	return func(c *remote.BackendConfig) { c.ScaleInterval = d }
 }
 
 // WithResultCache enables the fleet-wide result cache: before placing
@@ -144,12 +121,12 @@ func WithScaleInterval(d time.Duration) Option {
 // manifest loader attach specs; File jobs and bare closures always
 // compute), and failed jobs are never cached. Bound the store with
 // WithCacheMaxBytes; share it across a fleet with WithCachePeers.
-func WithResultCache() Option { return func(c *evalConfig) { c.cache = true } }
+func WithResultCache() Option { return func(c *remote.BackendConfig) { c.Cache = true } }
 
 // WithCacheMaxBytes bounds the local result-cache store (0 selects the
 // default, 64 MiB); cold entries age out LRU-first. Only meaningful
 // with WithResultCache.
-func WithCacheMaxBytes(n int64) Option { return func(c *evalConfig) { c.cacheMaxBytes = n } }
+func WithCacheMaxBytes(n int64) Option { return func(c *remote.BackendConfig) { c.CacheMaxBytes = n } }
 
 // WithCachePeers lists art9-serve base URLs whose /v1/cache tier is
 // consulted on a local miss and filled when a job computes here, so hot
@@ -157,7 +134,7 @@ func WithCacheMaxBytes(n int64) Option { return func(c *evalConfig) { c.cacheMax
 // or cache-less peer degrades to a miss, never a failure. Only
 // meaningful with WithResultCache.
 func WithCachePeers(urls ...string) Option {
-	return func(c *evalConfig) { c.cachePeers = append(c.cachePeers, urls...) }
+	return func(c *remote.BackendConfig) { c.CachePeers = append(c.CachePeers, urls...) }
 }
 
 // WithCacheEpoch sets the fleet-wide cache invalidation generation.
@@ -171,7 +148,7 @@ func WithCachePeers(urls ...string) Option {
 // a mixed-epoch fleet degrades to computing instead of replaying
 // another generation's rows. Only meaningful with WithResultCache.
 func WithCacheEpoch(epoch uint64) Option {
-	return func(c *evalConfig) { c.cacheEpoch = epoch }
+	return func(c *remote.BackendConfig) { c.CacheEpoch = epoch }
 }
 
 // New builds an Evaluator from functional options — the one constructor
@@ -205,34 +182,9 @@ func WithCacheEpoch(epoch uint64) Option {
 // typed ErrInvalidOptions. The CLIs vet their flags through the same
 // rule set, so the diagnostics match.
 func New(opts ...Option) (Evaluator, error) {
-	var cfg evalConfig
+	var cfg remote.BackendConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// remote.NewBackendWith owns the validation and composition rules
-	// (shard defaulting, and the choice of Engine, Balancer or
-	// Autoscaler) so this constructor and serve.New cannot drift.
-	return remote.NewBackendWith(remote.BackendConfig{
-		Shards: cfg.shards,
-		Engine: engine.Options{
-			Workers:    cfg.workers,
-			Queue:      cfg.queue,
-			JobTimeout: cfg.jobTimeout,
-		},
-		Peers:              cfg.peers,
-		HealthInterval:     cfg.healthInterval,
-		MaxRetries:         cfg.maxRetries,
-		Chunk:              cfg.chunk,
-		AutoscaleMin:       cfg.autoscaleMin,
-		AutoscaleMax:       cfg.autoscaleMax,
-		StandbyPeers:       cfg.standbyPeers,
-		ScaleUpThreshold:   cfg.scaleUp,
-		ScaleDownThreshold: cfg.scaleDown,
-		ScaleCooldown:      cfg.scaleCooldown,
-		ScaleInterval:      cfg.scaleInterval,
-		Cache:              cfg.cache,
-		CacheMaxBytes:      cfg.cacheMaxBytes,
-		CachePeers:         cfg.cachePeers,
-		CacheEpoch:         cfg.cacheEpoch,
-	})
+	return remote.NewBackendWith(cfg)
 }
