@@ -85,8 +85,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "art9-serve: listening on %s (%d local shard(s), %d peer(s))\n",
-		*addr, cfg.Shards, len(cfg.Peers))
+	fmt.Fprint(os.Stderr, listeningLine(*addr, srv, len(cfg.Peers)))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -104,6 +103,15 @@ func main() {
 	}
 	srv.Close() // handlers are done submitting; drain the engines
 	fmt.Fprintln(os.Stderr, "art9-serve: stopped")
+}
+
+// listeningLine is the start-up line. It counts the shards of the server
+// as built, the figure /v1/healthz reports, rather than the -shards flag,
+// which autoscaling and the proxy-only default leave at 0 while an engine
+// runs; peers are the -peers backends among them.
+func listeningLine(addr string, srv *serve.Server, peers int) string {
+	n := srv.Shards()
+	return fmt.Sprintf("art9-serve: listening on %s (%d shard(s): %d local, %d peer(s))\n", addr, n, n-peers, peers)
 }
 
 func fatal(err error) {

@@ -43,10 +43,15 @@ func NewResultCache(store rescache.Cache) *ResultCache {
 func (c *ResultCache) Backing() rescache.Cache { return c.store }
 
 // Stats exposes the underlying tier's counters for reports, folding in
-// the codec-level corrupt-entry count only this adapter can observe.
+// the codec-level corrupt-entry count only this adapter can observe. The
+// tier counts a lookup as a hit once it returns bytes, but Lookup answers
+// a corrupt row as a miss, so each corrupt row moves from Hits to Misses.
 func (c *ResultCache) Stats() rescache.Stats {
 	st := c.store.Stats()
 	st.Corrupt = c.corrupt.Load()
+	n := min(st.Corrupt, st.Hits) // a store that counts no hits has none to move
+	st.Hits -= n
+	st.Misses += n
 	return st
 }
 

@@ -1,14 +1,11 @@
 package rv32
 
 // Trace-driven cycle models of the two baseline cores of Tables II/III.
-// Both attach to the Machine as Observers, so a single architectural run
-// produces every baseline's cycle count.
-
-// CycleModel is an Observer that accumulates a cycle count.
-type CycleModel interface {
-	Observer
-	TotalCycles() uint64
-}
+// Both attach to the Machine through Observe, so a single architectural
+// run produces every baseline's cycle count. The machine's run loop steps
+// the VexRiscv model per instruction and charges the PicoRV32 model, whose
+// cost is additive, from a tally when the run stops; each model's Retire
+// is the same accounting for one instruction.
 
 // VexRiscvModel approximates the VexRiscv core at its small interlocked
 // operating point (the ≈0.65 DMIPS/MHz configuration the paper cites):
@@ -25,9 +22,8 @@ type VexRiscvModel struct {
 	MulExtra uint64
 	DivExtra uint64
 
-	t       uint64 // decode cycle of the most recently retired instruction
-	ready   [NumRegs]uint64
-	started bool
+	t     uint64 // decode cycle of the most recently retired instruction
+	ready [NumRegs]uint64
 }
 
 // NewVexRiscvModel returns the model with the small-config parameters.
@@ -37,23 +33,25 @@ func NewVexRiscvModel() *VexRiscvModel {
 
 // Retire implements Observer.
 func (v *VexRiscvModel) Retire(in Inst, taken bool, _ uint32) {
-	t := v.t + 1
-	if !v.started {
-		v.started = true
-		t = 1
+	v.step(&opClasses[in.Op], in, taken)
+}
+
+// step advances the model past one retired instruction in of class c.
+// The run loop calls it with the class it has already read, and it is
+// small enough to be inlined there.
+func (v *VexRiscvModel) step(c *opClass, in Inst, taken bool) {
+	t := v.t + 1 // the first instruction decodes at cycle 1
+	// Interlock until each source's producer reaches writeback. ready[0]
+	// is never set, so x0 never interlocks.
+	if c.readsRs1 {
+		t = max(t, v.ready[in.Rs1])
 	}
-	c := &opClasses[in.Op]
-	// Interlock until each source's producer reaches writeback.
-	if c.readsRs1 && in.Rs1 != 0 && v.ready[in.Rs1] > t {
-		t = v.ready[in.Rs1]
+	if c.readsRs2 {
+		t = max(t, v.ready[in.Rs2])
 	}
-	if c.readsRs2 && in.Rs2 != 0 && v.ready[in.Rs2] > t {
-		t = v.ready[in.Rs2]
-	}
-	switch c.exec {
-	case execMul:
+	if c.exec == execMul {
 		t += v.MulExtra
-	case execDiv:
+	} else if c.exec == execDiv {
 		t += v.DivExtra
 	}
 	if c.writesRd && in.Rd != 0 {
@@ -65,9 +63,10 @@ func (v *VexRiscvModel) Retire(in Inst, taken bool, _ uint32) {
 	v.t = t
 }
 
-// TotalCycles returns decode-slot cycles plus the pipeline drain.
+// TotalCycles returns decode-slot cycles plus the pipeline drain, or 0
+// before the first instruction: every step leaves t at 1 or more.
 func (v *VexRiscvModel) TotalCycles() uint64 {
-	if !v.started {
+	if v.t == 0 {
 		return 0
 	}
 	return v.t + 4
@@ -102,42 +101,58 @@ func NewPicoRV32Model() *PicoRV32Model {
 	}
 }
 
-// Retire implements Observer. The cost fields are read on every call,
-// so an ablation that edits them between runs takes effect.
+// Retire implements Observer: it charges one instruction.
 func (p *PicoRV32Model) Retire(in Inst, taken bool, shamt uint32) {
-	switch opClasses[in.Op].exec {
-	case execJAL:
-		p.Cycles += p.Jump
-	case execJALR:
-		p.Cycles += p.Jalr
-	case execBranch:
+	var t tally
+	t.add(&opClasses[in.Op], taken, shamt)
+	p.charge(&t)
+}
+
+// charge adds the cycles of the instructions t counts. It reads the cost
+// fields when called, so an ablation that edits them between runs takes
+// effect from the next run on.
+func (p *PicoRV32Model) charge(t *tally) {
+	n := &t.class
+	c := n[execALU]*p.ALU + n[execJAL]*p.Jump + n[execJALR]*p.Jalr +
+		t.taken*p.BranchTaken + t.notTaken*p.BranchNot +
+		n[execLoad]*p.Load + n[execStore]*p.Store +
+		n[execMul]*p.Mul + n[execDiv]*p.Div + n[execShift]*p.ShiftBase
+	if p.SerialShift {
+		c += t.shifted
+	}
+	p.Cycles += c
+}
+
+// TotalCycles returns the cycles charged so far.
+func (p *PicoRV32Model) TotalCycles() uint64 { return p.Cycles }
+
+// tally counts what a stretch of retired instructions costs the PicoRV32
+// model: the instructions of each execution class, the conditional
+// branches by outcome, and the sum of the shift amounts.
+type tally struct {
+	class           [numExecClasses]uint64
+	taken, notTaken uint64
+	shifted         uint64
+}
+
+// add counts one retired instruction of class c.
+func (t *tally) add(c *opClass, taken bool, shamt uint32) {
+	t.class[c.exec]++
+	t.shifted += uint64(shamt)
+	if c.exec == execBranch {
 		if taken {
-			p.Cycles += p.BranchTaken
+			t.taken++
 		} else {
-			p.Cycles += p.BranchNot
+			t.notTaken++
 		}
-	case execLoad:
-		p.Cycles += p.Load
-	case execStore:
-		p.Cycles += p.Store
-	case execMul:
-		p.Cycles += p.Mul
-	case execDiv:
-		p.Cycles += p.Div
-	case execShift:
-		p.Cycles += p.ShiftBase
-		if p.SerialShift {
-			p.Cycles += uint64(shamt)
-		}
-	default:
-		p.Cycles += p.ALU
 	}
 }
 
-// TotalCycles implements CycleModel.
-func (p *PicoRV32Model) TotalCycles() uint64 { return p.Cycles }
-
-var (
-	_ CycleModel = (*VexRiscvModel)(nil)
-	_ CycleModel = (*PicoRV32Model)(nil)
-)
+// retired returns the number of instructions t counts.
+func (t *tally) retired() uint64 {
+	var n uint64
+	for _, k := range t.class {
+		n += k
+	}
+	return n
+}

@@ -168,6 +168,8 @@ const (
 	execMul
 	execDiv
 	execShift
+
+	numExecClasses
 )
 
 // opClasses holds the class of every Op value, so indexing it needs no

@@ -1,12 +1,14 @@
 package rv32
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Machine is an instruction-accurate RV32IM simulator with a Harvard
 // layout: text indexed by PC/4, a byte-addressed data RAM from address 0.
-// It produces the retired-instruction trace events the cycle models
-// consume, so one run yields both VexRiscv-like and PicoRV32-like cycle
-// counts.
+// Its run loop drives the attached cycle models, so one run yields both
+// VexRiscv-like and PicoRV32-like cycle counts.
 type Machine struct {
 	PC   uint32
 	X    [NumRegs]uint32
@@ -28,14 +30,19 @@ type Machine struct {
 	Taken   uint64
 	NotTkn  uint64
 
-	// Timing observers, attached via Observe.
+	// The timing models attached via Observe: the run loop steps vex
+	// itself and charges picos when it stops; observers are the rest.
+	vex       *VexRiscvModel
+	picos     []*PicoRV32Model
 	observers []Observer
 }
 
 // Observer consumes the retired instruction stream for timing models.
 type Observer interface {
-	// Retire is called for every architecturally retired instruction.
-	// taken reports branch outcome; shamt the effective shift amount.
+	// Retire is called for every architecturally retired instruction,
+	// after its register write-back. taken reports branch outcome; shamt
+	// the effective shift amount. The machine's PC and counters are
+	// written back only when a run stops.
 	Retire(in Inst, taken bool, shamt uint32)
 }
 
@@ -61,8 +68,24 @@ func (m *Machine) Load(p *Program) error {
 	return nil
 }
 
-// Observe attaches a timing observer.
-func (m *Machine) Observe(o Observer) { m.observers = append(m.observers, o) }
+// Observe attaches a timing observer. The run loop drives the built-in
+// models without a call per instruction: it steps the first VexRiscvModel
+// attached through its concrete type and charges every PicoRV32Model when
+// a run stops. Any other Observer, a second VexRiscvModel included, gets a
+// Retire call per retired instruction.
+func (m *Machine) Observe(o Observer) {
+	switch o := o.(type) {
+	case *VexRiscvModel:
+		if m.vex == nil {
+			m.vex = o
+			return
+		}
+	case *PicoRV32Model:
+		m.picos = append(m.picos, o)
+		return
+	}
+	m.observers = append(m.observers, o)
+}
 
 // Reg returns x[r].
 func (m *Machine) Reg(r Reg) uint32 { return m.X[r] }
@@ -86,7 +109,6 @@ func (m *Machine) load(addr uint32, size int, signed bool) (uint32, error) {
 		shift := 32 - 8*size
 		v = uint32(int32(v<<shift) >> shift)
 	}
-	m.Loads++
 	return v, nil
 }
 
@@ -104,204 +126,249 @@ func (m *Machine) store(addr uint32, size int, v uint32) error {
 	for k := 0; k < size; k++ {
 		m.RAM[addr+uint32(k)] = byte(v >> (8 * k))
 	}
-	m.Stores++
 	return nil
 }
 
-// Step executes one instruction; done=true on halt (EBREAK/ECALL or
-// jump-to-self).
-func (m *Machine) Step() (done bool, err error) {
-	idx := m.PC / 4
-	if m.PC%4 != 0 || int(idx) >= len(m.Text) {
-		return false, fmt.Errorf("rv32: PC %#x outside text", m.PC)
+// word returns the word at addr when it is aligned and inside the touched
+// RAM, which holds for nearly every LW; load handles the rest.
+func (m *Machine) word(addr uint32) (uint32, bool) {
+	if addr%4 != 0 || int(addr) > len(m.RAM)-4 {
+		return 0, false
 	}
-	in := m.Text[idx]
-	rs1, rs2 := m.X[in.Rs1], m.X[in.Rs2]
-	nextPC := m.PC + 4
-	var rd uint32
-	wb := in.Op.WritesRd()
-	taken := false
-	var shamt uint32
+	return binary.LittleEndian.Uint32(m.RAM[addr:]), true
+}
 
-	switch in.Op {
-	case LUI:
-		rd = uint32(in.Imm) << 12
-	case AUIPC:
-		rd = m.PC + uint32(in.Imm)<<12
-	case JAL:
-		rd = m.PC + 4
-		nextPC = m.PC + uint32(in.Imm)
-		taken = true
-	case JALR:
-		rd = m.PC + 4
-		nextPC = (rs1 + uint32(in.Imm)) &^ 1
-		taken = true
-	case BEQ:
-		taken = rs1 == rs2
-	case BNE:
-		taken = rs1 != rs2
-	case BLT:
-		taken = int32(rs1) < int32(rs2)
-	case BGE:
-		taken = int32(rs1) >= int32(rs2)
-	case BLTU:
-		taken = rs1 < rs2
-	case BGEU:
-		taken = rs1 >= rs2
-	case LB:
-		rd, err = m.load(rs1+uint32(in.Imm), 1, true)
-	case LH:
-		rd, err = m.load(rs1+uint32(in.Imm), 2, true)
-	case LW:
-		rd, err = m.load(rs1+uint32(in.Imm), 4, false)
-	case LBU:
-		rd, err = m.load(rs1+uint32(in.Imm), 1, false)
-	case LHU:
-		rd, err = m.load(rs1+uint32(in.Imm), 2, false)
-	case SB:
-		err = m.store(rs1+uint32(in.Imm), 1, rs2)
-	case SH:
-		err = m.store(rs1+uint32(in.Imm), 2, rs2)
-	case SW:
-		err = m.store(rs1+uint32(in.Imm), 4, rs2)
-	case ADDI:
-		rd = rs1 + uint32(in.Imm)
-	case SLTI:
-		if int32(rs1) < in.Imm {
-			rd = 1
+// setWord stores v at addr when it is aligned and inside the touched RAM,
+// and reports whether it did; store handles the rest.
+func (m *Machine) setWord(addr, v uint32) bool {
+	if addr%4 != 0 || int(addr) > len(m.RAM)-4 {
+		return false
+	}
+	binary.LittleEndian.PutUint32(m.RAM[addr:], v)
+	return true
+}
+
+// Step executes one instruction; done=true on halt (EBREAK/ECALL or
+// jump-to-self). It is Run's loop with a budget of one instruction, so a
+// machine that is only single-stepped drives its models as Run does.
+func (m *Machine) Step() (done bool, err error) { return m.run(1) }
+
+// Run executes until halt.
+func (m *Machine) Run() error {
+	done, err := m.run(m.MaxSteps)
+	if err == nil && !done {
+		err = fmt.Errorf("rv32: no halt within %d steps", m.MaxSteps)
+	}
+	return err
+}
+
+// run is the machine's one loop, shared by Run and Step: it executes up
+// to budget instructions from PC and stops early at a halt or a fault.
+// Each step reads the instruction's opClass once and executes it in one
+// switch on the opcode, and the PC stays in a local until the loop stops.
+// The loop counts what a retired instruction adds in a tally; Retired,
+// Loads, Stores, Taken and NotTkn, and the cycles of every attached
+// PicoRV32Model, follow from it when the loop stops. The attached
+// VexRiscvModel, which needs its register scoreboard on every
+// instruction, is stepped in the loop through its concrete type; only a
+// foreign Observer gets a Retire call.
+func (m *Machine) run(budget int) (halted bool, err error) {
+	var t tally
+	text, x, pc, vex := m.Text, &m.X, m.PC, m.vex
+loop:
+	for ; budget > 0; budget-- {
+		idx := pc / 4
+		if pc%4 != 0 || int(idx) >= len(text) {
+			err = fmt.Errorf("rv32: PC %#x outside text", pc)
+			break
 		}
-	case SLTIU:
-		if rs1 < uint32(in.Imm) {
-			rd = 1
-		}
-	case XORI:
-		rd = rs1 ^ uint32(in.Imm)
-	case ORI:
-		rd = rs1 | uint32(in.Imm)
-	case ANDI:
-		rd = rs1 & uint32(in.Imm)
-	case SLLI:
-		shamt = uint32(in.Imm) & 31
-		rd = rs1 << shamt
-	case SRLI:
-		shamt = uint32(in.Imm) & 31
-		rd = rs1 >> shamt
-	case SRAI:
-		shamt = uint32(in.Imm) & 31
-		rd = uint32(int32(rs1) >> shamt)
-	case ADD:
-		rd = rs1 + rs2
-	case SUB:
-		rd = rs1 - rs2
-	case SLL:
-		shamt = rs2 & 31
-		rd = rs1 << shamt
-	case SLT:
-		if int32(rs1) < int32(rs2) {
-			rd = 1
-		}
-	case SLTU:
-		if rs1 < rs2 {
-			rd = 1
-		}
-	case XOR:
-		rd = rs1 ^ rs2
-	case SRL:
-		shamt = rs2 & 31
-		rd = rs1 >> shamt
-	case SRA:
-		shamt = rs2 & 31
-		rd = uint32(int32(rs1) >> shamt)
-	case OR:
-		rd = rs1 | rs2
-	case AND:
-		rd = rs1 & rs2
-	case FENCE:
-		// no-op in this memory model
-	case ECALL, EBREAK:
-		m.Retired++
-		m.notify(in, false, 0)
-		return true, nil
-	case MUL:
-		rd = rs1 * rs2
-	case MULH:
-		rd = uint32(int64(int32(rs1)) * int64(int32(rs2)) >> 32)
-	case MULHSU:
-		rd = uint32(int64(int32(rs1)) * int64(rs2) >> 32)
-	case MULHU:
-		rd = uint32(uint64(rs1) * uint64(rs2) >> 32)
-	case DIV:
-		switch {
-		case rs2 == 0:
-			rd = ^uint32(0)
-		case int32(rs1) == -1<<31 && int32(rs2) == -1:
-			rd = rs1
+		in := text[idx]
+		c := &opClasses[in.Op]
+		rs1, rs2 := x[in.Rs1], x[in.Rs2]
+		next := pc + 4
+		var rd, shamt uint32
+		taken := false
+
+		switch in.Op {
+		case LUI:
+			rd = uint32(in.Imm) << 12
+		case AUIPC:
+			rd = pc + uint32(in.Imm)<<12
+		case JAL:
+			rd = pc + 4
+			next = pc + uint32(in.Imm)
+			taken = true
+		case JALR:
+			rd = pc + 4
+			next = (rs1 + uint32(in.Imm)) &^ 1
+			taken = true
+		case BEQ:
+			taken = rs1 == rs2
+		case BNE:
+			taken = rs1 != rs2
+		case BLT:
+			taken = int32(rs1) < int32(rs2)
+		case BGE:
+			taken = int32(rs1) >= int32(rs2)
+		case BLTU:
+			taken = rs1 < rs2
+		case BGEU:
+			taken = rs1 >= rs2
+		case LB:
+			rd, err = m.load(rs1+uint32(in.Imm), 1, true)
+		case LH:
+			rd, err = m.load(rs1+uint32(in.Imm), 2, true)
+		case LW:
+			a := rs1 + uint32(in.Imm)
+			var ok bool
+			if rd, ok = m.word(a); !ok {
+				rd, err = m.load(a, 4, false)
+			}
+		case LBU:
+			rd, err = m.load(rs1+uint32(in.Imm), 1, false)
+		case LHU:
+			rd, err = m.load(rs1+uint32(in.Imm), 2, false)
+		case SB:
+			err = m.store(rs1+uint32(in.Imm), 1, rs2)
+		case SH:
+			err = m.store(rs1+uint32(in.Imm), 2, rs2)
+		case SW:
+			if a := rs1 + uint32(in.Imm); !m.setWord(a, rs2) {
+				err = m.store(a, 4, rs2)
+			}
+		case ADDI:
+			rd = rs1 + uint32(in.Imm)
+		case SLTI:
+			if int32(rs1) < in.Imm {
+				rd = 1
+			}
+		case SLTIU:
+			if rs1 < uint32(in.Imm) {
+				rd = 1
+			}
+		case XORI:
+			rd = rs1 ^ uint32(in.Imm)
+		case ORI:
+			rd = rs1 | uint32(in.Imm)
+		case ANDI:
+			rd = rs1 & uint32(in.Imm)
+		case SLLI:
+			shamt = uint32(in.Imm) & 31
+			rd = rs1 << shamt
+		case SRLI:
+			shamt = uint32(in.Imm) & 31
+			rd = rs1 >> shamt
+		case SRAI:
+			shamt = uint32(in.Imm) & 31
+			rd = uint32(int32(rs1) >> shamt)
+		case ADD:
+			rd = rs1 + rs2
+		case SUB:
+			rd = rs1 - rs2
+		case SLL:
+			shamt = rs2 & 31
+			rd = rs1 << shamt
+		case SLT:
+			if int32(rs1) < int32(rs2) {
+				rd = 1
+			}
+		case SLTU:
+			if rs1 < rs2 {
+				rd = 1
+			}
+		case XOR:
+			rd = rs1 ^ rs2
+		case SRL:
+			shamt = rs2 & 31
+			rd = rs1 >> shamt
+		case SRA:
+			shamt = rs2 & 31
+			rd = uint32(int32(rs1) >> shamt)
+		case OR:
+			rd = rs1 | rs2
+		case AND:
+			rd = rs1 & rs2
+		case FENCE:
+			// no-op in this memory model
+		case ECALL, EBREAK:
+			next = pc // retires, then halts as a jump to itself does
+		case MUL:
+			rd = rs1 * rs2
+		case MULH:
+			rd = uint32(int64(int32(rs1)) * int64(int32(rs2)) >> 32)
+		case MULHSU:
+			rd = uint32(int64(int32(rs1)) * int64(rs2) >> 32)
+		case MULHU:
+			rd = uint32(uint64(rs1) * uint64(rs2) >> 32)
+		case DIV:
+			switch {
+			case rs2 == 0:
+				rd = ^uint32(0)
+			case int32(rs1) == -1<<31 && int32(rs2) == -1:
+				rd = rs1
+			default:
+				rd = uint32(int32(rs1) / int32(rs2))
+			}
+		case DIVU:
+			if rs2 == 0 {
+				rd = ^uint32(0)
+			} else {
+				rd = rs1 / rs2
+			}
+		case REM:
+			switch {
+			case rs2 == 0:
+				rd = rs1
+			case int32(rs1) == -1<<31 && int32(rs2) == -1:
+				rd = 0
+			default:
+				rd = uint32(int32(rs1) % int32(rs2))
+			}
+		case REMU:
+			if rs2 == 0 {
+				rd = rs1
+			} else {
+				rd = rs1 % rs2
+			}
 		default:
-			rd = uint32(int32(rs1) / int32(rs2))
+			err = fmt.Errorf("rv32: unimplemented op %v", in.Op)
+			break loop
 		}
-	case DIVU:
-		if rs2 == 0 {
-			rd = ^uint32(0)
-		} else {
-			rd = rs1 / rs2
+		if err != nil {
+			err = fmt.Errorf("rv32: at PC %#x: %w", pc, err)
+			break
 		}
-	case REM:
-		switch {
-		case rs2 == 0:
-			rd = rs1
-		case int32(rs1) == -1<<31 && int32(rs2) == -1:
-			rd = 0
-		default:
-			rd = uint32(int32(rs1) % int32(rs2))
+		if taken && c.exec == execBranch {
+			next = pc + uint32(in.Imm)
 		}
-	case REMU:
-		if rs2 == 0 {
-			rd = rs1
-		} else {
-			rd = rs1 % rs2
+		if c.writesRd && in.Rd != 0 {
+			x[in.Rd] = rd
 		}
-	default:
-		return false, fmt.Errorf("rv32: unimplemented op %v", in.Op)
-	}
-	if err != nil {
-		return false, fmt.Errorf("rv32: at PC %#x: %w", m.PC, err)
-	}
-	if in.Op.IsBranch() {
-		if taken {
-			nextPC = m.PC + uint32(in.Imm)
-			m.Taken++
-		} else {
-			m.NotTkn++
+		t.add(c, taken, shamt)
+		if vex != nil {
+			vex.step(c, in, taken)
 		}
+		m.notify(in, taken, shamt)
+		if next == pc {
+			halted = true
+			break
+		}
+		pc = next
 	}
-	if wb && in.Rd != 0 {
-		m.X[in.Rd] = rd
+	m.PC = pc
+	m.Retired += t.retired()
+	m.Loads += t.class[execLoad]
+	m.Stores += t.class[execStore]
+	m.Taken += t.taken
+	m.NotTkn += t.notTaken
+	for _, p := range m.picos {
+		p.charge(&t)
 	}
-	m.Retired++
-	m.notify(in, taken, shamt)
-	if nextPC == m.PC {
-		return true, nil // jump-to-self halt idiom
-	}
-	m.PC = nextPC
-	return false, nil
+	return halted, err
 }
 
 func (m *Machine) notify(in Inst, taken bool, shamt uint32) {
 	for _, o := range m.observers {
 		o.Retire(in, taken, shamt)
 	}
-}
-
-// Run executes until halt.
-func (m *Machine) Run() error {
-	for steps := 0; steps < m.MaxSteps; steps++ {
-		done, err := m.Step()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-	return fmt.Errorf("rv32: no halt within %d steps", m.MaxSteps)
 }

@@ -252,7 +252,11 @@ func (k *keyRecorder) Stats() rescache.Stats               { return rescache.Sta
 // TestStatsCountCorruptRows pins that /v1/stats reports the rows the
 // dispatch path found unusable: a non-OK row planted under a job's key
 // is evicted and counted, and only the bench adapter on the front sees
-// that, so the count must come from it rather than from the tier.
+// that, so the count must come from it rather than from the tier. The
+// job then ran, so the lookup counts as a miss, not as the hit the tier
+// saw when it returned the planted bytes: hits 0, misses 1, corrupt 1,
+// on /v1/stats and in the report section bench.ResultCacheReportFor
+// renders from the same backend.
 func TestStatsCountCorruptRows(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Cache: true})
 	manifest := `{"technologies":["cntfet32"],"jobs":[{"name":"bubble","workload":"bubble"}]}`
@@ -286,7 +290,10 @@ func TestStatsCountCorruptRows(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if r := stats.Cache.Results; r == nil || r.Corrupt != 1 {
-		t.Fatalf("stats cache.results %+v, want corrupt 1", r)
+	if r := stats.Cache.Results; r == nil || r.Hits != 0 || r.Misses != 1 || r.Corrupt != 1 {
+		t.Fatalf("stats cache.results %+v, want hits 0, misses 1, corrupt 1", r)
+	}
+	if r := bench.ResultCacheReportFor(s.Backend()); r == nil || r.Hits != 0 || r.Misses != 1 || r.Corrupt != 1 {
+		t.Fatalf("ResultCacheReportFor %+v, want hits 0, misses 1, corrupt 1", r)
 	}
 }

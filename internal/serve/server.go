@@ -140,9 +140,10 @@ func NewWithBackend(backend engine.Evaluator) *Server {
 // Backend exposes the evaluation backend (stats drill-down, tests).
 func (s *Server) Backend() engine.Evaluator { return s.backend }
 
-// shardCount reports how many shards the backend spans (1 for a
-// non-composite backend).
-func (s *Server) shardCount() int {
+// Shards reports how many shards the backend spans, local engines and
+// peers together (1 for a non-composite backend): the figure /v1/healthz
+// reports.
+func (s *Server) Shards() int {
 	if c, ok := s.backend.(engine.Composite); ok {
 		return c.Size()
 	}
@@ -235,7 +236,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	reply := healthzReply{
 		Status:  "ok",
-		Shards:  s.shardCount(),
+		Shards:  s.Shards(),
 		Workers: engine.LocalStats(s.backend).Workers,
 		Peers:   s.peers,
 		Cache:   s.cache != nil,
@@ -285,7 +286,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply := StatsReply{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Requests:      s.requests.Load(),
-		Engine:        bench.EngineReportFrom(total, s.shardCount()),
+		Engine:        bench.EngineReportFrom(total, s.Shards()),
 		ShardStats:    per,
 		Cache:         bench.SharedCacheReport(),
 		Capacity:      engine.LocalCapacity(s.backend),

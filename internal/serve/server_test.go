@@ -557,7 +557,7 @@ func TestServeProxiesToPeer(t *testing.T) {
 	_, leaf := newTestServer(t, Config{Workers: 2})
 	front, frontTS := newTestServer(t, Config{Peers: []string{leaf.URL}})
 
-	if got := front.shardCount(); got != 1 {
+	if got := front.Shards(); got != 1 {
 		t.Errorf("front shard count %d, want 1 (the one remote client)", got)
 	}
 
@@ -792,8 +792,8 @@ func TestNewFailoverConfig(t *testing.T) {
 	if _, ok := s.Backend().(*engine.Balancer); !ok {
 		t.Fatalf("two-shard config built %T, want *engine.Balancer", s.Backend())
 	}
-	if s.shardCount() != 2 {
-		t.Errorf("shardCount = %d, want 2", s.shardCount())
+	if s.Shards() != 2 {
+		t.Errorf("Shards = %d, want 2", s.Shards())
 	}
 }
 

@@ -61,8 +61,9 @@ func (f *Functional) RunTimed() (Result, error) { return f.run(true) }
 // step fetches and then executes Table I in one switch on the opcode: the
 // case reads its operands from TRF, writes its destination through
 // writeReg, makes its own TDM access, counts its own loads, stores,
-// branches and jumps, and picks the next TIM index. The PC lives in a
-// local TIM index. A halt — a taken transfer to its own address — leaves
+// branches and jumps, and picks the next TIM index. ADDI, ANDI, LUI and
+// LI take their packed immediate from immPacked. The PC lives in a local
+// TIM index. A halt — a taken transfer to its own address — leaves
 // through halt before it writes a register or counts as taken. With timed
 // set the loop also charges the pipeline's stall and squash slots to res
 // and to the budget; that work sits behind a check of loaded and inside
@@ -130,9 +131,9 @@ func (f *Functional) run(timed bool) (Result, error) {
 		case isa.COMP:
 			writeReg(trf, in.Ta, trf[in.Ta].Comp(trf[in.Tb]))
 		case isa.ANDI:
-			writeReg(trf, in.Ta, trf[in.Ta].And(ternary.PackedFromInt(in.Imm)))
+			writeReg(trf, in.Ta, trf[in.Ta].And(immPacked[in.Imm+immBias]))
 		case isa.ADDI:
-			writeReg(trf, in.Ta, trf[in.Ta].Add(ternary.PackedFromInt(in.Imm)))
+			writeReg(trf, in.Ta, trf[in.Ta].Add(immPacked[in.Imm+immBias]))
 		case isa.SRI:
 			writeReg(trf, in.Ta, trf[in.Ta].ShiftRight(ternary.ShiftAmount(in.Imm)))
 		case isa.SLI:
@@ -140,11 +141,11 @@ func (f *Functional) run(timed bool) (Result, error) {
 		case isa.LUI:
 			// imm fits in 4 trits, so its packed form occupies bits 0..3;
 			// shifting by 5 lands it in the upper field with zero fill.
-			writeReg(trf, in.Ta, ternary.PackedFromInt(in.Imm).ShiftLeft(5))
+			writeReg(trf, in.Ta, immPacked[in.Imm+immBias].ShiftLeft(5))
 		case isa.LI:
 			// Keep TRF[Ta][8:5] and replace [4:0] with the 5-trit
 			// immediate, whose packed form occupies bits 0..4 only.
-			ta, low := trf[in.Ta], ternary.PackedFromInt(in.Imm)
+			ta, low := trf[in.Ta], immPacked[in.Imm+immBias]
 			writeReg(trf, in.Ta, ternary.Packed{N: ta.N&^liLoMask | low.N, P: ta.P&^liLoMask | low.P})
 		case isa.BEQ, isa.BNE:
 			if (trf[in.Tb].Trit(0) == in.B) != (in.Op == isa.BNE) {
@@ -236,6 +237,23 @@ func (f *Functional) finish(res *Result, timed bool, pc int, err error) (Result,
 	}
 	return f.S.stop(res, pc, err)
 }
+
+// immBias is the largest immediate magnitude of Table I, LI's and JAL's
+// 5 trits: every immediate an instruction word can encode lies in
+// [−immBias, immBias].
+const immBias = (243 - 1) / 2
+
+// immPacked holds the packed form of every immediate an instruction word
+// can encode, indexed by Imm+immBias, so the run loop converts none. Its
+// instructions come either from decoding a TIM word or from a stream that
+// State.Load trusts only when each immediate fits its op's field, so the
+// index stays inside the table.
+var immPacked = func() (t [2*immBias + 1]ternary.Packed) {
+	for i := range t {
+		t[i] = ternary.PackedFromInt(i - immBias)
+	}
+	return t
+}()
 
 // writeReg stores v in trf[r] as two 32-bit moves. A plain struct copy can
 // compile to one 64-bit load and store, and where v's planes were just

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
 // TestLoadResetsStateBetweenPrograms reuses one State for a long program
@@ -119,4 +121,81 @@ func TestLoadDropsDecodedStream(t *testing.T) {
 	if got := f.S.Reg(1).Int(); got != 10 {
 		t.Errorf("T1 = %d, want 10 from the reloaded image", got)
 	}
+}
+
+// TestLoadTrustsAssembledText pins that Load serves fetches from the
+// stream of everything the assembler emits, so no run falls back to
+// decoding TIM for a program the stream could have served.
+func TestLoadTrustsAssembledText(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for i := 0; i < 200; i++ {
+		src := buildRandomProgram(r, 1+r.Intn(64))
+		p, err := asm.Assemble(src)
+		if err != nil {
+			t.Fatalf("assemble: %v\n%s", err, src)
+		}
+		s := NewState(Config{})
+		if err := s.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.text) != len(p.Words) {
+			t.Fatalf("Load kept %d of %d decoded instructions\n%s", len(s.text), len(p.Words), src)
+		}
+	}
+}
+
+// TestLoadDistrustsUnencodableText hand-builds programs whose decoded
+// stream carries an immediate outside its op's field — ADDI 500, LI 200,
+// LUI −41 — or a register outside TRF, beside TIM words that encode
+// ADDI T1, 1. Load does not trust such a stream, so each core decodes TIM
+// instead: the run neither panics nor reads past the packed-immediate
+// table, and ends as the words say, with the Result of the program the
+// words encode.
+func TestLoadDistrustsUnencodableText(t *testing.T) {
+	good, err := asm.Assemble("ADDI T1, 1\nHALT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []isa.Inst{
+		{Op: isa.ADDI, Ta: 1, Imm: 500},
+		{Op: isa.LI, Ta: 1, Imm: 200},
+		{Op: isa.LUI, Ta: 1, Imm: -41},
+		{Op: isa.ADDI, Ta: 1, Imm: 14},
+		{Op: isa.ADD, Ta: 1, Tb: isa.NumRegs},
+		{Op: isa.NumOps, Ta: 1},
+	} {
+		p := *good
+		p.Text = append([]isa.Inst{bad}, good.Text[1:]...)
+		for _, c := range []core{coreFunctional, coreTimed, corePipeline} {
+			want := runOn(t, c, good)
+			s, run := newCore(c, Config{})
+			if err := s.Load(&p); err != nil {
+				t.Fatalf("%v with %v: Load: %v", c, bad, err)
+			}
+			if s.text != nil {
+				t.Fatalf("%v with %v: Load trusted the stream", c, bad)
+			}
+			res, err := run()
+			if err != nil {
+				t.Fatalf("%v with %v: %v", c, bad, err)
+			}
+			if res != want || res.Retired != 2 || s.Reg(1).Int() != 1 {
+				t.Errorf("%v with %v: T1 %d, result %+v; want T1 1 and %+v", c, bad, s.Reg(1).Int(), res, want)
+			}
+		}
+	}
+}
+
+// runOn runs p on core c over a fresh State and returns its Result.
+func runOn(t *testing.T, c core, p *asm.Program) Result {
+	t.Helper()
+	s, run := newCore(c, Config{})
+	if err := s.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	res, err := run()
+	if err != nil {
+		t.Fatalf("%v: %v", c, err)
+	}
+	return res
 }
