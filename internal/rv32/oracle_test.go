@@ -383,6 +383,9 @@ type refOutcome struct {
 	Retired, Loads, Stores, Taken, NotTkn uint64
 	Err                                   string
 	Vex, Pico                             uint64
+	// Cycles of the observers the machine calls Retire on: the oracle
+	// models attached as foreign Observers, and a second VexRiscvModel.
+	ObsVex, ObsPico, SecondVex uint64
 }
 
 func (c refCase) models() (*VexRiscvModel, *PicoRV32Model) {
@@ -396,15 +399,23 @@ func (c refCase) models() (*VexRiscvModel, *PicoRV32Model) {
 	return vex, pico
 }
 
-// runMachine runs c on Machine with both built-in models attached.
+// runMachine runs c on Machine with both built-in models attached, which
+// the loop drives natively, and beside them the oracle models as foreign
+// Observers and a second VexRiscvModel, which get a Retire call per
+// instruction.
 func (c refCase) runMachine() refOutcome {
 	m := NewMachine(c.RAMBytes)
 	if c.MaxSteps != 0 {
 		m.MaxSteps = c.MaxSteps
 	}
 	vex, pico := c.models()
+	second, _ := c.models()
+	obsVex, obsPico := refVexOf(vex), refPicoOf(pico)
 	m.Observe(vex)
 	m.Observe(pico)
+	m.Observe(second)
+	m.Observe(obsVex)
+	m.Observe(obsPico)
 	var o refOutcome
 	if err := m.Load(c.Prog); err != nil {
 		o.Err = err.Error()
@@ -423,6 +434,7 @@ func (c refCase) runMachine() refOutcome {
 	o.PC, o.X, o.RAM = m.PC, m.X, m.RAM
 	o.Retired, o.Loads, o.Stores, o.Taken, o.NotTkn = m.Retired, m.Loads, m.Stores, m.Taken, m.NotTkn
 	o.Vex, o.Pico = vex.TotalCycles(), pico.TotalCycles()
+	o.ObsVex, o.ObsPico, o.SecondVex = obsVex.TotalCycles(), obsPico.Cycles, second.TotalCycles()
 	return o
 }
 
@@ -455,6 +467,7 @@ func (c refCase) runReference() refOutcome {
 	o.PC, o.X, o.RAM = m.PC, m.X, m.RAM
 	o.Retired, o.Loads, o.Stores, o.Taken, o.NotTkn = m.Retired, m.Loads, m.Stores, m.Taken, m.NotTkn
 	o.Vex, o.Pico = rv.TotalCycles(), rp.Cycles
+	o.ObsVex, o.ObsPico, o.SecondVex = o.Vex, o.Pico, o.Vex
 	return o
 }
 
@@ -491,8 +504,8 @@ func checkAgainstReference(t testing.TB, name string, c refCase) refOutcome {
 }
 
 func (o refOutcome) summary() string {
-	return fmt.Sprintf("PC %#x retired %d loads %d stores %d taken %d not %d vex %d pico %d err %q",
-		o.PC, o.Retired, o.Loads, o.Stores, o.Taken, o.NotTkn, o.Vex, o.Pico, o.Err)
+	return fmt.Sprintf("PC %#x retired %d loads %d stores %d taken %d not %d vex %d pico %d observers %d/%d/%d err %q",
+		o.PC, o.Retired, o.Loads, o.Stores, o.Taken, o.NotTkn, o.Vex, o.Pico, o.ObsVex, o.ObsPico, o.SecondVex, o.Err)
 }
 
 // CheckAgainstReference lets the external tests, which see the benchmark

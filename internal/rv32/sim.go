@@ -1,9 +1,6 @@
 package rv32
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Machine is an instruction-accurate RV32IM simulator with a Harvard
 // layout: text indexed by PC/4, a byte-addressed data RAM from address 0.
@@ -129,25 +126,6 @@ func (m *Machine) store(addr uint32, size int, v uint32) error {
 	return nil
 }
 
-// word returns the word at addr when it is aligned and inside the touched
-// RAM, which holds for nearly every LW; load handles the rest.
-func (m *Machine) word(addr uint32) (uint32, bool) {
-	if addr%4 != 0 || int(addr) > len(m.RAM)-4 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(m.RAM[addr:]), true
-}
-
-// setWord stores v at addr when it is aligned and inside the touched RAM,
-// and reports whether it did; store handles the rest.
-func (m *Machine) setWord(addr, v uint32) bool {
-	if addr%4 != 0 || int(addr) > len(m.RAM)-4 {
-		return false
-	}
-	binary.LittleEndian.PutUint32(m.RAM[addr:], v)
-	return true
-}
-
 // Step executes one instruction; done=true on halt (EBREAK/ECALL or
 // jump-to-self). It is Run's loop with a budget of one instruction, so a
 // machine that is only single-stepped drives its models as Run does.
@@ -219,11 +197,7 @@ loop:
 		case LH:
 			rd, err = m.load(rs1+uint32(in.Imm), 2, true)
 		case LW:
-			a := rs1 + uint32(in.Imm)
-			var ok bool
-			if rd, ok = m.word(a); !ok {
-				rd, err = m.load(a, 4, false)
-			}
+			rd, err = m.load(rs1+uint32(in.Imm), 4, false)
 		case LBU:
 			rd, err = m.load(rs1+uint32(in.Imm), 1, false)
 		case LHU:
@@ -233,9 +207,7 @@ loop:
 		case SH:
 			err = m.store(rs1+uint32(in.Imm), 2, rs2)
 		case SW:
-			if a := rs1 + uint32(in.Imm); !m.setWord(a, rs2) {
-				err = m.store(a, 4, rs2)
-			}
+			err = m.store(rs1+uint32(in.Imm), 4, rs2)
 		case ADDI:
 			rd = rs1 + uint32(in.Imm)
 		case SLTI:

@@ -104,8 +104,8 @@ func NewState(cfg Config) *State {
 // into the power model. When p carries one decoded instruction per TIM
 // word (everything the assembler emits), fetches inside the image use
 // p.Text directly; it is shared, not copied. A stream with an instruction
-// no TIM word can encode in the fields the run loops index by (see
-// encodable) is not trusted: fetches then decode TIM, as past the image.
+// that fails isa.Inst.Validate is not trusted: fetches then decode TIM, as
+// past the image.
 func (s *State) Load(p *asm.Program) error {
 	s.text = nil
 	s.TIM.Reset()
@@ -116,31 +116,21 @@ func (s *State) Load(p *asm.Program) error {
 	if err := s.TDM.SetAll(p.Data); err != nil {
 		return err
 	}
-	if len(p.Text) == len(p.Words) && encodable(p.Text) {
+	if len(p.Text) == len(p.Words) && validText(p.Text) {
 		s.text = p.Text
 	}
 	s.PC = ternary.Packed{}
 	return nil
 }
 
-// immLimit is the largest immediate magnitude of each op's field.
-var immLimit = func() (t [isa.NumOps]int) {
-	for op := range t {
-		t[op] = ternary.MaxForTrits(isa.Op(op).ImmTrits())
-	}
-	return t
-}()
-
-// encodable reports whether every instruction in text could have been
-// decoded from a TIM word as far as the run loops rely on it: a valid
-// opcode, Ta and Tb inside TRF, and an immediate that fits its op's field,
-// which keeps the functional core's immPacked lookups inside the table.
-func encodable(text []isa.Inst) bool {
+// validText reports whether every instruction in text passes
+// isa.Inst.Validate, as every one the assembler encodes does. The run
+// loops rely on it: registers inside TRF, and immediates inside their
+// op's field, which keeps the functional core's immPacked lookups inside
+// the table.
+func validText(text []isa.Inst) bool {
 	for _, in := range text {
-		if in.Op >= isa.NumOps || in.Ta >= isa.NumRegs || in.Tb >= isa.NumRegs {
-			return false
-		}
-		if lim := immLimit[in.Op]; in.Imm < -lim || in.Imm > lim {
+		if in.Validate() != nil {
 			return false
 		}
 	}
