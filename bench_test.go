@@ -103,6 +103,37 @@ func BenchmarkTable3Cycles(b *testing.B) {
 	}
 }
 
+// BenchmarkColdCompile times one compile of a workload with no program
+// cache: the RV32 parse, the translation and the ART-9 assembly of its
+// text, the path a job takes when its program is not cached yet.
+func BenchmarkColdCompile(b *testing.B) {
+	for _, name := range []string{"bubble", "dhrystone"} {
+		w, ok := bench.ByName(name)
+		if !ok {
+			b.Fatalf("unknown workload %s", name)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rvProg, err := rv32.Assemble(w.Source)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := xlate.Translate(rvProg, xlate.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if compiled, err = art9.Assemble(out.Asm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// compiled keeps BenchmarkColdCompile's result live.
+var compiled *art9.Program
+
 // BenchmarkTable4CNTFET regenerates Table IV: gates, power and DMIPS/W of
 // the CNTFET implementation at fmax.
 func BenchmarkTable4CNTFET(b *testing.B) {
