@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/ternary"
 	"repro/internal/xlate"
 )
 
@@ -26,7 +25,7 @@ func main() {
 	noMul := flag.Bool("no-inline-mul", false, "call the runtime multiplier instead of inlining")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: art9-xlate [-o out.t9s] prog.s")
+		fmt.Fprintln(os.Stderr, "usage: art9-xlate [-o out.t9s] [-diag] [-stats] [-no-peephole] [-no-inline-mul] prog.s")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -62,7 +61,6 @@ func main() {
 			100*(1-float64(trits)/float64(rvBits)))
 		fmt.Fprintf(os.Stderr, "redundancy removed  %d instructions\n",
 			res.Ternary.Removed)
-		_ = ternary.WordTrits
 	}
 }
 

@@ -1,7 +1,13 @@
 // Package asm implements the ART-9 assembler: the textual front door of
-// both frameworks in the paper. It turns assembly source into TIM images
-// (encoded 9-trit instructions) and TDM initialisation, resolving labels,
-// expanding pseudo-instructions and relaxing out-of-range branches.
+// both frameworks in the paper. It turns assembly statements into TIM
+// images (encoded 9-trit instructions) and TDM initialisation, resolving
+// labels, expanding pseudo-instructions and relaxing out-of-range
+// branches.
+//
+// Statements come in two ways. The translator hands over typed
+// statements (Stmt), which Build lays out and encodes; Assemble parses
+// source text into the same statements and calls Build, so one code
+// generator serves both.
 //
 // Syntax (one statement per line):
 //
@@ -18,14 +24,15 @@
 //	.space N             ; reserve N zero words
 //	.equ NAME, N         ; assemble-time constant
 //
-// Branch operands may be numeric offsets or labels; label branches that do
-// not reach are relaxed automatically (inverted branch over a JAL, or an
-// absolute LDA+JALR for far targets) using a scratch register that defaults
-// to T8.
+// Labels and .equ constants share one namespace: each name is declared
+// once. Branch operands may be numeric offsets or labels; label branches
+// that do not reach are relaxed automatically (inverted branch over a
+// JAL, or an absolute LDA+JALR for far targets) through Scratch.
 package asm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/isa"
@@ -46,97 +53,171 @@ type Program struct {
 	Data map[int]ternary.Word
 	// Symbols maps label/constant names to values.
 	Symbols map[string]int
-	// Lines maps each Text index to its 1-based source line, for traces.
-	Lines []int
 }
 
 // TextCells returns the number of ternary memory cells the program's
 // instructions occupy — the Fig. 5 metric for ART-9.
 func (p *Program) TextCells() int { return len(p.Text) * ternary.WordTrits }
 
-// Options configure assembly.
-type Options struct {
-	// ScratchReg is the register used by branch relaxation and by the
-	// LDA/far-jump pseudos. Defaults to T8.
-	ScratchReg isa.Reg
-	// NoRelax disables branch relaxation: out-of-range label branches
-	// become errors instead.
-	NoRelax bool
-}
+// Scratch is T8, the register that branch relaxation and HALT's link
+// clobber.
+const Scratch = isa.Reg(8)
 
-// Assemble assembles src with default options.
-func Assemble(src string) (*Program, error) { return AssembleOpts(src, Options{ScratchReg: 8}) }
-
-// AssembleOpts assembles src with explicit options.
-func AssembleOpts(src string, opts Options) (*Program, error) {
-	a := &assembler{opts: opts, equ: map[string]int{}, labels: map[string]int{}}
-	if err := a.parse(src); err != nil {
-		return nil, err
-	}
-	if err := a.layout(); err != nil {
-		return nil, err
-	}
-	return a.emit()
-}
-
-// statement is one parsed source statement bound to its location.
-type statement struct {
-	line int // 1-based source line
-	kind stmtKind
-
-	// instruction statements
-	mnemonic string
-	args     []string
-
-	// directive payloads
-	values []string // .word
-	count  int      // .space / .org target
-	name   string   // .equ
-}
-
-type stmtKind uint8
+// Op is the operation of a statement. Table I's instructions keep their
+// isa.Op numbers, so Op(isa.ADD) is ADD; the pseudos, LabelOnly and the
+// directives follow.
+type Op uint8
 
 const (
-	stInst stmtKind = iota
-	stWord
-	stSpace
-	stOrg
+	NOP       Op = isa.NumOps + iota // ADDI T0, 0 (§IV-B)
+	HALT                             // JAL Scratch, 0: jump to self, stops the simulator
+	LDI                              // Ta = a 9-trit constant: LUI [+ LI]
+	LDA                              // Ta = a label's address or a constant: LUI + LI
+	LabelOnly                        // no instruction: binds Label alone
+
+	// Directives, which only source text declares.
+	TEXT  // .text: later statements go to TIM
+	DATA  // .data: later statements go to TDM
+	ORG   // .org Imm: advance the location counter to Imm
+	SPACE // .space Imm: reserve Imm zero words
+	WORD  // .word: one data word, Imm or the value Target names
+	EQU   // .equ: Label names the constant Imm
+
+	numOps
 )
 
-type section uint8
+var opNames = [numOps - isa.NumOps]string{
+	"NOP", "HALT", "LDI", "LDA", "(label)",
+	".text", ".data", ".org", ".space", ".word", ".equ",
+}
+
+// String returns the mnemonic or directive of o.
+func (o Op) String() string {
+	switch {
+	case o < isa.NumOps:
+		return isa.Op(o).String()
+	case o < numOps:
+		return opNames[o-isa.NumOps]
+	}
+	return fmt.Sprintf("Op(%d)", uint8(o))
+}
+
+// Inst returns the Table I instruction o names; ok is false for a
+// pseudo, LabelOnly or a directive.
+func (o Op) Inst() (op isa.Op, ok bool) { return isa.Op(o), o < isa.NumOps }
+
+// Stmt is one ART-9 assembly statement: an instruction, a pseudo, a
+// label alone or a directive. Operands the op does not take are ignored,
+// as the printer leaves them out.
+type Stmt struct {
+	Label   string // name bound to the statement's address (EQU: to Imm)
+	Op      Op
+	Ta, Tb  isa.Reg
+	B       ternary.Trit // BEQ/BNE condition trit
+	SrcLine int32        // 1-based source line; 0 for generated statements
+	Imm     int          // immediate, numeric branch offset or constant
+	// Target is a symbolic operand. A branch or JAL target names a
+	// label, an LDI value a .equ constant, and any other value either.
+	// When set, Imm is ignored.
+	Target string
+}
+
+// operand is one source operand of a statement.
+type operand uint8
 
 const (
-	secText section = iota
-	secData
+	opTa    operand = iota // register in Ta
+	opTb                   // register in Tb
+	opB                    // condition trit in B
+	opValue                // Imm, or the label or constant Target names
+	opConst                // Imm alone, a constant known where it appears
+	opName                 // the constant Label names
 )
 
-// item is a laid-out unit: an instruction group (a source statement that
-// expands to one or more machine instructions) or data words.
-type item struct {
-	stmt    *statement
-	sec     section
-	addr    int // location counter at start of item
-	size    int // words occupied (instructions for text)
-	relaxed int // relaxation level for branches: 0 short, 1 medium, 2 far
+// operands lists each op's source operands in order. Table I's come from
+// isa's field rules: Ta, Tb, the condition trit, then the immediate.
+var operands = func() (t [numOps][]operand) {
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		var f []operand
+		if op.HasTa() {
+			f = append(f, opTa)
+		}
+		if op.HasTb() {
+			f = append(f, opTb)
+		}
+		if op.IsBranch() {
+			f = append(f, opB)
+		}
+		if op.ImmTrits() > 0 {
+			f = append(f, opValue)
+		}
+		t[op] = f
+	}
+	t[LDI] = []operand{opTa, opValue}
+	t[LDA] = []operand{opTa, opValue}
+	t[ORG] = []operand{opConst}
+	t[SPACE] = []operand{opConst}
+	t[WORD] = []operand{opValue}
+	t[EQU] = []operand{opName, opConst}
+	return t
+}()
+
+// opByName maps an upper-case mnemonic or directive to its op.
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, numOps)
+	for o := Op(0); o < numOps; o++ {
+		if o != LabelOnly {
+			m[strings.ToUpper(o.String())] = o
+		}
+	}
+	return m
+}()
+
+// Assemble parses src into statements and builds them.
+func Assemble(src string) (*Program, error) {
+	stmts, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Build(stmts)
 }
 
-type assembler struct {
-	opts   Options
-	stmts  []*statement
-	secOf  []section // parallel to stmts
-	equ    map[string]int
-	labels map[string]int // name -> address (filled during layout)
-	// label declarations in source order: (name, stmt index, section)
-	labelDecls []labelDecl
-	items      []*item
-	errs       errList
+// Parse reads source text into statements, parsing each operand once.
+// Operands of .equ, .org and .space, and condition trits, are evaluated
+// here (a condition trit may name a .equ constant declared later); any
+// other name is kept as a Target for Build to resolve, so labels and
+// constants may be used before they are declared.
+func Parse(src string) ([]Stmt, error) {
+	p := parser{stmts: make([]Stmt, 0, strings.Count(src, "\n")+1)}
+	for n := int32(1); src != ""; n++ {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
+		p.line(n, line)
+	}
+	for _, f := range p.trits {
+		st := &p.stmts[f.stmt]
+		v, err := p.constant(f.name)
+		if err == nil {
+			st.B, err = trit(st.Op, v)
+		}
+		if err != nil {
+			p.errorf(st.SrcLine, "%v", err)
+		}
+	}
+	return p.stmts, p.errs.or()
 }
 
-type labelDecl struct {
+type parser struct {
+	stmts []Stmt
+	equ   map[string]int
+	// trits are condition trits naming a constant not declared yet.
+	trits []pendingTrit
+	errs  errList
+}
+
+type pendingTrit struct {
+	stmt int
 	name string
-	idx  int // index into stmts of the following statement (== len at EOF)
-	sec  section
-	line int
 }
 
 type errList []error
@@ -159,97 +240,162 @@ func (e errList) or() error {
 	return e
 }
 
-func (a *assembler) errorf(line int, format string, args ...interface{}) {
-	a.errs = append(a.errs, fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...)))
+func (p *parser) errorf(line int32, format string, args ...interface{}) {
+	p.errs = append(p.errs, fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...)))
 }
 
-// parse splits the source into statements, labels and .equ definitions.
-func (a *assembler) parse(src string) error {
-	sec := secText
-	for ln, raw := range strings.Split(src, "\n") {
-		line := ln + 1
-		s := stripComment(raw)
-		// Peel off any leading labels (several may share a line).
-		for {
-			s = strings.TrimSpace(s)
-			i := strings.Index(s, ":")
-			if i < 0 {
-				break
-			}
-			name := strings.TrimSpace(s[:i])
-			if !isIdent(name) {
-				break
-			}
-			a.labelDecls = append(a.labelDecls, labelDecl{name, len(a.stmts), sec, line})
-			s = s[i+1:]
+// line parses one source line: its labels, then at most one statement.
+// The last label binds to the line's instruction or data; any other
+// label becomes a statement of its own.
+func (p *parser) line(n int32, s string) {
+	s = stripComment(s)
+	label := ""
+	for {
+		s = strings.TrimSpace(s)
+		i := strings.IndexByte(s, ':')
+		if i < 0 {
+			break
 		}
-		if s == "" {
-			continue
+		name := strings.TrimSpace(s[:i])
+		if !isIdent(name) {
+			break
 		}
-		fields := splitOperands(s)
-		head := strings.ToUpper(fields[0])
-		args := fields[1:]
-		switch head {
-		case ".TEXT":
-			sec = secText
-		case ".DATA":
-			sec = secData
-		case ".EQU":
-			if len(args) != 2 {
-				a.errorf(line, ".equ wants NAME, VALUE")
+		p.bindLabel(n, label)
+		label, s = name, s[i+1:]
+	}
+	if s == "" {
+		p.bindLabel(n, label)
+		return
+	}
+	head, rest := s, ""
+	if i := strings.IndexAny(s, " \t"); i >= 0 {
+		head, rest = s[:i], s[i:]
+	}
+	var buf [4]string
+	args := splitArgs(buf[:0], rest)
+	op, ok := opByName[strings.ToUpper(head)]
+	switch {
+	case !ok && strings.HasPrefix(head, "."):
+		p.errorf(n, "unknown directive %s", head)
+	case !ok:
+		p.errorf(n, "unknown mnemonic %q", strings.ToUpper(head))
+	case op == WORD:
+		if len(args) == 0 {
+			p.errorf(n, ".word wants at least one value")
+		}
+		for k := range args {
+			p.statement(Stmt{Label: label, Op: WORD, SrcLine: n}, args[k:k+1])
+			label = ""
+		}
+	case op == TEXT || op == DATA || op == EQU:
+		p.bindLabel(n, label)
+		p.statement(Stmt{Op: op, SrcLine: n}, args)
+	default:
+		p.statement(Stmt{Label: label, Op: op, SrcLine: n}, args)
+	}
+}
+
+// bindLabel appends a statement binding label alone, if there is one.
+func (p *parser) bindLabel(n int32, label string) {
+	if label != "" {
+		p.stmts = append(p.stmts, Stmt{Label: label, Op: LabelOnly, SrcLine: n})
+	}
+}
+
+// statement parses args as the operands of st's op and appends st.
+func (p *parser) statement(st Stmt, args []string) {
+	shape := operands[st.Op]
+	if len(args) != len(shape) {
+		p.errorf(st.SrcLine, "%s wants %d operands, got %d", st.Op, len(shape), len(args))
+		return
+	}
+	pending := ""
+	for k, kind := range shape {
+		a := args[k]
+		var err error
+		switch kind {
+		case opTa:
+			st.Ta, err = isa.ParseReg(a)
+		case opTb:
+			st.Tb, err = isa.ParseReg(a)
+		case opB:
+			if _, ok := p.equ[a]; !ok && isIdent(a) {
+				pending = a
 				continue
 			}
-			if !isIdent(args[0]) {
-				a.errorf(line, ".equ: invalid name %q", args[0])
-				continue
+			var v int
+			if v, err = p.constant(a); err == nil {
+				st.B, err = trit(st.Op, v)
 			}
-			v, err := a.evalConst(args[1], line)
-			if err != nil {
-				a.errs = append(a.errs, err)
-				continue
+		case opName:
+			st.Label = a
+			if !isIdent(a) {
+				err = fmt.Errorf("%s: invalid name %q", st.Op, a)
 			}
-			if _, dup := a.equ[args[0]]; dup {
-				a.errorf(line, ".equ: duplicate constant %q", args[0])
-				continue
+		case opConst:
+			st.Imm, err = p.constant(a)
+			if err == nil && st.Imm < 0 && st.Op != EQU {
+				err = fmt.Errorf("%s: negative value %d", st.Op, st.Imm)
 			}
-			a.equ[args[0]] = v
-		case ".WORD":
-			if len(args) == 0 {
-				a.errorf(line, ".word wants at least one value")
-				continue
-			}
-			a.stmts = append(a.stmts, &statement{line: line, kind: stWord, values: args})
-			a.secOf = append(a.secOf, sec)
-		case ".SPACE", ".ORG":
-			if len(args) != 1 {
-				a.errorf(line, "%s wants one value", strings.ToLower(head))
-				continue
-			}
-			v, err := a.evalConst(args[0], line)
-			if err != nil {
-				a.errs = append(a.errs, err)
-				continue
-			}
-			if v < 0 {
-				a.errorf(line, "%s: negative value %d", strings.ToLower(head), v)
-				continue
-			}
-			kind := stSpace
-			if head == ".ORG" {
-				kind = stOrg
-			}
-			a.stmts = append(a.stmts, &statement{line: line, kind: kind, count: v})
-			a.secOf = append(a.secOf, sec)
 		default:
-			if strings.HasPrefix(head, ".") {
-				a.errorf(line, "unknown directive %s", fields[0])
-				continue
+			if isIdent(a) {
+				st.Target = a
+			} else {
+				st.Imm, err = literal(a)
 			}
-			a.stmts = append(a.stmts, &statement{line: line, kind: stInst, mnemonic: head, args: args})
-			a.secOf = append(a.secOf, sec)
+		}
+		if err != nil {
+			p.errorf(st.SrcLine, "%v", err)
+			return
 		}
 	}
-	return a.errs.or()
+	if pending != "" {
+		p.trits = append(p.trits, pendingTrit{len(p.stmts), pending})
+	}
+	if _, dup := p.equ[st.Label]; st.Op == EQU && !dup {
+		if p.equ == nil {
+			p.equ = map[string]int{}
+		}
+		p.equ[st.Label] = st.Imm
+	}
+	p.stmts = append(p.stmts, st)
+}
+
+// trit converts v to the condition trit of op.
+func trit(op Op, v int) (ternary.Trit, error) {
+	if v < -1 || v > 1 {
+		return 0, fmt.Errorf("%s condition trit %d out of range", op, v)
+	}
+	return ternary.Trit(v), nil
+}
+
+// constant evaluates an operand that must be known where it appears: a
+// number or a .equ constant declared before it.
+func (p *parser) constant(s string) (int, error) {
+	if v, ok := p.equ[s]; ok {
+		return v, nil
+	}
+	return literal(s)
+}
+
+// literal evaluates a decimal or 0t trit literal.
+func literal(s string) (int, error) {
+	if strings.HasPrefix(s, "0t") || strings.HasPrefix(s, "-0t") {
+		neg := strings.HasPrefix(s, "-")
+		w, err := ternary.ParseWord(strings.TrimPrefix(s, "-"))
+		if err != nil {
+			return 0, err
+		}
+		if neg {
+			return -w.Int(), nil
+		}
+		return w.Int(), nil
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("cannot evaluate %q as a constant", s)
+	}
+	return v, nil
 }
 
 // stripComment removes ;, # and // comments.
@@ -262,21 +408,17 @@ func stripComment(s string) string {
 	return s
 }
 
-// splitOperands splits "OP a, b, c" into ["OP", "a", "b", "c"].
-func splitOperands(s string) []string {
-	s = strings.TrimSpace(s)
-	i := strings.IndexAny(s, " \t")
-	if i < 0 {
-		return []string{s}
-	}
-	out := []string{s[:i]}
-	for _, f := range strings.Split(s[i:], ",") {
-		f = strings.TrimSpace(f)
-		if f != "" {
-			out = append(out, f)
+// splitArgs appends the comma-separated operands of s to dst, dropping
+// empty ones.
+func splitArgs(dst []string, s string) []string {
+	for s != "" {
+		var f string
+		f, s, _ = strings.Cut(s, ",")
+		if f = strings.TrimSpace(f); f != "" {
+			dst = append(dst, f)
 		}
 	}
-	return out
+	return dst
 }
 
 func isIdent(s string) bool {

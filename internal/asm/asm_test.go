@@ -161,6 +161,44 @@ func TestEquAndTernaryLiterals(t *testing.T) {
 	}
 }
 
+// TestForwardReferences pins what a name may stand for before it is
+// declared: a .equ constant in an immediate, an LDI and a condition
+// trit, and a label in an LDA, a memory offset, a branch and a .word.
+func TestForwardReferences(t *testing.T) {
+	p := mustAssemble(t, `
+		ADDI T1, K
+		LDI T2, BIG
+		LDA T3, tbl
+		BEQ T4, P, end
+		LOAD T5, T0, tbl
+	end:	HALT
+		.data
+	tbl:	.word end, K
+		.equ K, 5
+		.equ BIG, 1000
+		.equ P, -1
+	`)
+	want := []isa.Inst{
+		{Op: isa.ADDI, Ta: 1, Imm: 5},
+		{Op: isa.LUI, Ta: 2, Imm: 4}, {Op: isa.LI, Ta: 2, Imm: 28}, // 4·243 + 28
+		{Op: isa.LUI, Ta: 3}, {Op: isa.LI, Ta: 3},
+		{Op: isa.BEQ, Tb: 4, B: ternary.Neg, Imm: 2},
+		{Op: isa.LOAD, Ta: 5},
+		{Op: isa.JAL, Ta: Scratch},
+	}
+	if len(p.Text) != len(want) {
+		t.Fatalf("got %d instructions, want %d: %v", len(p.Text), len(want), p.Text)
+	}
+	for i, w := range want {
+		if p.Text[i] != w {
+			t.Errorf("inst %d = %v, want %v", i, p.Text[i], w)
+		}
+	}
+	if p.Data[0].Int() != 7 || p.Data[1].Int() != 5 {
+		t.Errorf("data = %v, want end (7) then K (5)", p.Data)
+	}
+}
+
 func TestDataSection(t *testing.T) {
 	p := mustAssemble(t, `
 		.data
@@ -247,6 +285,11 @@ func TestBranchRelaxationFar(t *testing.T) {
 	if p.Text[1].Op != isa.LUI || p.Text[2].Op != isa.LI || p.Text[3].Op != isa.JALR {
 		t.Fatalf("far sequence = %v %v %v", p.Text[1], p.Text[2], p.Text[3])
 	}
+	// The far sequence goes through Scratch, the register the
+	// translator's ABI leaves to relaxation.
+	if p.Text[1].Ta != Scratch || p.Text[3].Tb != Scratch {
+		t.Errorf("far sequence does not use T8: %v %v", p.Text[1], p.Text[3])
+	}
 	// The LUI/LI pair must build the absolute target address.
 	w := ternary.Word{}.SetField(5, 8, p.Text[1].Imm)
 	low := ternary.Word{}.SetField(0, 4, p.Text[2].Imm)
@@ -291,23 +334,16 @@ func TestErrors(t *testing.T) {
 		"LDI T1, 999999",       // constant too wide
 		".bogus 3",             // unknown directive
 		"BEQ T1, 0, 41",        // numeric branch out of range
+		// One namespace: a label and a .equ constant of the same name.
+		".equ N, 5\nN: LDI T1, N\nend: HALT\nJAL T2, end",
+		"N: NOP\n.equ N, 5",
+		"x:\nx: NOP",                       // duplicate label at one address
+		".data\nx: .word 1\n.text\nx: NOP", // data and text label at one address
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
 		}
-	}
-}
-
-func TestNoRelaxErrors(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("BEQ T1, 0, far\n")
-	for i := 0; i < 300; i++ {
-		b.WriteString("NOP\n")
-	}
-	b.WriteString("far: HALT\n")
-	if _, err := AssembleOpts(b.String(), Options{ScratchReg: 8, NoRelax: true}); err == nil {
-		t.Error("NoRelax far branch assembled without error")
 	}
 }
 

@@ -8,309 +8,197 @@ import (
 	"repro/internal/ternary"
 )
 
-// emit runs the second pass: encode every item at its assigned address.
-func (a *assembler) emit() (*Program, error) {
+// emit runs the second pass: encode every statement at its laid-out
+// location.
+func (b *assembler) emit() (*Program, error) {
 	p := &Program{
+		Text:    make([]isa.Inst, 0, b.text),
+		Words:   make([]ternary.Word, 0, b.text),
 		Data:    map[int]ternary.Word{},
-		Symbols: map[string]int{},
+		Symbols: make(map[string]int, len(b.labels)+len(b.equ)),
 	}
-	for n, v := range a.equ {
+	for n, v := range b.equ {
 		p.Symbols[n] = v
 	}
-	for n, v := range a.labels {
-		p.Symbols[n] = v
+	for n, j := range b.labels {
+		p.Symbols[n] = b.addr[j]
 	}
-	for _, it := range a.items {
-		switch {
-		case it.sec == secData:
-			if err := a.emitData(p, it); err != nil {
-				a.errs = append(a.errs, err)
-			}
+	sec := secText
+	for i := range b.stmts {
+		switch b.stmts[i].Op {
+		case TEXT:
+			sec = secText
+		case DATA:
+			sec = secData
 		default:
-			if err := a.emitText(p, it); err != nil {
-				a.errs = append(a.errs, err)
+			if sec == secData {
+				b.emitData(p, i)
+			} else {
+				b.emitText(p, i)
 			}
 		}
 	}
-	if err := a.errs.or(); err != nil {
+	if err := b.errs.or(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// emitData places .word/.space/.org contents into the TDM image.
-func (a *assembler) emitData(p *Program, it *item) error {
-	st := it.stmt
-	switch st.kind {
-	case stWord:
-		for k, v := range st.values {
-			val, err := a.evalValue(v, st.line)
-			if err != nil {
-				return err
-			}
-			p.Data[it.addr+k] = ternary.FromInt(val)
+// emitData places a .word into the TDM image.
+func (b *assembler) emitData(p *Program, i int) {
+	st := &b.stmts[i]
+	switch st.Op {
+	case WORD:
+		v, err := b.value(st)
+		if err != nil {
+			b.errorf(i, "%v", err)
+			return
 		}
-	case stSpace, stOrg:
+		p.Data[b.addr[i]] = ternary.FromInt(v)
+	case SPACE, ORG, LabelOnly, EQU:
 		// Reserved space is implicitly zero; nothing to record.
-	case stInst:
-		return fmt.Errorf("line %d: instruction %q in .data section", st.line, st.mnemonic)
+	default:
+		b.errorf(i, "instruction %q in .data section", st.Op.String())
 	}
-	return nil
+}
+
+// emitText encodes statement i of the text section at its laid-out
+// address.
+func (b *assembler) emitText(p *Program, i int) {
+	st := &b.stmts[i]
+	addr := b.addr[i]
+	if len(p.Text) != addr && len(b.errs) == 0 {
+		// Layout and encoding disagree on a size: an assembler bug.
+		b.errorf(i, "internal: statement laid out at %d, emitted at %d", addr, len(p.Text))
+		return
+	}
+	switch st.Op {
+	case LabelOnly, EQU:
+	case ORG, SPACE:
+		end := st.Imm
+		if st.Op == SPACE {
+			end += addr
+		}
+		for len(p.Text) < end {
+			b.appendInst(p, i, isa.NOP())
+		}
+	case WORD:
+		b.errorf(i, ".word in .text section (use .data)")
+	case NOP:
+		b.appendInst(p, i, isa.NOP())
+	case HALT:
+		// Jump-to-self; the simulator recognises it as program exit.
+		b.appendInst(p, i, isa.Inst{Op: isa.JAL, Ta: Scratch})
+	case LDI, LDA:
+		// Layout has refused an LDI whose Target names no constant.
+		v, err := b.value(st)
+		if err != nil {
+			b.errorf(i, "%v", err)
+			return
+		}
+		if !ternary.FitsTrits(v, 9) {
+			b.errorf(i, "%s: value %d exceeds 9 trits", st.Op, v)
+			return
+		}
+		hi, lo := splitConst(v)
+		b.appendInst(p, i, isa.Inst{Op: isa.LUI, Ta: st.Ta, Imm: hi})
+		if lo != 0 || st.Op == LDA {
+			b.appendInst(p, i, isa.Inst{Op: isa.LI, Ta: st.Ta, Imm: lo})
+		}
+	default:
+		b.emitInst(p, i)
+	}
+}
+
+// emitInst encodes a Table I instruction, reading only the fields its op
+// takes.
+func (b *assembler) emitInst(p *Program, i int) {
+	st := &b.stmts[i]
+	op, _ := st.Op.Inst()
+	in := isa.Inst{Op: op}
+	if op.HasTa() {
+		in.Ta = st.Ta
+	}
+	if op.HasTb() {
+		in.Tb = st.Tb
+	}
+	if op.IsBranch() {
+		in.B = st.B
+	}
+	if !relaxable(st.Op) {
+		if op.ImmTrits() > 0 {
+			v, err := b.value(st)
+			if err != nil {
+				b.errorf(i, "%v", err)
+				return
+			}
+			in.Imm = v
+		}
+		b.appendInst(p, i, in)
+		return
+	}
+
+	off := st.Imm
+	if st.Target != "" {
+		j, ok := b.labels[st.Target]
+		if !ok {
+			b.errorf(i, "undefined label %q", st.Target)
+			return
+		}
+		off = b.addr[j] - b.addr[i]
+	} else if width := op.ImmTrits(); !ternary.FitsTrits(off, width) {
+		what := "branch"
+		if op == isa.JAL {
+			what = "jump"
+		}
+		b.errorf(i, "%s offset %d exceeds %d trits", what, off, width)
+		return
+	}
+	level := b.level[i]
+	if level == relaxShort {
+		in.Imm = off
+		b.appendInst(p, i, in)
+		return
+	}
+	target := b.addr[i] + off
+	if op == isa.JAL {
+		// Far jump: absolute address via Scratch, true link in Ta.
+		b.appendFar(p, i, in.Ta, target)
+		return
+	}
+	// Inverted branch over the long jump.
+	inv := isa.BEQ
+	if op == isa.BEQ {
+		inv = isa.BNE
+	}
+	if level == relaxNear {
+		// The JAL links into Scratch, whose value is clobbered.
+		b.appendInst(p, i, isa.Inst{Op: inv, Tb: in.Tb, B: in.B, Imm: 2})
+		b.appendInst(p, i, isa.Inst{Op: isa.JAL, Ta: Scratch, Imm: off - 1})
+		return
+	}
+	b.appendInst(p, i, isa.Inst{Op: inv, Tb: in.Tb, B: in.B, Imm: 4})
+	b.appendFar(p, i, Scratch, target)
+}
+
+// appendFar appends LUI/LI of target into Scratch and a JALR through it
+// that links into link.
+func (b *assembler) appendFar(p *Program, i int, link isa.Reg, target int) {
+	hi, lo := splitConst(target)
+	b.appendInst(p, i, isa.Inst{Op: isa.LUI, Ta: Scratch, Imm: hi})
+	b.appendInst(p, i, isa.Inst{Op: isa.LI, Ta: Scratch, Imm: lo})
+	b.appendInst(p, i, isa.Inst{Op: isa.JALR, Ta: link, Tb: Scratch})
 }
 
 // appendInst validates, encodes and appends one instruction.
-func (a *assembler) appendInst(p *Program, line int, in isa.Inst) error {
+func (b *assembler) appendInst(p *Program, i int, in isa.Inst) {
 	w, err := isa.Encode(in)
 	if err != nil {
-		return fmt.Errorf("line %d: %v", line, err)
+		b.errorf(i, "%v", err)
+		return
 	}
 	p.Text = append(p.Text, in)
 	p.Words = append(p.Words, w)
-	p.Lines = append(p.Lines, line)
-	return nil
-}
-
-// emitText encodes a text-section item at its laid-out address.
-func (a *assembler) emitText(p *Program, it *item) error {
-	st := it.stmt
-	if len(p.Text) != it.addr && st.kind != stOrg && st.kind != stSpace {
-		// Interior misalignment would be an assembler bug; surface loudly.
-		if len(p.Text) > it.addr {
-			return fmt.Errorf("line %d: internal: text overlap at %d", st.line, it.addr)
-		}
-	}
-	switch st.kind {
-	case stOrg, stSpace:
-		for len(p.Text) < it.addr+it.size {
-			if err := a.appendInst(p, st.line, isa.NOP()); err != nil {
-				return err
-			}
-		}
-		return nil
-	case stWord:
-		return fmt.Errorf("line %d: .word in .text section (use .data)", st.line)
-	}
-
-	m, args := st.mnemonic, st.args
-	argN := func(want int) error {
-		if len(args) != want {
-			return fmt.Errorf("line %d: %s wants %d operands, got %d", st.line, m, want, len(args))
-		}
-		return nil
-	}
-	reg := func(s string) (isa.Reg, error) {
-		r, err := isa.ParseReg(s)
-		if err != nil {
-			return 0, fmt.Errorf("line %d: %v", st.line, err)
-		}
-		return r, nil
-	}
-	imm := func(s string) (int, error) {
-		v, err := a.evalValue(s, st.line)
-		if err != nil {
-			return 0, err
-		}
-		return v, nil
-	}
-
-	switch m {
-	case "NOP":
-		if err := argN(0); err != nil {
-			return err
-		}
-		return a.appendInst(p, st.line, isa.NOP())
-
-	case "HALT":
-		// Jump-to-self; the simulator recognises it as program exit.
-		if err := argN(0); err != nil {
-			return err
-		}
-		return a.appendInst(p, st.line, isa.Inst{Op: isa.JAL, Ta: a.opts.ScratchReg, Imm: 0})
-
-	case "LDI", "LDA":
-		if err := argN(2); err != nil {
-			return err
-		}
-		ta, err := reg(args[0])
-		if err != nil {
-			return err
-		}
-		v, err := imm(args[1])
-		if err != nil {
-			return err
-		}
-		if !ternary.FitsTrits(v, 9) {
-			return fmt.Errorf("line %d: %s: value %d exceeds 9 trits", st.line, m, v)
-		}
-		hi, lo := splitConst(v)
-		if err := a.appendInst(p, st.line, isa.Inst{Op: isa.LUI, Ta: ta, Imm: hi}); err != nil {
-			return err
-		}
-		if lo != 0 || m == "LDA" {
-			return a.appendInst(p, st.line, isa.Inst{Op: isa.LI, Ta: ta, Imm: lo})
-		}
-		return nil
-
-	case "BEQ", "BNE":
-		if err := argN(3); err != nil {
-			return err
-		}
-		tb, err := reg(args[0])
-		if err != nil {
-			return err
-		}
-		bv, err := imm(args[1])
-		if err != nil {
-			return err
-		}
-		if bv < -1 || bv > 1 {
-			return fmt.Errorf("line %d: %s condition trit %d out of range", st.line, m, bv)
-		}
-		op := isa.BEQ
-		if m == "BNE" {
-			op = isa.BNE
-		}
-		var off int
-		if a.isSymbol(args[2]) {
-			target, ok := a.labels[args[2]]
-			if !ok {
-				return fmt.Errorf("line %d: undefined label %q", st.line, args[2])
-			}
-			off = target - it.addr
-		} else {
-			if off, err = imm(args[2]); err != nil {
-				return err
-			}
-			if !ternary.FitsTrits(off, 4) {
-				return fmt.Errorf("line %d: branch offset %d exceeds 4 trits", st.line, off)
-			}
-		}
-		return a.emitBranch(p, st.line, it, op, tb, ternary.Trit(bv), off)
-
-	case "JAL":
-		if err := argN(2); err != nil {
-			return err
-		}
-		ta, err := reg(args[0])
-		if err != nil {
-			return err
-		}
-		var off int
-		if a.isSymbol(args[1]) {
-			target, ok := a.labels[args[1]]
-			if !ok {
-				return fmt.Errorf("line %d: undefined label %q", st.line, args[1])
-			}
-			off = target - it.addr
-		} else {
-			if off, err = imm(args[1]); err != nil {
-				return err
-			}
-			if !ternary.FitsTrits(off, 5) {
-				return fmt.Errorf("line %d: jump offset %d exceeds 5 trits", st.line, off)
-			}
-		}
-		if it.relaxed == relaxShort {
-			return a.appendInst(p, st.line, isa.Inst{Op: isa.JAL, Ta: ta, Imm: off})
-		}
-		// Far jump: absolute address via scratch, true link in Ta.
-		s := a.opts.ScratchReg
-		hi, lo := splitConst(it.addr + off)
-		if err := a.appendInst(p, st.line, isa.Inst{Op: isa.LUI, Ta: s, Imm: hi}); err != nil {
-			return err
-		}
-		if err := a.appendInst(p, st.line, isa.Inst{Op: isa.LI, Ta: s, Imm: lo}); err != nil {
-			return err
-		}
-		return a.appendInst(p, st.line, isa.Inst{Op: isa.JALR, Ta: ta, Tb: s, Imm: 0})
-	}
-
-	// Plain Table I instructions.
-	op, ok := isa.OpByName[m]
-	if !ok {
-		return fmt.Errorf("line %d: unknown mnemonic %q", st.line, m)
-	}
-	in := isa.Inst{Op: op}
-	var err error
-	switch op {
-	case isa.MV, isa.PTI, isa.NTI, isa.STI, isa.AND, isa.OR, isa.XOR,
-		isa.ADD, isa.SUB, isa.SR, isa.SL, isa.COMP:
-		if err = argN(2); err != nil {
-			return err
-		}
-		if in.Ta, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Tb, err = reg(args[1]); err != nil {
-			return err
-		}
-	case isa.ANDI, isa.ADDI, isa.SRI, isa.SLI, isa.LUI, isa.LI:
-		if err = argN(2); err != nil {
-			return err
-		}
-		if in.Ta, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Imm, err = imm(args[1]); err != nil {
-			return err
-		}
-	case isa.JALR, isa.LOAD, isa.STORE:
-		if err = argN(3); err != nil {
-			return err
-		}
-		if in.Ta, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Tb, err = reg(args[1]); err != nil {
-			return err
-		}
-		if in.Imm, err = imm(args[2]); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("line %d: %s cannot be written directly", st.line, m)
-	}
-	return a.appendInst(p, st.line, in)
-}
-
-// emitBranch emits a conditional branch at its chosen relaxation level.
-// off is relative to the first emitted word (the item address).
-func (a *assembler) emitBranch(p *Program, line int, it *item, op isa.Op, tb isa.Reg, b ternary.Trit, off int) error {
-	switch it.relaxed {
-	case relaxShort:
-		return a.appendInst(p, line, isa.Inst{Op: op, Tb: tb, B: b, Imm: off})
-	case relaxNear:
-		// Inverted branch over a JAL. The link register of JAL is the
-		// scratch register (its value is clobbered, documented).
-		inv := isa.BEQ
-		if op == isa.BEQ {
-			inv = isa.BNE
-		}
-		if err := a.appendInst(p, line, isa.Inst{Op: inv, Tb: tb, B: b, Imm: 2}); err != nil {
-			return err
-		}
-		return a.appendInst(p, line, isa.Inst{Op: isa.JAL, Ta: a.opts.ScratchReg, Imm: off - 1})
-	default: // relaxFar
-		if a.opts.NoRelax {
-			return fmt.Errorf("line %d: branch target out of range and relaxation disabled", line)
-		}
-		inv := isa.BEQ
-		if op == isa.BEQ {
-			inv = isa.BNE
-		}
-		s := a.opts.ScratchReg
-		hi, lo := splitConst(it.addr + off)
-		if err := a.appendInst(p, line, isa.Inst{Op: inv, Tb: tb, B: b, Imm: 4}); err != nil {
-			return err
-		}
-		if err := a.appendInst(p, line, isa.Inst{Op: isa.LUI, Ta: s, Imm: hi}); err != nil {
-			return err
-		}
-		if err := a.appendInst(p, line, isa.Inst{Op: isa.LI, Ta: s, Imm: lo}); err != nil {
-			return err
-		}
-		return a.appendInst(p, line, isa.Inst{Op: isa.JALR, Ta: s, Tb: s, Imm: 0})
-	}
 }
 
 // Disassemble renders an encoded TIM image as assembly text, one

@@ -1,9 +1,8 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/ternary"
@@ -16,56 +15,199 @@ const (
 	relaxFar          // absolute target via LDA + JALR
 )
 
-// sizeOf returns the number of TIM/TDM words a statement occupies at the
-// given relaxation level. It must be deterministic per (stmt, level) so the
-// fixed-point layout converges.
-func (a *assembler) sizeOf(st *statement, sec section, level int) (int, error) {
-	switch st.kind {
-	case stWord:
-		return len(st.values), nil
-	case stSpace:
-		return st.count, nil
-	case stOrg:
-		return 0, nil // handled specially in layout
+type section uint8
+
+const (
+	secText section = iota
+	secData
+)
+
+// Build lays out stmts, relaxes label branches that do not reach, and
+// encodes the result: the one code generator behind Assemble and the
+// translator.
+func Build(stmts []Stmt) (*Program, error) {
+	b := &assembler{stmts: stmts}
+	if err := b.declare(); err != nil {
+		return nil, err
 	}
-	m := st.mnemonic
-	switch m {
-	case "NOP", "HALT":
-		return 1, nil
-	case "LDI":
-		if len(st.args) != 2 {
-			return 0, fmt.Errorf("line %d: LDI wants Ta, value", st.line)
+	if err := b.layout(); err != nil {
+		return nil, err
+	}
+	return b.emit()
+}
+
+type assembler struct {
+	stmts  []Stmt
+	labels map[string]int // label -> index of the statement it binds to
+	equ    map[string]int // .equ constant -> value
+	addr   []int          // each statement's location in its section
+	level  []uint8        // relaxation level of each label-target transfer
+	text   int            // TIM words laid out
+	errs   errList
+}
+
+func (b *assembler) errorf(i int, format string, args ...interface{}) {
+	where := fmt.Sprintf("statement %d", i+1)
+	if n := b.stmts[i].SrcLine; n > 0 {
+		where = fmt.Sprintf("line %d", n)
+	}
+	b.errs = append(b.errs, fmt.Errorf("%s: %s", where, fmt.Sprintf(format, args...)))
+}
+
+// declare enters every label and .equ constant into one namespace, in
+// which each name is declared once.
+func (b *assembler) declare() error {
+	n := 0
+	for i := range b.stmts {
+		if b.stmts[i].Label != "" {
+			n++
 		}
-		v, err := a.evalConst(st.args[1], st.line)
-		if err != nil {
-			return 0, err
+	}
+	b.labels = make(map[string]int, n)
+	for i := range b.stmts {
+		st := &b.stmts[i]
+		if st.Label == "" {
+			if st.Op == EQU {
+				b.errorf(i, ".equ wants NAME, VALUE")
+			}
+			continue
 		}
-		_, lo := splitConst(v)
-		if lo == 0 {
-			return 1, nil
-		}
-		return 2, nil
-	case "LDA":
-		return 2, nil
-	case "BEQ", "BNE":
-		switch level {
-		case relaxShort:
-			return 1, nil
-		case relaxNear:
-			return 2, nil
+		_, isLabel := b.labels[st.Label]
+		_, isEqu := b.equ[st.Label]
+		switch {
+		case isLabel && st.Op != EQU:
+			b.errorf(i, "duplicate label %q", st.Label)
+		case isEqu && st.Op == EQU:
+			b.errorf(i, ".equ: duplicate constant %q", st.Label)
+		case isLabel || isEqu:
+			b.errorf(i, "%q is both a label and a .equ constant", st.Label)
+		case st.Op == EQU:
+			if b.equ == nil {
+				b.equ = map[string]int{}
+			}
+			b.equ[st.Label] = st.Imm
 		default:
-			return 4, nil
+			b.labels[st.Label] = i
 		}
-	case "JAL":
-		if level == relaxShort {
-			return 1, nil
+	}
+	return b.errs.or()
+}
+
+// layout assigns every statement its location, widening label branches
+// that do not reach until a fixed point. Relaxation levels only ever
+// increase, so the loop terminates.
+func (b *assembler) layout() error {
+	b.addr = make([]int, len(b.stmts))
+	b.level = make([]uint8, len(b.stmts))
+	for iter := 0; ; iter++ {
+		if iter > 2+len(b.stmts) {
+			return errors.New("asm: branch relaxation did not converge")
 		}
-		return 3, nil
+		var lc [2]int
+		sec := secText
+		for i := range b.stmts {
+			st := &b.stmts[i]
+			b.addr[i] = lc[sec]
+			switch st.Op {
+			case TEXT:
+				sec = secText
+			case DATA:
+				sec = secData
+			case ORG:
+				if st.Imm < lc[sec] {
+					b.errorf(i, ".org %d before current location %d", st.Imm, lc[sec])
+					continue
+				}
+				lc[sec] = st.Imm
+			default:
+				lc[sec] += b.size(i)
+			}
+		}
+		if err := b.errs.or(); err != nil {
+			return err
+		}
+		b.text = lc[secText]
+
+		// Relaxing a transfer in .data is harmless: emit refuses it.
+		changed := false
+		for i := range b.stmts {
+			st := &b.stmts[i]
+			if st.Target == "" || !relaxable(st.Op) {
+				continue
+			}
+			j, ok := b.labels[st.Target]
+			if !ok {
+				continue // undefined label reported at emit
+			}
+			if need := neededLevel(st.Op, b.addr[i], b.addr[j]); need > b.level[i] {
+				b.level[i] = need
+				changed = true
+			}
+		}
+		if !changed {
+			return nil
+		}
 	}
-	if _, ok := isa.OpByName[m]; ok {
-		return 1, nil
+}
+
+// relaxable reports whether op's target may be relaxed.
+func relaxable(op Op) bool {
+	return op == Op(isa.BEQ) || op == Op(isa.BNE) || op == Op(isa.JAL)
+}
+
+// size returns the number of words statement i occupies at its
+// relaxation level.
+func (b *assembler) size(i int) int {
+	st := &b.stmts[i]
+	switch st.Op {
+	case LabelOnly, EQU:
+		return 0
+	case SPACE:
+		if st.Imm < 0 {
+			b.errorf(i, ".space: negative value %d", st.Imm)
+			return 0
+		}
+		return st.Imm
+	case LDA:
+		return 2
+	case LDI:
+		v, err := b.constant(st)
+		if err != nil {
+			b.errorf(i, "%v", err)
+			return 0
+		}
+		if _, lo := splitConst(v); lo != 0 {
+			return 2
+		}
+		return 1
+	case Op(isa.BEQ), Op(isa.BNE):
+		return [...]int{relaxShort: 1, relaxNear: 2, relaxFar: 4}[b.level[i]]
+	case Op(isa.JAL):
+		if b.level[i] == relaxShort {
+			return 1
+		}
+		return 3
 	}
-	return 0, fmt.Errorf("line %d: unknown mnemonic %q", st.line, st.mnemonic)
+	return 1
+}
+
+// neededLevel picks the smallest relaxation level at which op at addr
+// reaches target. JAL has no near form.
+func neededLevel(op Op, addr, target int) uint8 {
+	if op == Op(isa.JAL) {
+		if ternary.FitsTrits(target-addr, 5) {
+			return relaxShort
+		}
+		return relaxFar
+	}
+	if ternary.FitsTrits(target-addr, 4) {
+		return relaxShort
+	}
+	// Near form: the JAL sits at addr+1.
+	if ternary.FitsTrits(target-(addr+1), 5) {
+		return relaxNear
+	}
+	return relaxFar
 }
 
 // splitConst decomposes a 9-trit value into hi·3^5 + lo with lo in the
@@ -77,163 +219,25 @@ func splitConst(v int) (hi, lo int) {
 	return hi, lo
 }
 
-// layout assigns addresses to all statements, iterating branch relaxation
-// to a fixed point. Relaxation levels only ever increase, so the loop
-// terminates.
-func (a *assembler) layout() error {
-	// Build items once.
-	a.items = a.items[:0]
-	levels := make([]int, len(a.stmts))
-	for iter := 0; ; iter++ {
-		if iter > 2+len(a.stmts) {
-			return fmt.Errorf("asm: branch relaxation did not converge")
-		}
-		a.items = a.items[:0]
-		lc := map[section]int{}
-		a.labels = map[string]int{}
-		stmtAddr := make([]int, len(a.stmts)+1)
-		var layoutErrs errList
-		for i, st := range a.stmts {
-			sec := a.secOf[i]
-			stmtAddr[i] = lc[sec]
-			if st.kind == stOrg {
-				if st.count < lc[sec] {
-					layoutErrs = append(layoutErrs, fmt.Errorf("line %d: .org %d before current location %d", st.line, st.count, lc[sec]))
-					continue
-				}
-				it := &item{stmt: st, sec: sec, addr: lc[sec], size: st.count - lc[sec]}
-				a.items = append(a.items, it)
-				lc[sec] = st.count
-				continue
-			}
-			size, err := a.sizeOf(st, sec, levels[i])
-			if err != nil {
-				layoutErrs = append(layoutErrs, err)
-				continue
-			}
-			a.items = append(a.items, &item{stmt: st, sec: sec, addr: lc[sec], size: size, relaxed: levels[i]})
-			lc[sec] += size
-		}
-		if err := layoutErrs.or(); err != nil {
-			return err
-		}
-		stmtAddr[len(a.stmts)] = 0 // see below: EOF labels
-		// Bind labels: a label binds to the address of the next statement
-		// in its own section, or the section end if none follows.
-		for _, d := range a.labelDecls {
-			addr, found := lc[d.sec], false
-			for j := d.idx; j < len(a.stmts); j++ {
-				if a.secOf[j] == d.sec {
-					addr, found = stmtAddr[j], true
-					break
-				}
-			}
-			_ = found
-			if prev, dup := a.labels[d.name]; dup && prev != addr {
-				return fmt.Errorf("line %d: duplicate label %q", d.line, d.name)
-			}
-			a.labels[d.name] = addr
-		}
-		// Check reach of every label-target control transfer; bump levels.
-		changed := false
-		itemIdx := 0
-		for i, st := range a.stmts {
-			if a.secOf[i] == secData || st.kind != stInst {
-				itemIdx++
-				continue
-			}
-			it := a.items[itemIdx]
-			itemIdx++
-			switch st.mnemonic {
-			case "BEQ", "BNE":
-				if len(st.args) != 3 || !a.isSymbol(st.args[2]) {
-					continue // numeric offset: no relaxation
-				}
-				target, ok := a.labels[st.args[2]]
-				if !ok {
-					continue // undefined label reported at emit
-				}
-				need := neededBranchLevel(it.addr, target)
-				if need > levels[i] {
-					levels[i] = need
-					changed = true
-				}
-			case "JAL":
-				if len(st.args) != 2 || !a.isSymbol(st.args[1]) {
-					continue
-				}
-				target, ok := a.labels[st.args[1]]
-				if !ok {
-					continue
-				}
-				if levels[i] == relaxShort && !ternary.FitsTrits(target-it.addr, 5) {
-					levels[i] = relaxFar
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return nil
-		}
+// constant resolves an operand that sizes its statement, so it is known
+// before layout: Imm, or the .equ constant Target names.
+func (b *assembler) constant(st *Stmt) (int, error) {
+	if st.Target == "" {
+		return st.Imm, nil
 	}
-}
-
-// neededBranchLevel picks the smallest relaxation level that reaches
-// target from a branch at addr.
-func neededBranchLevel(addr, target int) int {
-	if ternary.FitsTrits(target-addr, 4) {
-		return relaxShort
-	}
-	// Near form: the JAL sits at addr+1.
-	if ternary.FitsTrits(target-(addr+1), 5) {
-		return relaxNear
-	}
-	return relaxFar
-}
-
-// isSymbol reports whether the operand is a symbol reference rather than a
-// number or register.
-func (a *assembler) isSymbol(s string) bool {
-	if s == "" {
-		return false
-	}
-	if s[0] == '+' || s[0] == '-' || (s[0] >= '0' && s[0] <= '9') {
-		return false
-	}
-	if _, err := isa.ParseReg(s); err == nil {
-		return false
-	}
-	return isIdent(s)
-}
-
-// evalConst evaluates a parse-time constant: decimal, 0t trit literal, or a
-// previously defined .equ name.
-func (a *assembler) evalConst(s string, line int) (int, error) {
-	if v, ok := a.equ[s]; ok {
+	if v, ok := b.equ[st.Target]; ok {
 		return v, nil
 	}
-	if strings.HasPrefix(s, "0t") || strings.HasPrefix(s, "-0t") {
-		neg := strings.HasPrefix(s, "-")
-		w, err := ternary.ParseWord(strings.TrimPrefix(s, "-"))
-		if err != nil {
-			return 0, fmt.Errorf("line %d: %v", line, err)
-		}
-		if neg {
-			return -w.Int(), nil
-		}
-		return w.Int(), nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("line %d: cannot evaluate %q as a constant", line, s)
-	}
-	return v, nil
+	return 0, fmt.Errorf("cannot evaluate %q as a constant", st.Target)
 }
 
-// evalValue evaluates an emit-time operand: constants plus labels.
-func (a *assembler) evalValue(s string, line int) (int, error) {
-	if v, ok := a.labels[s]; ok {
-		return v, nil
+// value resolves a value operand: Imm, or the label or .equ constant
+// Target names.
+func (b *assembler) value(st *Stmt) (int, error) {
+	if st.Target != "" {
+		if j, ok := b.labels[st.Target]; ok {
+			return b.addr[j], nil
+		}
 	}
-	return a.evalConst(s, line)
+	return b.constant(st)
 }

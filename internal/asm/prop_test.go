@@ -3,6 +3,7 @@ package asm
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,19 +174,65 @@ func TestTextCellsProperty(t *testing.T) {
 	}
 }
 
-func TestScratchRegOption(t *testing.T) {
-	// Far branches with a custom scratch register must use it.
-	var src strings.Builder
-	src.WriteString("BEQ T1, 0, far\n")
-	for i := 0; i < 300; i++ {
-		src.WriteString("NOP\n")
+// FuzzBuildVsAssemble holds Build and Assemble to one code generator:
+// every seven bytes become one statement (op, label, Ta, Tb, condition
+// trit, immediate, target), and building the statements must give the
+// same program, or fail the same way, as assembling their printed text.
+// Names come from a pool of six shared by labels, .equ constants and
+// targets, so duplicates, forward references and label/constant clashes
+// all occur; .space and .org put targets at every relaxation distance.
+// The seed corpus is in testdata/fuzz/FuzzBuildVsAssemble.
+func FuzzBuildVsAssemble(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var stmts []Stmt
+		for ; len(data) >= 7 && len(stmts) < 64; data = data[7:] {
+			stmts = append(stmts, stmtOf(data[:7]))
+		}
+		var src []byte
+		for _, st := range stmts {
+			src = AppendStmt(src, st)
+		}
+		built, berr := Build(stmts)
+		assembled, aerr := Assemble(string(src))
+		if (berr == nil) != (aerr == nil) {
+			t.Fatalf("Build error %v, Assemble error %v\n%s", berr, aerr, src)
+		}
+		if berr == nil && !reflect.DeepEqual(built, assembled) {
+			t.Fatalf("built and assembled programs differ\n%s", src)
+		}
+	})
+}
+
+var fuzzNames = [...]string{"a", "b", "loop", "end", "x1", "K"}
+
+// stmtOf reduces seven bytes to a statement whose registers, condition
+// trit and immediate are in range for its op, except that wide
+// immediates of LDI, LDA and .word may exceed nine trits.
+func stmtOf(d []byte) Stmt {
+	st := Stmt{
+		Op: Op(int(d[0]) % int(numOps)),
+		Ta: isa.Reg(int(d[2]) % isa.NumRegs),
+		Tb: isa.Reg(int(d[3]) % isa.NumRegs),
+		B:  ternary.Trit(int(d[4])%3 - 1),
 	}
-	src.WriteString("far: HALT\n")
-	p, err := AssembleOpts(src.String(), Options{ScratchReg: 5})
-	if err != nil {
-		t.Fatal(err)
+	if d[1] < 96 {
+		st.Label = fuzzNames[int(d[1])%len(fuzzNames)]
 	}
-	if p.Text[1].Op != isa.LUI || p.Text[1].Ta != 5 {
-		t.Errorf("custom scratch not used: %v", p.Text[1])
+	if op, ok := st.Op.Inst(); ok {
+		if k := op.ImmTrits(); k > 0 {
+			max := ternary.MaxForTrits(k)
+			st.Imm = int(d[5])%(2*max+1) - max
+		}
+	} else {
+		switch st.Op {
+		case ORG, SPACE:
+			st.Imm = 2 * int(d[5])
+		default:
+			st.Imm = (int(d[5]) - 128) * 77
+		}
 	}
+	if d[6]%2 == 1 && st.Op != ORG && st.Op != SPACE {
+		st.Target = fuzzNames[int(d[6]/2)%len(fuzzNames)]
+	}
+	return st
 }

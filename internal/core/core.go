@@ -51,7 +51,7 @@ func (f *SoftwareFramework) Compile(rvSource string) (*CompileResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: translation: %w", err)
 	}
-	ternProg, err := engine.AssembleCached(out.Asm)
+	ternProg, err := asm.Build(out.Lines)
 	if err != nil {
 		return nil, fmt.Errorf("core: ternary back end: %w", err)
 	}

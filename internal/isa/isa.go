@@ -66,15 +66,6 @@ func (op Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(op))
 }
 
-// OpByName maps an assembler mnemonic (upper case) to its opcode.
-var OpByName = func() map[string]Op {
-	m := make(map[string]Op, NumOps)
-	for i, n := range opNames {
-		m[n] = Op(i)
-	}
-	return m
-}()
-
 // Category is the instruction category of Table I.
 type Category uint8
 

@@ -23,9 +23,11 @@ import (
 //	POST /v1/cache/fill    {"entries":[{"key":"<hex>","value":{...}}, ...], "epoch":E}
 //	  -> {"stored":N,"rejected":M,"epoch":E}
 //
-// Both sides cap a request at maxCacheKeysPerRequest keys/entries and a
-// value at maxRow bytes; a peer answers lookups from its LOCAL store
-// only, so two peers pointed at each other cannot loop a miss.
+// Both sides cap a request at MaxCacheKeys keys/entries and a value at
+// MaxCacheValue bytes; a peer answers lookups from its LOCAL store only,
+// so two peers pointed at each other cannot loop a miss. The bodies and
+// caps are declared here once, for this client and for internal/serve,
+// which answers them.
 //
 // Every exchange carries the sender's cache epoch and every reply row
 // the server's. A disagreement — including against a peer predating
@@ -33,7 +35,23 @@ import (
 // a rejected entry on fill, never an error, so a mixed-epoch (or
 // mixed-version) fleet degrades to computing instead of replaying
 // another generation's rows.
-const maxCacheKeysPerRequest = 256
+const (
+	// MaxCacheKeys caps the keys of one lookup and the entries of one
+	// fill.
+	MaxCacheKeys = 256
+	// MaxCacheValue caps one cached value, so that every lookup row
+	// carrying it fits a client's NDJSON line buffer.
+	MaxCacheValue = maxRow
+)
+
+// The /v1 bodies under the names internal/serve writes them by.
+type (
+	CacheLookupRequest = cacheLookupRequest
+	CacheRow           = cacheRow
+	CacheFillRequest   = cacheFillRequest
+	CacheFillReply     = cacheFillReply
+	SuiteAck           = ackRow
+)
 
 // cacheOpTimeout bounds one cache round-trip. The cache is an
 // accelerator on the dispatch path: a slow peer must degrade to a miss
@@ -223,22 +241,22 @@ func (c *CacheClient) Put(ctx context.Context, key string, val []byte) {
 }
 
 // PutBatch fills many entries in as few wire rounds as possible — one
-// POST per maxCacheKeysPerRequest chunk — which is how the write-behind
+// POST per MaxCacheKeys chunk — which is how the write-behind
 // worker drains its queue. Entries the wire cannot carry (empty,
 // oversized, or non-JSON values) are skipped; a fill the server
 // rejects over an epoch disagreement is counted, not retried.
 func (c *CacheClient) PutBatch(ctx context.Context, entries []rescache.Entry) {
 	wire := make([]cacheFillEntry, 0, len(entries))
 	for _, e := range entries {
-		if len(e.Val) == 0 || len(e.Val) > maxRow || !json.Valid(e.Val) {
+		if len(e.Val) == 0 || len(e.Val) > MaxCacheValue || !json.Valid(e.Val) {
 			continue
 		}
 		wire = append(wire, cacheFillEntry{Key: e.Key, Value: json.RawMessage(e.Val)})
 	}
 	for len(wire) > 0 {
 		chunk := wire
-		if len(chunk) > maxCacheKeysPerRequest {
-			chunk = chunk[:maxCacheKeysPerRequest]
+		if len(chunk) > MaxCacheKeys {
+			chunk = chunk[:MaxCacheKeys]
 		}
 		wire = wire[len(chunk):]
 		c.fill(ctx, chunk)

@@ -510,9 +510,8 @@ func (c *Client) ackPost(ctx context.Context, techs []string, entries []wireEntr
 }
 
 // ackRow is one acknowledgement line of the ?ack=1 /v1/suite stream
-// variant (internal/serve's suiteAck, redefined here to keep
-// serve → remote a one-way dependency): "start" when the peer accepted
-// the chunk, "end" after the last result row. The end ack's absence is
+// variant, which internal/serve writes as SuiteAck: "start" when the
+// peer accepted the chunk, "end" after the last result row. The end ack's absence is
 // how a severed stream is told apart from a complete one.
 type ackRow struct {
 	Ack  string `json:"ack"`

@@ -63,15 +63,9 @@ const maxBody = 4 << 20
 // proportionally to its own size before any evaluation runs.
 const maxSuiteJobs = 1024
 
-// Caps for one /v1/cache request, mirrored by internal/remote's cache
-// client (redefined there to keep serve → remote a one-way dependency):
-// at most maxCacheKeys keys or entries per request, values no larger
-// than maxCacheValue bytes so one row always fits a client's NDJSON
-// line buffer.
-const (
-	maxCacheKeys  = 256
-	maxCacheValue = 1 << 20
-)
+// maxCacheKeys caps the keys or entries of one /v1/cache request; the
+// wire protocol declares it in internal/remote.
+const maxCacheKeys = remote.MaxCacheKeys
 
 // Config sizes the server's evaluation back end. It is the one fleet
 // topology declaration, remote.BackendConfig: Shards 0 selects one local
@@ -428,7 +422,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	clientGone := false
 	if acked {
-		if err := enc.Encode(suiteAck{Ack: "start", Jobs: len(jobs)}); err != nil {
+		if err := enc.Encode(remote.SuiteAck{Ack: "start", Jobs: len(jobs)}); err != nil {
 			clientGone = true
 		}
 		flush()
@@ -456,57 +450,9 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		flush()
 	}
 	if acked && !clientGone {
-		enc.Encode(suiteAck{Ack: "end", Rows: rows})
+		enc.Encode(remote.SuiteAck{Ack: "end", Rows: rows})
 		flush()
 	}
-}
-
-// suiteAck is one acknowledgement line of the ?ack=1 /v1/suite stream:
-// "start" carries the accepted job count, "end" the number of result
-// rows written. Mirrored by internal/remote's ackRow (redefined there
-// to keep serve → remote a one-way dependency).
-type suiteAck struct {
-	Ack  string `json:"ack"`
-	Jobs int    `json:"jobs,omitempty"`
-	Rows int    `json:"rows,omitempty"`
-}
-
-// cacheLookupRequest is the POST /v1/cache/lookup body. Mirrored by
-// internal/remote's cache client (redefined there to keep serve →
-// remote a one-way dependency), like suiteAck. Epoch is the caller's
-// cache generation; a disagreement answers every key as a miss.
-type cacheLookupRequest struct {
-	Keys  []string `json:"keys"`
-	Epoch uint64   `json:"epoch,omitempty"`
-}
-
-// cacheRow is one NDJSON reply row of /v1/cache/lookup, stamped with
-// this server's epoch so the client can refuse cross-generation rows.
-type cacheRow struct {
-	Key   string          `json:"key"`
-	Found bool            `json:"found"`
-	Value json.RawMessage `json:"value,omitempty"`
-	Epoch uint64          `json:"epoch,omitempty"`
-}
-
-// cacheFillEntry is one entry of the POST /v1/cache/fill body.
-type cacheFillEntry struct {
-	Key   string          `json:"key"`
-	Value json.RawMessage `json:"value"`
-}
-
-// cacheFillRequest is the POST /v1/cache/fill body.
-type cacheFillRequest struct {
-	Entries []cacheFillEntry `json:"entries"`
-	Epoch   uint64           `json:"epoch,omitempty"`
-}
-
-// cacheFillReply acknowledges a fill: entries stored, entries refused
-// over an epoch disagreement, and this server's epoch.
-type cacheFillReply struct {
-	Stored   int    `json:"stored"`
-	Rejected int    `json:"rejected,omitempty"`
-	Epoch    uint64 `json:"epoch,omitempty"`
 }
 
 // handleCacheLookup answers sibling lookups from the LOCAL store only —
@@ -521,7 +467,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	var req cacheLookupRequest
+	var req remote.CacheLookupRequest
 	if err := readJSON(w, r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), err)
 		return
@@ -538,7 +484,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		enc := json.NewEncoder(w)
 		for _, k := range req.Keys {
-			if err := enc.Encode(cacheRow{Key: k, Epoch: epoch}); err != nil {
+			if err := enc.Encode(remote.CacheRow{Key: k, Epoch: epoch}); err != nil {
 				return
 			}
 		}
@@ -549,7 +495,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	for _, k := range req.Keys {
-		row := cacheRow{Key: k, Epoch: epoch}
+		row := remote.CacheRow{Key: k, Epoch: epoch}
 		if v, ok := local.Get(r.Context(), k); ok {
 			row.Found, row.Value = true, v
 		}
@@ -572,7 +518,7 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	var req cacheFillRequest
+	var req remote.CacheFillRequest
 	if err := readJSON(w, r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), err)
 		return
@@ -585,19 +531,19 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 	epoch := s.cache.Epoch()
 	if req.Epoch != epoch {
 		s.cacheEpochRejects.Add(uint64(len(req.Entries)))
-		writeJSON(w, http.StatusOK, cacheFillReply{Rejected: len(req.Entries), Epoch: epoch})
+		writeJSON(w, http.StatusOK, remote.CacheFillReply{Rejected: len(req.Entries), Epoch: epoch})
 		return
 	}
 	local := s.cache.Local()
 	stored := 0
 	for _, e := range req.Entries {
-		if e.Key == "" || len(e.Value) == 0 || len(e.Value) > maxCacheValue || !json.Valid(e.Value) {
+		if e.Key == "" || len(e.Value) == 0 || len(e.Value) > remote.MaxCacheValue || !json.Valid(e.Value) {
 			continue
 		}
 		local.Put(r.Context(), e.Key, e.Value)
 		stored++
 	}
-	writeJSON(w, http.StatusOK, cacheFillReply{Stored: stored, Epoch: epoch})
+	writeJSON(w, http.StatusOK, remote.CacheFillReply{Stored: stored, Epoch: epoch})
 }
 
 // readBody reads a request body under the maxBody cap; oversize bodies

@@ -1,56 +1,45 @@
 package xlate
 
-import "repro/internal/isa"
+import (
+	"repro/internal/asm"
+	"repro/internal/isa"
+)
 
 // The redundancy-checking phase of Fig. 2: the mapping and conversion
 // phases emit conservatively (copies for two-address form, spill traffic,
 // rebuilt constants); this pass deletes the duplicated operations. Branch
-// targets survive deletion because Lines carry them symbolically — the
-// ART-9 assembler recomputes every offset afterwards, which is the
-// "re-calculates the branch target addresses" step of §III-A.
+// targets survive deletion because statements carry them symbolically —
+// the ART-9 assembler recomputes every offset afterwards, which is the
+// "re-calculates the branch target addresses" step of §III-A. Operand
+// roles come from isa.Op; of the pseudos, LDI and LDA write Ta and read
+// nothing, and HALT transfers control.
 
-// lineWrites returns the register a line writes, if any.
-func lineWrites(l Line) (isa.Reg, bool) {
-	switch l.Op {
-	case "MV", "PTI", "NTI", "STI", "AND", "OR", "XOR", "ADD", "SUB",
-		"SR", "SL", "COMP", "ANDI", "ADDI", "SRI", "SLI", "LUI", "LI",
-		"LDI", "LDA", "LOAD", "JAL", "JALR":
-		return l.Ta, true
+// writes reports whether l writes register r.
+func writes(l asm.Stmt, r isa.Reg) bool {
+	if op, ok := l.Op.Inst(); ok {
+		return op.WritesReg() && l.Ta == r
 	}
-	return 0, false
+	return (l.Op == asm.LDI || l.Op == asm.LDA) && l.Ta == r
 }
 
-// lineReads returns the registers a line reads.
-func lineReads(l Line) []isa.Reg {
-	switch l.Op {
-	case "MV", "PTI", "NTI", "STI":
-		return []isa.Reg{l.Tb}
-	case "AND", "OR", "XOR", "ADD", "SUB", "SR", "SL", "COMP":
-		return []isa.Reg{l.Ta, l.Tb}
-	case "ANDI", "ADDI", "SRI", "SLI", "LI":
-		return []isa.Reg{l.Ta}
-	case "BEQ", "BNE", "JALR", "LOAD":
-		return []isa.Reg{l.Tb}
-	case "STORE":
-		return []isa.Reg{l.Ta, l.Tb}
-	}
-	return nil
+// reads reports whether l reads register r.
+func reads(l asm.Stmt, r isa.Reg) bool {
+	op, ok := l.Op.Inst()
+	return ok && (op.ReadsTa() && l.Ta == r || op.ReadsTb() && l.Tb == r)
 }
 
-// isControl reports whether a line can transfer control.
-func isControl(l Line) bool {
-	switch l.Op {
-	case "JAL", "JALR", "BEQ", "BNE", "HALT":
-		return true
-	}
-	return false
+// isBarrier reports whether l ends a straight-line run: it carries a
+// label, which another path may enter by, or it can transfer control.
+func isBarrier(l asm.Stmt) bool {
+	op, ok := l.Op.Inst()
+	return l.Label != "" || l.Op == asm.HALT || ok && op.Category() == isa.CatB
 }
 
 // isPureWrite reports whether a line only writes its Ta (safe to delete
 // when the value is dead).
-func isPureWrite(l Line) bool {
+func isPureWrite(l asm.Stmt) bool {
 	switch l.Op {
-	case "LDI", "LUI", "LDA", "MV":
+	case asm.LDI, asm.LDA, asm.Op(isa.LUI), asm.Op(isa.MV):
 		return true
 	}
 	return false
@@ -59,21 +48,24 @@ func isPureWrite(l Line) bool {
 // isIdentity reports whether a line provably changes nothing: MV x,x;
 // ADDI/SLI/SRI x,0; ADD/SUB x,T0 (T0 holds zero by ABI and is never
 // rewritten after the prologue).
-func isIdentity(l Line) bool {
+func isIdentity(l asm.Stmt) bool {
 	switch l.Op {
-	case "MV":
+	case asm.Op(isa.MV):
 		return l.Ta == l.Tb
-	case "ADDI", "SLI", "SRI":
+	case asm.Op(isa.ADDI), asm.Op(isa.SLI), asm.Op(isa.SRI):
 		return l.Imm == 0
-	case "ADD", "SUB":
+	case asm.Op(isa.ADD), asm.Op(isa.SUB):
 		return l.Tb == regZero
 	}
 	return false
 }
 
+// isBlank reports whether a line is a placeholder left by a deletion.
+func isBlank(l asm.Stmt) bool { return l.Op == asm.LabelOnly && l.Label == "" }
+
 // peephole runs the redundancy checker to a fixed point, returning the
 // cleaned lines and the number of instructions removed.
-func peephole(lines []Line) ([]Line, int) {
+func peephole(lines []asm.Stmt) ([]asm.Stmt, int) {
 	removed := 0
 	for {
 		n := 0
@@ -85,22 +77,22 @@ func peephole(lines []Line) ([]Line, int) {
 	}
 }
 
-func peepholeOnce(lines []Line) ([]Line, int) {
+func peepholeOnce(lines []asm.Stmt) ([]asm.Stmt, int) {
 	removed := 0
 	// drop turns line i into a label-only placeholder, preserving any
 	// label bound to it.
 	drop := func(i int) {
-		lines[i] = Line{Label: lines[i].Label}
+		lines[i] = asm.Stmt{Op: asm.LabelOnly, Label: lines[i].Label}
 		removed++
 	}
 	for i := 0; i < len(lines); i++ {
 		l := lines[i]
-		if l.Op == "" {
+		if l.Op == asm.LabelOnly {
 			continue
 		}
 		// The prologue LDI T0, 0 establishes the ABI zero; never touch
 		// writes to T0 (there is exactly one).
-		if w, ok := lineWrites(l); ok && w == regZero && l.Op == "LDI" {
+		if l.Op == asm.LDI && l.Ta == regZero {
 			continue
 		}
 
@@ -111,14 +103,14 @@ func peepholeOnce(lines []Line) ([]Line, int) {
 		}
 
 		// Rule 3: spill store immediately reloaded.
-		if l.Op == "STORE" && l.Tb == regZero {
+		if l.Op == asm.Op(isa.STORE) && l.Tb == regZero {
 			if j := nextOp(lines, i); j >= 0 && lines[j].Label == "" {
 				n := lines[j]
-				if n.Op == "LOAD" && n.Tb == regZero && n.Imm == l.Imm {
+				if n.Op == asm.Op(isa.LOAD) && n.Tb == regZero && n.Imm == l.Imm {
 					if n.Ta == l.Ta {
 						drop(j)
 					} else {
-						lines[j] = Line{Op: "MV", Ta: n.Ta, HasTa: true, Tb: l.Ta, HasTb: true}
+						lines[j] = asm.Stmt{Op: asm.Op(isa.MV), Ta: n.Ta, Tb: l.Ta}
 					}
 					continue
 				}
@@ -127,54 +119,48 @@ func peepholeOnce(lines []Line) ([]Line, int) {
 
 		// Rule 4: dead pure writes — the value is overwritten before
 		// any read, with no barrier in between.
-		if isPureWrite(l) {
-			if w, ok := lineWrites(l); ok && deadBefore(lines, i+1, w) {
-				drop(i)
-				continue
-			}
+		if isPureWrite(l) && deadBefore(lines, i+1, l.Ta) {
+			drop(i)
+			continue
 		}
 
 		// Rule 5: duplicate constant load — an identical LDI with no
 		// intervening write/barrier.
-		if l.Op == "LDI" {
+		if l.Op == asm.LDI {
 			for j := i + 1; j < len(lines); j++ {
 				n := lines[j]
-				if n.Op == "" && n.Label == "" {
+				if isBlank(n) {
 					continue
 				}
-				if n.Label != "" || isControl(n) {
+				if isBarrier(n) {
 					break
 				}
-				if w, ok := lineWrites(n); ok && w == l.Ta {
-					if n.Op == "LDI" && n.Imm == l.Imm {
+				if writes(n, l.Ta) {
+					if n.Op == asm.LDI && n.Imm == l.Imm {
 						// Same value rebuilt: the second is redundant
 						// only if nothing read-modified it, which the
 						// write check guarantees.
-						lines[j] = Line{Label: n.Label}
-						removed++
+						drop(j)
 					}
 					break
 				}
 			}
 		}
 	}
-	// Compact label-only placeholders into their successors where the
-	// successor has no label of its own.
-	var out []Line
-	for i := 0; i < len(lines); i++ {
-		l := lines[i]
-		if l.Op == "" && l.Label == "" {
-			continue
+	// Compact the placeholders that carry no label, in place.
+	out := lines[:0]
+	for _, l := range lines {
+		if !isBlank(l) {
+			out = append(out, l)
 		}
-		out = append(out, l)
 	}
 	return out, removed
 }
 
 // nextOp returns the next index holding a real instruction, or −1.
-func nextOp(lines []Line, i int) int {
+func nextOp(lines []asm.Stmt, i int) int {
 	for j := i + 1; j < len(lines); j++ {
-		if lines[j].Op != "" {
+		if lines[j].Op != asm.LabelOnly {
 			return j
 		}
 		if lines[j].Label != "" {
@@ -186,21 +172,12 @@ func nextOp(lines []Line, i int) int {
 
 // deadBefore reports whether register r is overwritten before any read,
 // label or control transfer from index i on.
-func deadBefore(lines []Line, i int, r isa.Reg) bool {
-	for j := i; j < len(lines); j++ {
-		l := lines[j]
-		if l.Label != "" || isControl(l) {
+func deadBefore(lines []asm.Stmt, i int, r isa.Reg) bool {
+	for _, l := range lines[i:] {
+		if isBarrier(l) || reads(l, r) {
 			return false
 		}
-		if l.Op == "" {
-			continue
-		}
-		for _, rd := range lineReads(l) {
-			if rd == r {
-				return false
-			}
-		}
-		if w, ok := lineWrites(l); ok && w == r {
+		if writes(l, r) {
 			return true
 		}
 	}

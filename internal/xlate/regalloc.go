@@ -108,11 +108,11 @@ func (t *translator) read(rv rv32.Reg, scratch isa.Reg) isa.Reg {
 	}
 	s := t.alloc.slotOf(rv)
 	if cheapSlot(s) {
-		t.mem("LOAD", scratch, regZero, s)
+		t.mem(isa.LOAD, scratch, regZero, s)
 		return scratch
 	}
 	t.ldi(scratch, s)
-	t.mem("LOAD", scratch, scratch, 0)
+	t.mem(isa.LOAD, scratch, scratch, 0)
 	return scratch
 }
 
@@ -137,7 +137,7 @@ func (t *translator) writeBack(rv rv32.Reg, from isa.Reg) {
 	}
 	s := t.alloc.slotOf(rv)
 	if cheapSlot(s) {
-		t.mem("STORE", from, regZero, s)
+		t.mem(isa.STORE, from, regZero, s)
 		return
 	}
 	// Address must go through the other scratch.
@@ -146,7 +146,7 @@ func (t *translator) writeBack(rv rv32.Reg, from isa.Reg) {
 		other = scratchB
 	}
 	t.ldi(other, s)
-	t.mem("STORE", from, other, 0)
+	t.mem(isa.STORE, from, other, 0)
 }
 
 // Location describes where an RV32 register's value lives after

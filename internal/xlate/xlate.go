@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/rv32"
 	"repro/internal/ternary"
@@ -53,7 +54,7 @@ import (
 const (
 	regZero   = isa.Reg(0)
 	scratchA  = isa.Reg(7)
-	scratchB  = isa.Reg(8)
+	scratchB  = asm.Scratch
 	numDirect = 6
 	farBase   = -100 // overflow spill area, growing downward
 
@@ -76,9 +77,10 @@ var cheapSpillSlots = []int{
 
 // Options configure a translation.
 type Options struct {
-	// InlineMul expands MUL into an in-line trit-serial loop instead of a
-	// runtime call (the mapping-quality optimisation §III-A motivates;
-	// see the GEMM discussion in EXPERIMENTS.md). Default true.
+	// NoInlineMul maps MUL to a call of the runtime multiplier. By
+	// default MUL expands into an in-line trit-serial loop instead (the
+	// mapping-quality optimisation §III-A motivates; see the GEMM
+	// discussion in EXPERIMENTS.md).
 	NoInlineMul bool
 	// NoPeephole disables the redundancy-checking phase (for the
 	// ablation benchmarks).
@@ -87,10 +89,11 @@ type Options struct {
 
 // Output is the result of a translation.
 type Output struct {
-	// Asm is the generated ART-9 assembly source.
+	// Asm is the generated ART-9 assembly source, Lines printed.
 	Asm string
-	// Lines is the structured form Asm was rendered from.
-	Lines []Line
+	// Lines are the generated statements, branch targets carried as
+	// labels; asm.Build lays them out and encodes them.
+	Lines []asm.Stmt
 	// Diagnostics records constructs translated with narrowed semantics.
 	Diagnostics []string
 	// Removed is the number of instructions deleted by redundancy
@@ -100,70 +103,12 @@ type Output struct {
 	alloc *allocation
 }
 
-// Line is one ART-9 assembly line in symbolic form: a concrete instruction
-// or pseudo, with branch targets as labels so the redundancy checker can
-// delete instructions without breaking offsets.
-type Line struct {
-	Label  string // label bound to this line ("" if none)
-	Op     string // mnemonic: Table I op or LDI/LDA/HALT pseudo
-	Ta, Tb isa.Reg
-	HasTa  bool
-	HasTb  bool
-	B      ternary.Trit
-	Imm    int
-	Target string // symbolic target; when set, Imm is ignored
-}
-
-// render formats a line as assembly text.
-func (l Line) render() string {
-	var b strings.Builder
-	if l.Label != "" {
-		fmt.Fprintf(&b, "%s:", l.Label)
-	}
-	if l.Op == "" {
-		return b.String()
-	}
-	b.WriteByte('\t')
-	b.WriteString(l.Op)
-	sep := " "
-	arg := func(s string) {
-		b.WriteString(sep)
-		b.WriteString(s)
-		sep = ", "
-	}
-	if l.HasTa {
-		arg(l.Ta.String())
-	}
-	if l.HasTb {
-		arg(l.Tb.String())
-	}
-	switch l.Op {
-	case "BEQ", "BNE":
-		arg(fmt.Sprintf("%d", int(l.B)))
-	}
-	if l.Target != "" {
-		arg(l.Target)
-	} else if usesImm(l.Op) {
-		arg(fmt.Sprintf("%d", l.Imm))
-	}
-	return b.String()
-}
-
-func usesImm(op string) bool {
-	switch op {
-	case "ANDI", "ADDI", "SRI", "SLI", "LUI", "LI", "LDI", "LDA",
-		"JAL", "JALR", "LOAD", "STORE", "BEQ", "BNE":
-		return true
-	}
-	return false
-}
-
 // translator carries the state of one translation.
 type translator struct {
 	opts  Options
 	src   *rv32.Program
 	alloc *allocation
-	lines []Line
+	lines []asm.Stmt
 	diags []string
 
 	labelAt   map[int]string // rv32 instruction index -> label name
@@ -225,7 +170,7 @@ func Translate(p *rv32.Program, opts Options) (*Output, error) {
 	t.findLabels()
 
 	// Prologue: establish the zero-register convention.
-	t.emit(Line{Op: "LDI", Ta: regZero, HasTa: true, Imm: 0})
+	t.ldi(regZero, 0)
 
 	for idx, in := range p.Insts {
 		if lbl, ok := t.labelAt[idx]; ok {
@@ -240,7 +185,7 @@ func Translate(p *rv32.Program, opts Options) (*Output, error) {
 	// A trailing label (branch to end) needs an anchor.
 	if lbl, ok := t.labelAt[len(p.Insts)]; ok {
 		t.label(lbl)
-		t.emit(Line{Op: "HALT"})
+		t.emit(asm.Stmt{Op: asm.HALT})
 	}
 	t.appendRuntime()
 
@@ -249,14 +194,18 @@ func Translate(p *rv32.Program, opts Options) (*Output, error) {
 		out.Lines, out.Removed = peephole(out.Lines)
 	}
 	var b strings.Builder
-	b.WriteString("; generated by the ART-9 software-level compiling framework\n")
-	for _, l := range out.Lines {
-		b.WriteString(l.render())
-		b.WriteByte('\n')
+	b.Grow(len(asmHeader) + 16*len(out.Lines)) // lines average 15 bytes
+	b.WriteString(asmHeader)
+	var line []byte
+	for _, s := range out.Lines {
+		line = asm.AppendStmt(line[:0], s)
+		b.Write(line)
 	}
 	out.Asm = b.String()
 	return out, nil
 }
+
+const asmHeader = "; generated by the ART-9 software-level compiling framework\n"
 
 // findLabels names every branch/jump target "L<idx>".
 func (t *translator) findLabels() {
@@ -279,7 +228,7 @@ func (t *translator) targetLabel(idx int, in rv32.Inst) string {
 	return t.labelAt[idx+int(in.Imm)/4]
 }
 
-func (t *translator) emit(l Line) {
+func (t *translator) emit(l asm.Stmt) {
 	if t.pendLabel != "" && l.Label == "" {
 		l.Label = t.pendLabel
 	}
@@ -291,7 +240,7 @@ func (t *translator) emit(l Line) {
 func (t *translator) label(name string) {
 	if t.pendLabel != "" {
 		// Two labels on one spot: emit an empty labelled line.
-		t.lines = append(t.lines, Line{Label: t.pendLabel})
+		t.lines = append(t.lines, asm.Stmt{Op: asm.LabelOnly, Label: t.pendLabel})
 	}
 	t.pendLabel = name
 }
@@ -301,20 +250,25 @@ func (t *translator) diagf(format string, args ...interface{}) {
 }
 
 // Convenience emitters.
-func (t *translator) r2(op string, ta, tb isa.Reg) {
-	t.emit(Line{Op: op, Ta: ta, HasTa: true, Tb: tb, HasTb: true})
+func (t *translator) r2(op isa.Op, ta, tb isa.Reg) {
+	t.emit(asm.Stmt{Op: asm.Op(op), Ta: ta, Tb: tb})
 }
 
-func (t *translator) imm(op string, ta isa.Reg, v int) {
-	t.emit(Line{Op: op, Ta: ta, HasTa: true, Imm: v})
+func (t *translator) imm(op isa.Op, ta isa.Reg, v int) {
+	t.emit(asm.Stmt{Op: asm.Op(op), Ta: ta, Imm: v})
 }
 
-func (t *translator) mem(op string, ta, tb isa.Reg, off int) {
-	t.emit(Line{Op: op, Ta: ta, HasTa: true, Tb: tb, HasTb: true, Imm: off})
+func (t *translator) mem(op isa.Op, ta, tb isa.Reg, off int) {
+	t.emit(asm.Stmt{Op: asm.Op(op), Ta: ta, Tb: tb, Imm: off})
 }
 
-func (t *translator) branch(op string, tb isa.Reg, b ternary.Trit, target string) {
-	t.emit(Line{Op: op, Tb: tb, HasTb: true, B: b, Target: target})
+func (t *translator) branch(op isa.Op, tb isa.Reg, b ternary.Trit, target string) {
+	t.emit(asm.Stmt{Op: asm.Op(op), Tb: tb, B: b, Target: target})
+}
+
+// jalTo jumps to target, linking into link.
+func (t *translator) jalTo(link isa.Reg, target string) {
+	t.emit(asm.Stmt{Op: asm.Op(isa.JAL), Ta: link, Target: target})
 }
 
 // ldi loads a full-width constant into reg (operand conversion: the LUI/LI
@@ -325,5 +279,5 @@ func (t *translator) ldi(reg isa.Reg, v int) {
 		t.diagf("constant %d wraps to 9-trit range", v)
 		v = ternary.FromInt(v).Int()
 	}
-	t.emit(Line{Op: "LDI", Ta: reg, HasTa: true, Imm: v})
+	t.emit(asm.Stmt{Op: asm.LDI, Ta: reg, Imm: v})
 }

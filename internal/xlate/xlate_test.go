@@ -3,6 +3,7 @@ package xlate
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,6 +46,7 @@ func runEquiv(t *testing.T, src string, opts Options) *equivRun {
 	if err != nil {
 		t.Fatalf("art9 assemble: %v\n--- generated ---\n%s", err, out.Asm)
 	}
+	checkHandOff(t, out, artProg)
 	data := DataImage(rvProg)
 
 	fn := sim.NewFunctional(sim.Config{})
@@ -71,6 +73,30 @@ func runEquiv(t *testing.T, src string, opts Options) *equivRun {
 		t.Fatalf("art9 pipeline run: %v", err)
 	}
 	return &equivRun{rv: m, out: out, fn: fn, pipe: pipe, fres: fres, pres: pres}
+}
+
+// checkHandOff asserts that building the statements of a translation
+// gives the program assembled from its text, and that parsing the text
+// gives back the statements.
+func checkHandOff(t *testing.T, out *Output, assembled *asm.Program) {
+	t.Helper()
+	built, err := asm.Build(out.Lines)
+	if err != nil {
+		t.Fatalf("art9 build: %v", err)
+	}
+	if !reflect.DeepEqual(built, assembled) {
+		t.Fatalf("built and assembled programs differ\n--- generated ---\n%s", out.Asm)
+	}
+	parsed, err := asm.Parse(out.Asm)
+	if err != nil {
+		t.Fatalf("art9 parse: %v", err)
+	}
+	for i := range parsed {
+		parsed[i].SrcLine = 0
+	}
+	if !reflect.DeepEqual(parsed, out.Lines) {
+		t.Fatalf("parsing the text does not give back the statements\n--- generated ---\n%s", out.Asm)
+	}
 }
 
 // checkReg asserts that the translated program computed the same value for
