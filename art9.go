@@ -217,10 +217,10 @@ func ReproduceTables() (string, error) { return bench.AllTables() }
 type (
 	// Evaluator is the one backend interface of the evaluation stack:
 	// Run (submission-order batch), Stream (completion-order channel),
-	// Stats, Close. A local worker pool (Engine), the fronts over other
-	// evaluators (Balancer, Autoscaler) and an HTTP client proxying to
-	// a remote art9-serve instance all implement it and compose freely;
-	// build one with New.
+	// Stats, Close. A local worker pool (Engine), the Balancer front
+	// over other evaluators and an HTTP client proxying to a remote
+	// art9-serve instance all implement it and compose freely; build
+	// one with New.
 	Evaluator = engine.Evaluator
 	// Engine is the local worker-pool backend; its jobs share the
 	// process-wide memoization caches for assembled programs and
@@ -237,8 +237,10 @@ type (
 	// Balancer is the health-aware failover front: least-loaded
 	// dispatch over any mix of backends, periodic liveness probes, and
 	// bounded job-level failover when a backend dies mid-suite. New
-	// builds one for every fixed topology with more than one backend
-	// (New(WithShards(2)), New(WithPeers(...)), ...).
+	// builds one for every topology with more than one backend
+	// (New(WithShards(2)), New(WithPeers(...)), ...) and for an elastic
+	// pool (New(WithAutoscale(min, max))), whose Autoscaler method
+	// returns its scaling policy.
 	Balancer = engine.Balancer
 	// BackendHealth is one balanced backend's dispatch/failover/probe
 	// scorecard, as reported by Balancer.Health and BENCH reports.
@@ -248,11 +250,12 @@ type (
 	// scraped by the Balancer's probe loop, and used to size chunked
 	// dispatch (New(WithPeers(...), WithChunk(n))).
 	Capacity = engine.Capacity
-	// Autoscaler is the elastic front: a pool of local shards that
-	// grows and shrinks between bounds — recruiting standby peers under
-	// burst — from the queue-depth/utilization signal, draining every
-	// retired member before it closes. Build one with
-	// New(WithAutoscale(min, max), ...).
+	// Autoscaler is the scaling policy of an elastic pool: it grows and
+	// shrinks a Balancer's local shards between bounds — recruiting
+	// standby peers under burst — from the queue-depth/utilization
+	// signal, draining every retired member before it closes. Build the
+	// pool with New(WithAutoscale(min, max), ...) and reach the policy
+	// with ev.(*Balancer).Autoscaler().
 	Autoscaler = engine.Autoscaler
 	// ScaleEvent records one autoscaler pool transition, as carried by
 	// BENCH reports and /v1/stats.

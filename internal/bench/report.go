@@ -26,8 +26,8 @@ type Report struct {
 	Cache  CacheReport  `json:"cache"`
 	Engine EngineReport `json:"engine"`
 	// Balancer is present exactly when the batch ran behind a
-	// health-aware failover front or an elastic autoscaling front:
-	// per-backend dispatch, failover and health-probe counters, so
+	// health-aware Balancer, fixed or elastic: per-backend dispatch,
+	// failover and health-probe counters, so
 	// BENCH artifacts record fleet behaviour (which backends carried
 	// the work, which dropped jobs that were re-run elsewhere, which
 	// were spawned or retired by scaling).
@@ -35,8 +35,8 @@ type Report struct {
 	Failures int             `json:"failures"`
 }
 
-// BalancerReport snapshots a fleet front's dispatch behaviour — an
-// engine.Balancer's failover counters or an engine.Autoscaler's scale
+// BalancerReport snapshots an engine.Balancer's dispatch behaviour —
+// its failover counters and, for an elastic pool, its scale
 // trajectory: the budget it ran with, how many re-dispatches it
 // performed, and one scorecard per backend.
 type BalancerReport struct {
@@ -56,8 +56,8 @@ type BalancerReport struct {
 	// CacheHits counts jobs the front resolved from the fleet-wide
 	// result cache without placing them on any backend.
 	CacheHits uint64 `json:"cache_hits,omitempty"`
-	// ScaleUps/ScaleDowns count an Autoscaler front's pool transitions
-	// and ScaleEvents is its event log (capped by the engine) — the
+	// ScaleUps/ScaleDowns count an elastic pool's transitions and
+	// ScaleEvents is its event log (capped by the engine) — the
 	// elasticity trajectory the BENCH artifacts track. Absent behind a
 	// fixed-size Balancer.
 	ScaleUps    uint64                 `json:"scale_ups,omitempty"`
@@ -66,36 +66,27 @@ type BalancerReport struct {
 	Backends    []engine.BackendHealth `json:"backends"`
 }
 
-// BalancerReportFor renders the fleet scorecard of a Balancer- or
-// Autoscaler-fronted backend, or nil when ev is any other Evaluator —
-// callers attach it to a Report exactly when it exists.
+// BalancerReportFor renders the fleet scorecard of a Balancer-fronted
+// backend, or nil when ev is any other Evaluator — callers attach it to
+// a Report exactly when it exists.
 func BalancerReportFor(ev engine.Evaluator) *BalancerReport {
-	var rep *BalancerReport
-	switch front := ev.(type) {
-	case *engine.Balancer:
-		rep = &BalancerReport{
-			MaxRetries:   front.MaxRetries(),
-			Retries:      front.Retries(),
-			Chunk:        front.Chunk(),
-			Chunks:       front.Chunks(),
-			ChunkResumes: front.ChunkResumes(),
-			CacheHits:    front.CacheHits(),
-			Backends:     front.Health(),
-		}
-	case *engine.Autoscaler:
-		rep = &BalancerReport{
-			MaxRetries: front.MaxRetries(),
-			Retries:    front.Retries(),
-			CacheHits:  front.CacheHits(),
-			ScaleUps:   front.ScaleUps(),
-			ScaleDowns: front.ScaleDowns(),
-			// Events is already bounded engine-side, so the report
-			// carries the full log it kept.
-			ScaleEvents: front.Events(),
-			Backends:    front.Health(),
-		}
-	default:
+	front, ok := ev.(*engine.Balancer)
+	if !ok {
 		return nil
+	}
+	rep := &BalancerReport{
+		MaxRetries:   front.MaxRetries(),
+		Retries:      front.Retries(),
+		Chunk:        front.Chunk(),
+		Chunks:       front.Chunks(),
+		ChunkResumes: front.ChunkResumes(),
+		CacheHits:    front.CacheHits(),
+		Backends:     front.Health(),
+	}
+	if a := front.Autoscaler(); a != nil {
+		// Events is already bounded engine-side, so the report carries
+		// the full log it kept.
+		rep.ScaleUps, rep.ScaleDowns, rep.ScaleEvents = a.ScaleUps(), a.ScaleDowns(), a.Events()
 	}
 	for _, h := range rep.Backends {
 		rep.Failovers += h.Failovers
@@ -297,13 +288,6 @@ func cacheReport(ps, as engine.CacheStats) CacheReport {
 	}
 }
 
-// EngineReportFrom renders an already-taken stats snapshot — for
-// callers (the serve stats endpoint) that must not trigger a second
-// scrape of remote backends.
-func EngineReportFrom(st engine.Stats, shards int) EngineReport {
-	return engineReport(st, shards)
-}
-
 // RunReportFor renders only the counters attributable to this process's
 // use of the backend — remote shards report the work submitted through
 // them (engine.LocalStats), not their peer's lifetime totals — which is
@@ -312,13 +296,16 @@ func EngineReportFrom(st engine.Stats, shards int) EngineReport {
 // peers field.
 func RunReportFor(ev engine.Evaluator) EngineReport {
 	shards := 1
-	if c, ok := ev.(engine.Composite); ok {
-		shards = c.Size()
+	if b, ok := ev.(*engine.Balancer); ok {
+		shards = b.Size()
 	}
-	return engineReport(engine.LocalStats(ev), shards)
+	return EngineReportFrom(engine.LocalStats(ev), shards)
 }
 
-func engineReport(st engine.Stats, shards int) EngineReport {
+// EngineReportFrom renders an already-taken stats snapshot over shards
+// backends — for callers (the serve stats endpoint) that must not
+// trigger a second scrape of remote backends.
+func EngineReportFrom(st engine.Stats, shards int) EngineReport {
 	return EngineReport{
 		Workers:   st.Workers,
 		Shards:    shards,

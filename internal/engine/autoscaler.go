@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -17,15 +15,15 @@ import (
 // diagnostics.
 var ErrInvalidOptions = errors.New("engine: invalid option combination")
 
-// Autoscaler is the elastic Evaluator: a grow/shrink/standby/drain
-// policy over a Balancer it owns. The pool's members are local shard
-// engines whose count floats between configured bounds — plus standby
-// backends dialed when the local bound is exhausted — driven by the
-// Balancer's queue depth and the active members' utilization. Placement,
-// health scoring and failover are the Balancer's: jobs go to the active
-// member with the most free slots, one job per dispatch unit, and a
-// member that fails at the backend level is marked down and its jobs
-// re-run elsewhere within the retry budget.
+// Autoscaler is the grow/shrink/standby/drain policy of an elastic
+// pool: the scaling policy attached to a Balancer that NewAutoscaler
+// builds, which (*Balancer).Autoscaler returns. The pool's members are
+// local shard engines whose count floats between configured bounds —
+// plus standby backends dialed when the local bound is exhausted, and
+// any fixed backends the pool was built beside, which the policy never
+// retires — driven by the Balancer's queue depth and the active
+// members' utilization. Placement, health scoring and failover are the
+// Balancer's.
 //
 // Scaling follows hysteresis: the pool grows when jobs are queued
 // beyond the active capacity (or utilization crosses UpThreshold),
@@ -35,13 +33,13 @@ var ErrInvalidOptions = errors.New("engine: invalid option combination")
 // before it is released: it stops receiving new jobs immediately, its
 // in-flight jobs run to completion, and only then is its Close — the
 // same drain-safe contract every Evaluator honours — invoked, so no
-// job is ever lost to a shrink.
+// job is ever lost to a shrink. The policy's loop stops when the
+// Balancer closes.
 type Autoscaler struct {
 	b        *Balancer
 	min, max int
 	up, down float64
 	cooldown time.Duration
-	interval time.Duration
 	spawn    func() Evaluator
 	standby  []StandbyBackend
 
@@ -54,9 +52,6 @@ type Autoscaler struct {
 	spawned int    // local members ever spawned, for stable naming
 	ups     uint64 // lifetime scale-up events
 	downs   uint64 // lifetime scale-down events
-
-	stop     chan struct{}
-	stopOnce sync.Once
 }
 
 // StandbyBackend is one standby member the autoscaler may dial when the
@@ -99,9 +94,14 @@ type ScaleState struct {
 	ScaleDowns     uint64  `json:"scale_downs"`
 }
 
-// AutoscalerOptions configure an Autoscaler. The zero value of each
+// AutoscalerOptions configure an elastic pool. The zero value of each
 // field selects the documented default.
 type AutoscalerOptions struct {
+	// BalancerOptions tune the pool's Balancer, with one difference in
+	// defaults: HealthInterval 0 runs no probe loop, so standby peers
+	// see no probe traffic unless asked for — membership is the
+	// policy's call, and job results still score every member's health.
+	BalancerOptions
 	// Min and Max bound the local shard count (Min 0 selects 1; Max 0
 	// selects Min). Standby backends are recruited beyond Max.
 	Min, Max int
@@ -114,11 +114,10 @@ type AutoscalerOptions struct {
 	// and retired first when load drops.
 	Standby []StandbyBackend
 	// UpThreshold is the busy/width utilization at or above which the
-	// pool grows (0 selects 0.8); queued jobs grow it regardless.
-	UpThreshold float64
-	// DownThreshold is the utilization below which an idle-enough pool
-	// shrinks (0 selects 0.25).
-	DownThreshold float64
+	// pool grows; queued jobs grow it regardless. DownThreshold is the
+	// utilization below which an idle-enough pool shrinks. See
+	// ScaleThresholds for the defaults.
+	UpThreshold, DownThreshold float64
 	// Cooldown is the minimum gap between consecutive scale events
 	// (0 selects 2s; negative disables the gap).
 	Cooldown time.Duration
@@ -126,39 +125,33 @@ type AutoscalerOptions struct {
 	// (0 selects 1s; negative disables the loop — scaling then only
 	// happens through ScaleNow, which tests use for determinism).
 	Interval time.Duration
-	// Width caps concurrent dispatch to members that report no local
-	// workers — standby remote peers (0 selects 8).
-	Width int
-	// MaxRetries bounds per-job failover after a backend-level failure
-	// (0 selects 2; negative disables failover retries).
-	MaxRetries int
-	// Cache, when set, is the fleet-wide result cache consulted before
-	// every placement: a hit resolves the job without taking a slot —
-	// so hot work neither queues nor triggers a scale-up — and every
-	// successful attempt is stored back.
-	Cache ResultCache
 }
 
-// NewAutoscaler starts an elastic pool at its minimum size and, unless
-// the evaluation interval is negative, the background scale loop.
-// Close drains and releases every member. The autoscaler owns its
-// members: locals are spawned, standbys dialed and retired, entirely
-// by the scale loop.
-func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
+// ScaleThresholds returns the hysteresis bounds an elastic pool runs
+// with for configured ones: an up threshold of 0 selects 0.8 and a
+// down threshold of 0 selects 0.25.
+func ScaleThresholds(up, down float64) (float64, float64) {
+	if up <= 0 {
+		up = 0.8
+	}
+	if down <= 0 {
+		down = 0.25
+	}
+	return up, down
+}
+
+// NewAutoscaler builds an elastic pool: a Balancer over the fixed
+// backends, which it owns like NewBalancer does and the policy never
+// retires, and Min local shards, with the scaling policy attached
+// ((*Balancer).Autoscaler). Unless the evaluation interval is negative
+// it starts the background scale loop, which stops when the Balancer
+// closes; Close drains and releases every member.
+func NewAutoscaler(opts AutoscalerOptions, fixed ...Evaluator) *Balancer {
 	if opts.Min <= 0 {
 		opts.Min = 1
 	}
-	if opts.Max <= 0 {
-		opts.Max = opts.Min
-	}
 	if opts.Max < opts.Min {
 		opts.Max = opts.Min
-	}
-	if opts.UpThreshold <= 0 {
-		opts.UpThreshold = 0.8
-	}
-	if opts.DownThreshold <= 0 {
-		opts.DownThreshold = 0.25
 	}
 	if opts.Cooldown == 0 {
 		opts.Cooldown = 2 * time.Second
@@ -166,65 +159,52 @@ func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
 	if opts.Interval == 0 {
 		opts.Interval = time.Second
 	}
+	if opts.HealthInterval == 0 {
+		opts.HealthInterval = -1
+	}
 	spawn := opts.Spawn
 	if spawn == nil {
 		spawn = func() Evaluator { return New(opts.Engine) }
 	}
+	b := newBalancer(opts.BalancerOptions, fixed)
 	a := &Autoscaler{
-		// Standby peers get no probe traffic: membership is the policy's
-		// call, and job results still score every member's health.
-		b: newBalancer(BalancerOptions{
-			MaxRetries:     opts.MaxRetries,
-			HealthInterval: -1,
-			Width:          opts.Width,
-			Cache:          opts.Cache,
-		}),
+		b:        b,
 		min:      opts.Min,
 		max:      opts.Max,
-		up:       opts.UpThreshold,
-		down:     opts.DownThreshold,
 		cooldown: opts.Cooldown,
-		interval: opts.Interval,
 		spawn:    spawn,
 		standby:  opts.Standby,
 		live:     make([]*member, len(opts.Standby)),
-		stop:     make(chan struct{}),
 	}
-	a.b.mu.Lock()
+	a.up, a.down = ScaleThresholds(opts.UpThreshold, opts.DownThreshold)
+	b.scaler = a
+	b.mu.Lock()
 	for i := 0; i < a.min; i++ {
 		a.addLocalLocked()
 	}
-	a.b.mu.Unlock()
-	if a.interval > 0 {
-		go a.loop()
+	b.mu.Unlock()
+	if opts.Interval > 0 {
+		go a.loop(opts.Interval)
 	}
-	return a
+	return b
 }
-
-// The autoscaler is a first-class member of the evaluation stack.
-var (
-	_ Evaluator        = (*Autoscaler)(nil)
-	_ Composite        = (*Autoscaler)(nil)
-	_ Prober           = (*Autoscaler)(nil)
-	_ CapacityReporter = (*Autoscaler)(nil)
-)
 
 // addLocalLocked spawns one local shard as a new member. Callers hold
 // b.mu.
 func (a *Autoscaler) addLocalLocked() *member {
-	m := a.b.addLocked(a.spawn(), fmt.Sprintf("pool/%d", a.spawned), false)
+	m := a.b.addLocked(a.spawn(), fmt.Sprintf("pool/%d", a.spawned))
 	a.spawned++
 	a.locals++
 	return m
 }
 
-// loop drives periodic scale evaluation until Close.
-func (a *Autoscaler) loop() {
-	t := time.NewTicker(a.interval)
+// loop drives periodic scale evaluation until the Balancer closes.
+func (a *Autoscaler) loop(interval time.Duration) {
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-a.stop:
+		case <-a.b.stop:
 			return
 		case <-t.C:
 			a.ScaleNow()
@@ -328,7 +308,8 @@ func (a *Autoscaler) growLocked(now time.Time, reason string) bool {
 			if name == "" {
 				name = fmt.Sprintf("standby/%d", i)
 			}
-			m = a.b.addLocked(ev, name, true)
+			m = a.b.addLocked(ev, name)
+			m.standby = true
 			a.live[i] = m
 			break
 		}
@@ -343,13 +324,13 @@ func (a *Autoscaler) growLocked(now time.Time, reason string) bool {
 
 // shrinkLocked retires one member — standbys first (they cost a wire
 // hop), then locals down to the minimum, preferring the least-loaded
-// candidate — through the Balancer, which closes it only once its
-// in-flight jobs have resolved.
+// candidate, and never a fixed member — through the Balancer, which
+// closes it only once its in-flight jobs have resolved.
 func (a *Autoscaler) shrinkLocked(now time.Time, reason string) bool {
 	var victim *member
 	for _, m := range a.b.members {
-		if m.retired || (!m.standby && a.locals <= a.min) {
-			continue // retired already, or the local floor
+		if m.retired || m.fixed || (!m.standby && a.locals <= a.min) {
+			continue // retired already, fixed, or the local floor
 		}
 		if victim == nil ||
 			(m.standby && !victim.standby) || // standbys retire first
@@ -394,35 +375,9 @@ func (a *Autoscaler) recordLocked(now time.Time, dir, backend, reason string) {
 	}
 }
 
-// Size returns how many members the pool has ever held (retired members
-// keep reporting their counters).
-func (a *Autoscaler) Size() int { return a.b.Size() }
-
-// Backend returns member i, for stats drill-down and tests. Members are
-// only ever appended, so an index observed via Size stays valid.
-func (a *Autoscaler) Backend(i int) Evaluator { return a.b.Backend(i) }
-
 // Min and Max report the configured local-shard bounds.
 func (a *Autoscaler) Min() int { return a.min }
 func (a *Autoscaler) Max() int { return a.max }
-
-// MaxRetries returns the per-job failover budget.
-func (a *Autoscaler) MaxRetries() int { return a.b.MaxRetries() }
-
-// Retries returns how many re-dispatches (attempts after each job's
-// first) the autoscaler has performed over its lifetime.
-func (a *Autoscaler) Retries() uint64 { return a.b.Retries() }
-
-// ResultCache returns the result-cache tier consulted before every
-// placement, or nil when the pool runs uncached.
-func (a *Autoscaler) ResultCache() ResultCache { return a.b.ResultCache() }
-
-// CacheHits returns how many jobs were resolved from the result cache
-// without ever being placed on a member.
-func (a *Autoscaler) CacheHits() uint64 { return a.b.CacheHits() }
-
-// Streams returns how many Stream calls the autoscaler has served.
-func (a *Autoscaler) Streams() uint64 { return a.b.Streams() }
 
 // ScaleUps and ScaleDowns report the lifetime scale-event counters.
 func (a *Autoscaler) ScaleUps() uint64 {
@@ -454,6 +409,7 @@ func (a *Autoscaler) ScaleState() ScaleState {
 	st := ScaleState{
 		Min:           a.min,
 		Max:           a.max,
+		ActiveShards:  a.locals,
 		Standbys:      len(a.standby),
 		Width:         width,
 		Busy:          busy,
@@ -463,73 +419,10 @@ func (a *Autoscaler) ScaleState() ScaleState {
 		ScaleUps:      a.ups,
 		ScaleDowns:    a.downs,
 	}
-	for _, m := range a.b.members {
-		switch {
-		case m.retired:
-		case m.standby:
+	for _, m := range a.live {
+		if m != nil {
 			st.ActiveStandbys++
-		default:
-			st.ActiveShards++
 		}
 	}
 	return st
-}
-
-// Health snapshots every member's scorecard, spawn order, retired
-// members included — the Balancer's own scorecards, so stats endpoints
-// and BENCH artifacts render both fronts identically.
-func (a *Autoscaler) Health() []BackendHealth { return a.b.Health() }
-
-// Stats sums every member's own job counters and reports the
-// autoscaler's own Stream count — the Evaluator view. Retired members
-// stay included: the jobs they completed happened.
-func (a *Autoscaler) Stats() Stats { return a.b.Stats() }
-
-// Capacity reports the active pool's load snapshot: live width, jobs in
-// flight, and the dispatch queue — the signal the scale loop itself
-// consumes, so /v1/capacity shows exactly what scaling decisions see.
-func (a *Autoscaler) Capacity(context.Context) (Capacity, error) {
-	a.b.mu.Lock()
-	defer a.b.mu.Unlock()
-	width, busy := a.loadLocked()
-	c := Capacity{Workers: width, Busy: busy, Queue: a.b.queued}
-	if busy < width {
-		c.Free = width - busy
-	}
-	return c, nil
-}
-
-// Probe reports liveness: an open autoscaler always has at least its
-// minimum pool accepting jobs.
-func (a *Autoscaler) Probe(context.Context) error {
-	a.b.mu.Lock()
-	defer a.b.mu.Unlock()
-	if a.b.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// Close stops the scale loop and closes the Balancer: queued jobs
-// resolve with ErrClosed, retirement drains finish, every member closes
-// concurrently, and the attached result cache is released last (a tier
-// drains its queued peer fills there), joining every error. Idempotent.
-// Scale-down retirements never touch the cache: it is attached to the
-// front, not to the members.
-func (a *Autoscaler) Close() error {
-	a.stopOnce.Do(func() { close(a.stop) })
-	return a.b.Close()
-}
-
-// Run dispatches every job through the pool's Balancer and returns
-// results in submission order — Engine.Run semantics over the elastic
-// pool.
-func (a *Autoscaler) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	return a.b.Run(ctx, jobs)
-}
-
-// Stream dispatches like Run but yields each result the moment its job
-// resolves, in completion order — the Evaluator contract.
-func (a *Autoscaler) Stream(ctx context.Context, jobs []Job) <-chan Result {
-	return a.b.Stream(ctx, jobs)
 }

@@ -16,15 +16,15 @@ import (
 	"repro/internal/engine"
 )
 
-// manualScaler builds an autoscaler whose pool only moves when the test
-// calls ScaleNow.
-func manualScaler(t *testing.T, opts engine.AutoscalerOptions) *engine.Autoscaler {
+// manualScaler builds an elastic pool whose membership only moves when
+// the test calls ScaleNow, and returns it with its scaling policy.
+func manualScaler(t *testing.T, opts engine.AutoscalerOptions) (*engine.Balancer, *engine.Autoscaler) {
 	t.Helper()
 	opts.Interval = -1
 	opts.Cooldown = -1
-	a := engine.NewAutoscaler(opts)
-	t.Cleanup(func() { a.Close() })
-	return a
+	b := engine.NewAutoscaler(opts)
+	t.Cleanup(func() { b.Close() })
+	return b, b.Autoscaler()
 }
 
 // blockingJob returns a job that parks until release is closed.
@@ -64,11 +64,11 @@ func drainStream(ch <-chan engine.Result) []engine.Result {
 // beyond the active capacity grow the pool one member per round until
 // the local ceiling, and every transition lands in the event log.
 func TestAutoscalerGrowsUnderQueue(t *testing.T) {
-	a := manualScaler(t, engine.AutoscalerOptions{
+	b, a := manualScaler(t, engine.AutoscalerOptions{
 		Min: 1, Max: 3,
 		Engine: engine.Options{Workers: 1},
 	})
-	if got := a.Size(); got != 1 {
+	if got := b.Size(); got != 1 {
 		t.Fatalf("pool starts with %d members, want the minimum 1", got)
 	}
 
@@ -77,7 +77,7 @@ func TestAutoscalerGrowsUnderQueue(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = blockingJob(fmt.Sprintf("j%d", i), release)
 	}
-	stream := a.Stream(context.Background(), jobs)
+	stream := b.Stream(context.Background(), jobs)
 
 	// One slot exists, so four jobs park — the queue-depth signal.
 	waitUntil(t, "jobs to queue", func() bool { return a.ScaleState().Queue >= 2 })
@@ -86,7 +86,7 @@ func TestAutoscalerGrowsUnderQueue(t *testing.T) {
 			t.Fatalf("round %d: ScaleNow did not grow a queued pool", round)
 		}
 	}
-	if got := a.Size(); got != 3 {
+	if got := b.Size(); got != 3 {
 		t.Fatalf("pool has %d members after two scale-ups, want 3", got)
 	}
 	// The ceiling holds even though jobs are still queued.
@@ -136,7 +136,7 @@ func (c *closeTracker) Close() error {
 // its in-flight jobs resolve, so a shrink never loses work.
 func TestAutoscalerDrainsBeforeRetire(t *testing.T) {
 	var trackers []*closeTracker
-	a := manualScaler(t, engine.AutoscalerOptions{
+	b, a := manualScaler(t, engine.AutoscalerOptions{
 		Min: 1, Max: 2,
 		DownThreshold: 0.9,
 		Spawn: func() engine.Evaluator {
@@ -152,18 +152,18 @@ func TestAutoscalerDrainsBeforeRetire(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		jobs = append(jobs, blockingJob(fmt.Sprintf("burst%d", i), release))
 	}
-	stream := a.Stream(context.Background(), jobs)
+	stream := b.Stream(context.Background(), jobs)
 	waitUntil(t, "burst to queue", func() bool { return a.ScaleState().Queue >= 1 })
 	if !a.ScaleNow() {
 		t.Fatal("ScaleNow did not grow under the burst")
 	}
 	waitUntil(t, "both members busy", func() bool {
-		for _, h := range a.Health() {
+		for _, h := range b.Health() {
 			if h.Inflight == 0 {
 				return false
 			}
 		}
-		return len(a.Health()) == 2
+		return len(b.Health()) == 2
 	})
 
 	// Both members carry in-flight work; utilization 4/4 is busy, so
@@ -184,11 +184,11 @@ func TestAutoscalerDrainsBeforeRetire(t *testing.T) {
 	// Pin a fresh blocking job on each member so the shrink victim is
 	// guaranteed to have in-flight work when it is retired.
 	hold := make(chan struct{})
-	s2 := a.Stream(context.Background(), []engine.Job{
+	s2 := b.Stream(context.Background(), []engine.Job{
 		blockingJob("hold0", hold), blockingJob("hold1", hold),
 	})
 	waitUntil(t, "one held job per member", func() bool {
-		hs := a.Health()
+		hs := b.Health()
 		return len(hs) == 2 && hs[0].Inflight == 1 && hs[1].Inflight == 1
 	})
 
@@ -197,7 +197,7 @@ func TestAutoscalerDrainsBeforeRetire(t *testing.T) {
 	if !a.ScaleNow() {
 		t.Fatal("ScaleNow did not shrink the underutilized pool")
 	}
-	hs := a.Health()
+	hs := b.Health()
 	if !hs[0].Retired || hs[0].Healthy {
 		t.Fatalf("victim health %+v, want retired and not healthy", hs[0])
 	}
@@ -220,7 +220,7 @@ func TestAutoscalerDrainsBeforeRetire(t *testing.T) {
 	}
 
 	// The shrunken pool still serves jobs.
-	rs, err := a.Run(context.Background(), []engine.Job{
+	rs, err := b.Run(context.Background(), []engine.Job{
 		{ID: "after", Fn: func(context.Context) (any, error) { return 42, nil }},
 	})
 	if err != nil || rs[0].Err != nil || rs[0].Value.(int) != 42 {
@@ -233,7 +233,7 @@ func TestAutoscalerDrainsBeforeRetire(t *testing.T) {
 // jobs like any member, and retire before local shards when load drops.
 func TestAutoscalerRecruitsAndRetiresStandbys(t *testing.T) {
 	var dials atomic.Int32
-	a := manualScaler(t, engine.AutoscalerOptions{
+	b, a := manualScaler(t, engine.AutoscalerOptions{
 		Min: 1, Max: 1,
 		Engine:        engine.Options{Workers: 1},
 		DownThreshold: 0.9,
@@ -247,7 +247,7 @@ func TestAutoscalerRecruitsAndRetiresStandbys(t *testing.T) {
 	})
 
 	release := make(chan struct{})
-	stream := a.Stream(context.Background(), []engine.Job{
+	stream := b.Stream(context.Background(), []engine.Job{
 		blockingJob("b0", release), blockingJob("b1", release), blockingJob("b2", release),
 	})
 	waitUntil(t, "jobs to queue", func() bool { return a.ScaleState().Queue >= 1 })
@@ -261,7 +261,7 @@ func TestAutoscalerRecruitsAndRetiresStandbys(t *testing.T) {
 	if st.ActiveShards != 1 || st.ActiveStandbys != 1 {
 		t.Fatalf("scale state %+v, want 1 local + 1 standby active", st)
 	}
-	hs := a.Health()
+	hs := b.Health()
 	if len(hs) != 2 || !hs[1].Standby || hs[1].Name != "reserve-a" {
 		t.Fatalf("health %+v, want the second member to be standby reserve-a", hs)
 	}
@@ -278,7 +278,7 @@ func TestAutoscalerRecruitsAndRetiresStandbys(t *testing.T) {
 	if !a.ScaleNow() {
 		t.Fatal("ScaleNow did not retire the idle standby")
 	}
-	hs = a.Health()
+	hs = b.Health()
 	if !hs[1].Retired || hs[1].Healthy {
 		t.Fatalf("standby health %+v, want retired", hs[1])
 	}
@@ -297,7 +297,7 @@ func TestAutoscalerRecruitsAndRetiresStandbys(t *testing.T) {
 // standby whose dial errors is skipped without a scale event, and the
 // pool keeps serving from its local members.
 func TestAutoscalerStandbyDialFailureSkipsRound(t *testing.T) {
-	a := manualScaler(t, engine.AutoscalerOptions{
+	b, a := manualScaler(t, engine.AutoscalerOptions{
 		Min: 1, Max: 1,
 		Engine: engine.Options{Workers: 1},
 		Standby: []engine.StandbyBackend{{
@@ -307,7 +307,7 @@ func TestAutoscalerStandbyDialFailureSkipsRound(t *testing.T) {
 	})
 
 	release := make(chan struct{})
-	stream := a.Stream(context.Background(), []engine.Job{
+	stream := b.Stream(context.Background(), []engine.Job{
 		blockingJob("b0", release), blockingJob("b1", release),
 	})
 	waitUntil(t, "a job to queue", func() bool { return a.ScaleState().Queue >= 1 })
@@ -328,20 +328,21 @@ func TestAutoscalerStandbyDialFailureSkipsRound(t *testing.T) {
 // TestAutoscalerCooldownGatesEvents pins the hysteresis gap: with a
 // long cooldown, a second trigger inside the window is ignored.
 func TestAutoscalerCooldownGatesEvents(t *testing.T) {
-	a := engine.NewAutoscaler(engine.AutoscalerOptions{
+	b := engine.NewAutoscaler(engine.AutoscalerOptions{
 		Min: 1, Max: 3,
 		Engine:   engine.Options{Workers: 1},
 		Interval: -1,
 		Cooldown: time.Hour,
 	})
-	defer a.Close()
+	defer b.Close()
+	a := b.Autoscaler()
 
 	release := make(chan struct{})
 	var jobs []engine.Job
 	for i := 0; i < 4; i++ {
 		jobs = append(jobs, blockingJob(fmt.Sprintf("c%d", i), release))
 	}
-	stream := a.Stream(context.Background(), jobs)
+	stream := b.Stream(context.Background(), jobs)
 	waitUntil(t, "jobs to queue", func() bool { return a.ScaleState().Queue >= 2 })
 	if !a.ScaleNow() {
 		t.Fatal("first ScaleNow did not grow")
@@ -360,11 +361,12 @@ func TestAutoscalerCooldownGatesEvents(t *testing.T) {
 // the elastic pool: in-flight jobs finish, parked jobs resolve with
 // ErrClosed, and Close is idempotent.
 func TestAutoscalerCloseResolvesParkedJobs(t *testing.T) {
-	a := engine.NewAutoscaler(engine.AutoscalerOptions{
+	b := engine.NewAutoscaler(engine.AutoscalerOptions{
 		Min: 1, Max: 1,
 		Engine:   engine.Options{Workers: 1},
 		Interval: -1,
 	})
+	a := b.Autoscaler()
 
 	release := make(chan struct{})
 	jobs := []engine.Job{
@@ -372,11 +374,11 @@ func TestAutoscalerCloseResolvesParkedJobs(t *testing.T) {
 		blockingJob("parked0", release),
 		blockingJob("parked1", release),
 	}
-	stream := a.Stream(context.Background(), jobs)
+	stream := b.Stream(context.Background(), jobs)
 	waitUntil(t, "jobs to park", func() bool { return a.ScaleState().Queue == 2 })
 
 	done := make(chan error, 1)
-	go func() { done <- a.Close() }()
+	go func() { done <- b.Close() }()
 	// Close drains the in-flight job; let it finish.
 	time.Sleep(10 * time.Millisecond)
 	close(release)
@@ -402,7 +404,7 @@ func TestAutoscalerCloseResolvesParkedJobs(t *testing.T) {
 	if drained != 1 || refused != 2 {
 		t.Fatalf("close resolved %d drained + %d refused, want 1 + 2", drained, refused)
 	}
-	if err := a.Close(); err != nil {
+	if err := b.Close(); err != nil {
 		t.Errorf("second Close() = %v, want idempotent nil", err)
 	}
 }
@@ -410,7 +412,7 @@ func TestAutoscalerCloseResolvesParkedJobs(t *testing.T) {
 // TestAutoscalerRunKeepsSubmissionOrder pins the Run contract over a
 // scaling pool: one result per job, in submission order.
 func TestAutoscalerRunKeepsSubmissionOrder(t *testing.T) {
-	a := manualScaler(t, engine.AutoscalerOptions{
+	b, _ := manualScaler(t, engine.AutoscalerOptions{
 		Min: 2, Max: 2,
 		Engine: engine.Options{Workers: 1},
 	})
@@ -422,7 +424,7 @@ func TestAutoscalerRunKeepsSubmissionOrder(t *testing.T) {
 			Fn: func(context.Context) (any, error) { return i, nil },
 		})
 	}
-	results, err := a.Run(context.Background(), jobs)
+	results, err := b.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +433,7 @@ func TestAutoscalerRunKeepsSubmissionOrder(t *testing.T) {
 			t.Errorf("result %d = %+v, want job %s with value %d", i, r, jobs[i].ID, i)
 		}
 	}
-	st := a.Stats()
+	st := b.Stats()
 	if st.Completed != 20 {
 		t.Errorf("stats %+v, want 20 completed", st)
 	}
@@ -442,7 +444,7 @@ func TestAutoscalerRunKeepsSubmissionOrder(t *testing.T) {
 // re-run on another member within the budget.
 func TestAutoscalerFailoverRetriesOnDeadMember(t *testing.T) {
 	var spawned int
-	a := manualScaler(t, engine.AutoscalerOptions{
+	b, _ := manualScaler(t, engine.AutoscalerOptions{
 		Min: 2, Max: 2,
 		Spawn: func() engine.Evaluator {
 			spawned++
@@ -457,7 +459,7 @@ func TestAutoscalerFailoverRetriesOnDeadMember(t *testing.T) {
 		},
 	})
 
-	results, err := a.Run(context.Background(), []engine.Job{
+	results, err := b.Run(context.Background(), []engine.Job{
 		{ID: "a", Fn: func(context.Context) (any, error) { return 1, nil }},
 		{ID: "b", Fn: func(context.Context) (any, error) { return 2, nil }},
 	})
@@ -470,10 +472,10 @@ func TestAutoscalerFailoverRetriesOnDeadMember(t *testing.T) {
 		}
 	}
 	var failovers uint64
-	for _, h := range a.Health() {
+	for _, h := range b.Health() {
 		failovers += h.Failovers
 	}
-	if failovers == 0 && a.Retries() == 0 {
+	if failovers == 0 && b.Retries() == 0 {
 		t.Error("no failovers or retries recorded although one member was dead")
 	}
 }
@@ -491,12 +493,12 @@ func (d *drainWatch) Close() error {
 	return d.closeTracker.Close()
 }
 
-// memberInflight reads ev's scorecard Inflight from a, or -1 when ev is
-// not one of a's members.
-func memberInflight(a *engine.Autoscaler, ev engine.Evaluator) int {
-	hs := a.Health()
+// memberInflight reads ev's scorecard Inflight from b, or -1 when ev is
+// not one of b's members.
+func memberInflight(b *engine.Balancer, ev engine.Evaluator) int {
+	hs := b.Health()
 	for i := range hs {
-		if a.Backend(i) == ev {
+		if b.Backend(i) == ev {
 			return hs[i].Inflight
 		}
 	}
@@ -511,6 +513,7 @@ func memberInflight(a *engine.Autoscaler, ev engine.Evaluator) int {
 // member only once nothing is in flight on it.
 func TestAutoscalerScalesDuringStream(t *testing.T) {
 	var (
+		b       *engine.Balancer
 		a       *engine.Autoscaler
 		mu      sync.Mutex
 		watches []*drainWatch
@@ -518,7 +521,7 @@ func TestAutoscalerScalesDuringStream(t *testing.T) {
 	member := func() engine.Evaluator {
 		d := &drainWatch{closeTracker: closeTracker{
 			Evaluator: engine.New(engine.Options{Workers: 1})}}
-		d.inflight = func() int { return memberInflight(a, d) }
+		d.inflight = func() int { return memberInflight(b, d) }
 		mu.Lock()
 		watches = append(watches, d)
 		mu.Unlock()
@@ -526,7 +529,7 @@ func TestAutoscalerScalesDuringStream(t *testing.T) {
 	}
 	// A DownThreshold just under 1 lets the scaler retire members while
 	// the tail of the stream still runs on them, so drains are exercised.
-	a = manualScaler(t, engine.AutoscalerOptions{
+	b, a = manualScaler(t, engine.AutoscalerOptions{
 		Min: 1, Max: 3,
 		DownThreshold: 0.99,
 		Spawn:         member,
@@ -560,12 +563,12 @@ func TestAutoscalerScalesDuringStream(t *testing.T) {
 				return
 			default:
 			}
-			a.Health()
-			a.Stats()
-			for i := 0; i < a.Size(); i++ {
-				a.Backend(i)
+			b.Health()
+			b.Stats()
+			for i := 0; i < b.Size(); i++ {
+				b.Backend(i)
 			}
-			if _, err := a.Capacity(ctx); err != nil {
+			if _, err := b.Capacity(ctx); err != nil {
 				t.Errorf("Capacity: %v", err)
 			}
 			a.ScaleState()
@@ -582,7 +585,7 @@ func TestAutoscalerScalesDuringStream(t *testing.T) {
 		}}
 	}
 	seen := map[string]int{}
-	for r := range a.Stream(context.Background(), jobs) {
+	for r := range b.Stream(context.Background(), jobs) {
 		seen[r.ID]++
 		if r.Err != nil {
 			t.Errorf("job %s failed while the pool scaled: %v", r.ID, r.Err)
@@ -608,9 +611,9 @@ func TestAutoscalerScalesDuringStream(t *testing.T) {
 		st := a.ScaleState()
 		return st.ActiveShards == 1 && st.ActiveStandbys == 0
 	})
-	hs := a.Health()
+	hs := b.Health()
 	for i, h := range hs {
-		d := a.Backend(i).(*drainWatch)
+		d := b.Backend(i).(*drainWatch)
 		if !h.Retired {
 			if d.closed.Load() {
 				t.Errorf("active member %s was closed", h.Name)

@@ -52,14 +52,12 @@ import (
 // requests; a chunk of one sends every job as its own acknowledged
 // request.
 //
-// Membership can change while batches run: the Autoscaler adds members
-// and retires them (placement stops at once, in-flight jobs drain, then
-// the member is closed).
+// Membership can change while batches run: the scaling policy of an
+// elastic pool (NewAutoscaler) adds members and retires them (placement
+// stops at once, in-flight jobs drain, then the member is closed).
 type Balancer struct {
-	maxRetries   int
-	interval     time.Duration
-	probeTimeout time.Duration
-	threshold    int
+	maxRetries int
+	interval   time.Duration
 	// width is the dispatch cap of members that report no local
 	// workers (remote peers).
 	width int
@@ -69,6 +67,9 @@ type Balancer struct {
 	// resolves the job without taking a slot or riding a chunk, and
 	// successful attempts are stored back.
 	cache ResultCache
+	// scaler is the scaling policy of an elastic pool; nil on a fixed
+	// Balancer.
+	scaler *Autoscaler
 
 	retries      atomic.Uint64
 	chunks       atomic.Uint64
@@ -88,7 +89,7 @@ type Balancer struct {
 	closed  bool
 	rr      int
 	// queued counts jobs waiting in dispatch queues for a slot — the
-	// Autoscaler's queue-depth signal. Cache hits never enter a queue.
+	// scaling policy's queue-depth signal. Cache hits never enter a queue.
 	queued int
 
 	// revived is closed (and replaced) whenever any member transitions
@@ -104,17 +105,19 @@ type Balancer struct {
 // member is one backend plus the balancer's book-keeping about it. All
 // mutable fields are guarded by Balancer.mu.
 type member struct {
-	ev      Evaluator
-	name    string
-	width   int  // max concurrent jobs dispatched to this backend
-	standby bool // dialed from the Autoscaler's standby list
+	ev    Evaluator
+	name  string
+	width int // max concurrent jobs dispatched to this backend
+	// fixed members were handed to the constructor, so the scaling
+	// policy never retires them; standby members were dialed from its
+	// standby list.
+	fixed, standby bool
 
 	healthy bool
 	// retired members take no new jobs; they close once drained.
-	retired     bool
-	inflight    int
-	consecutive int // consecutive backend-level failures
-	lastErr     string
+	retired  bool
+	inflight int
+	lastErr  string
 	// down is closed when the member transitions to unhealthy and
 	// replaced with a fresh channel on revival; in-flight attempts
 	// watch it so a backend declared dead (by a probe, or by another
@@ -152,19 +155,15 @@ func (m *member) freeSlotsLocked() int {
 
 // setHealthLocked applies a health transition (callers hold b.mu):
 // going down closes the member's down channel so in-flight attempts
-// abandon the backend; coming up replaces it, clears the failure
-// streak, and fires the balancer-wide revived signal so last-resort
-// attempts stuck on other dead backends re-dispatch here.
+// abandon the backend; coming up replaces it and fires the
+// balancer-wide revived signal so last-resort attempts stuck on other
+// dead backends re-dispatch here.
 func (b *Balancer) setHealthLocked(m *member, h bool) {
 	if m.healthy == h {
-		if h {
-			m.consecutive = 0
-		}
 		return
 	}
 	m.healthy = h
 	if h {
-		m.consecutive = 0
 		m.down = make(chan struct{})
 		close(b.revived)
 		b.revived = make(chan struct{})
@@ -201,11 +200,11 @@ type BackendHealth struct {
 	// CapacityScrapes counts the successful scrapes.
 	Capacity        *Capacity `json:"capacity,omitempty"`
 	CapacityScrapes uint64    `json:"capacity_scrapes,omitempty"`
-	// Retired and Standby are the Autoscaler's scale-event plumbing: a
-	// retired member was scaled down (drained, then closed) and no
-	// longer takes jobs; a standby member was dialed from the
-	// configured standby list rather than spawned locally. Always false
-	// on a fixed-size Balancer's scorecards.
+	// Retired and Standby are the scaling policy's plumbing: a retired
+	// member was scaled down (drained, then closed) and no longer takes
+	// jobs; a standby member was dialed from the configured standby
+	// list rather than spawned locally. Always false on a fixed-size
+	// Balancer's scorecards.
 	Retired   bool   `json:"retired,omitempty"`
 	Standby   bool   `json:"standby,omitempty"`
 	LastError string `json:"last_error,omitempty"`
@@ -221,11 +220,6 @@ type BalancerOptions struct {
 	// (0 selects 2s; negative disables the loop — probes then only run
 	// through ProbeNow, which tests use for determinism).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one backend's probe (0 selects 2s).
-	ProbeTimeout time.Duration
-	// FailThreshold is how many consecutive backend-level failures mark
-	// a backend unhealthy (0 selects 1: the first failure downs it).
-	FailThreshold int
 	// Width caps concurrent dispatch to backends that report no local
 	// workers — remote peers, whose pool lives on the other machine
 	// (0 selects 8). Backends with a local pool are capped at its size.
@@ -245,6 +239,9 @@ type BalancerOptions struct {
 	Cache ResultCache
 }
 
+// probeTimeout bounds one backend's probe and one capacity scrape.
+const probeTimeout = 2 * time.Second
+
 // Retryable reports whether a job result's error is a backend-level
 // failure — the class a Balancer responds to by re-running the job on
 // another backend. Job-level failures (the job ran and was wrong, timed
@@ -260,22 +257,13 @@ func NewBalancer(opts BalancerOptions, backends ...Evaluator) *Balancer {
 	if len(backends) == 0 {
 		backends = []Evaluator{New(Options{})}
 	}
-	b := newBalancer(opts)
-	b.mu.Lock()
-	for i, ev := range backends {
-		b.addLocked(ev, backendName(ev, i), false)
-	}
-	b.mu.Unlock()
-	if b.interval > 0 {
-		go b.healthLoop()
-	}
-	return b
+	return newBalancer(opts, backends)
 }
 
-// newBalancer applies the option defaults and returns a balancer with
-// no members and no health loop — NewBalancer's and the Autoscaler's
-// common start.
-func newBalancer(opts BalancerOptions) *Balancer {
+// newBalancer applies the option defaults, adds backends as fixed
+// members and starts the health loop — NewBalancer's and
+// NewAutoscaler's common start.
+func newBalancer(opts BalancerOptions, backends []Evaluator) *Balancer {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
 	} else if opts.MaxRetries < 0 {
@@ -284,12 +272,6 @@ func newBalancer(opts BalancerOptions) *Balancer {
 	if opts.HealthInterval == 0 {
 		opts.HealthInterval = 2 * time.Second
 	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = 2 * time.Second
-	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = 1
-	}
 	if opts.Width <= 0 {
 		opts.Width = 8
 	}
@@ -297,17 +279,23 @@ func newBalancer(opts BalancerOptions) *Balancer {
 		opts.Chunk = 1
 	}
 	b := &Balancer{
-		maxRetries:   opts.MaxRetries,
-		interval:     opts.HealthInterval,
-		probeTimeout: opts.ProbeTimeout,
-		threshold:    opts.FailThreshold,
-		width:        opts.Width,
-		chunk:        opts.Chunk,
-		cache:        opts.Cache,
-		revived:      make(chan struct{}),
-		stop:         make(chan struct{}),
+		maxRetries: opts.MaxRetries,
+		interval:   opts.HealthInterval,
+		width:      opts.Width,
+		chunk:      opts.Chunk,
+		cache:      opts.Cache,
+		revived:    make(chan struct{}),
+		stop:       make(chan struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
+	b.mu.Lock()
+	for i, ev := range backends {
+		b.addLocked(ev, backendName(ev, i)).fixed = true
+	}
+	b.mu.Unlock()
+	if b.interval > 0 {
+		go b.healthLoop()
+	}
 	return b
 }
 
@@ -315,7 +303,7 @@ func newBalancer(opts BalancerOptions) *Balancer {
 // returns it. Members are only ever appended, so an index observed
 // through Size stays valid. Callers hold b.mu and wake placement with
 // cond.Broadcast after unlocking.
-func (b *Balancer) addLocked(ev Evaluator, name string, standby bool) *member {
+func (b *Balancer) addLocked(ev Evaluator, name string) *member {
 	w := LocalStats(ev).Workers
 	if w <= 0 {
 		w = b.width
@@ -324,7 +312,6 @@ func (b *Balancer) addLocked(ev Evaluator, name string, standby bool) *member {
 		ev:      ev,
 		name:    name,
 		width:   w,
-		standby: standby,
 		healthy: true,
 		down:    make(chan struct{}),
 	}
@@ -396,6 +383,10 @@ func (b *Balancer) MaxRetries() int { return b.maxRetries }
 // first) the balancer has performed over its lifetime.
 func (b *Balancer) Retries() uint64 { return b.retries.Load() }
 
+// Autoscaler returns the scaling policy of an elastic pool built by
+// NewAutoscaler, or nil on a fixed Balancer.
+func (b *Balancer) Autoscaler() *Autoscaler { return b.scaler }
+
 // Chunk returns the chunk cap (1: per-job dispatch).
 func (b *Balancer) Chunk() int { return b.chunk }
 
@@ -457,19 +448,14 @@ func (b *Balancer) Health() []BackendHealth {
 // peer scrape; for the balancer's dispatch/failover view use Health.
 func (b *Balancer) Stats() Stats {
 	var t Stats
-	for _, st := range b.BackendStats() {
+	for _, st := range BackendStats(b) {
 		t = t.Add(st)
 	}
 	t.Streams = b.Streams()
 	return t
 }
 
-// BackendStats returns one stats snapshot per backend, in backend
-// order, queried concurrently (a remote backend's Stats is a network
-// scrape, so the set pays the slowest backend, not the sum).
-func (b *Balancer) BackendStats() []Stats { return BackendStats(b) }
-
-// Close stops the health loop, wakes every placement waiting for a slot
+// Close stops the health and scale loops, wakes every placement waiting for a slot
 // (their jobs resolve with ErrClosed), waits for retired members still
 // draining, closes every backend concurrently, and releases the
 // attached result cache last (a tier drains its queued peer fills
@@ -883,7 +869,7 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, p *placement, it
 // it backend-level.
 func (b *Balancer) settleChunk(ctx context.Context, m *member, p *placement, items []*chunkItem, acks []chunkAck, chunkErr error, abandoned bool) {
 	requeued := 0
-	sawSuccess, sawRetryable, sawJobLevel := false, false, false
+	sawSuccess, sawRetryable := false, false
 	b.mu.Lock()
 	m.inflight -= len(items)
 	for i, it := range items {
@@ -931,23 +917,15 @@ func (b *Balancer) settleChunk(ctx context.Context, m *member, p *placement, ite
 			// The job ran and failed on its own terms (or the caller's
 			// context ended); the backend is not at fault.
 			m.failed++
-			sawJobLevel = true
 		}
 	}
-	// Evidence the backend ran jobs (a success, or a job-level failure)
-	// clears the failure streak before this chunk's own backend-level
-	// failures count against it, so a live backend is not marked down
-	// by stale streaks.
+	// A success revives the backend; a backend-level failure in the
+	// same chunk then marks it down again.
 	if sawSuccess {
 		b.setHealthLocked(m, true)
-	} else if sawJobLevel {
-		m.consecutive = 0
 	}
 	if sawRetryable {
-		m.consecutive++
-		if m.consecutive >= b.threshold {
-			b.setHealthLocked(m, false)
-		}
+		b.setHealthLocked(m, false)
 	}
 	if requeued > 0 {
 		m.chunkResumes++
@@ -1068,7 +1046,7 @@ func (b *Balancer) probe(ctx context.Context, m *member) {
 	if !ok {
 		return
 	}
-	pctx, cancel := context.WithTimeout(ctx, b.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	err := p.Probe(pctx)
 	cancel()
 	b.mu.Lock()
@@ -1101,7 +1079,7 @@ func (b *Balancer) scrapeCapacity(ctx context.Context, m *member) {
 	if !ok {
 		return
 	}
-	cctx, cancel := context.WithTimeout(ctx, b.probeTimeout)
+	cctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	c, err := cr.Capacity(cctx)
 	cancel()
 	if err != nil {

@@ -326,11 +326,10 @@ func TestBalancerLocalStats(t *testing.T) {
 	}
 }
 
-// TestFrontsCountStreams pins the fronts' stream counter: a Balancer
-// (and the Autoscaler, through the Balancer it owns) hands its members
-// chunks through Run, so the one Stream call made on the front must show
-// in Stats and LocalStats as exactly one stream, not as the members'
-// zero.
+// TestFrontsCountStreams pins the fronts' stream counter: a Balancer,
+// fixed or elastic, hands its members chunks through Run, so the one
+// Stream call made on the front must show in Stats and LocalStats as
+// exactly one stream, not as the members' zero.
 func TestFrontsCountStreams(t *testing.T) {
 	a := engine.NewAutoscaler(engine.AutoscalerOptions{
 		Min: 2, Max: 2, Interval: -1, Engine: engine.Options{Workers: 2},

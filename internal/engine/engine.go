@@ -13,13 +13,13 @@
 // delivers them in completion order, which is how the evaluation server
 // pushes NDJSON rows to a client the moment each job finishes.
 //
-// Two fronts compose engines into fleets. A Balancer places a batch, in
+// One front composes engines into fleets. A Balancer places a batch, in
 // chunks, on the healthiest of several backends — local engines, remote
-// peers, other fronts — and re-runs the jobs of a backend that dies; an
-// Autoscaler grows and shrinks a Balancer's membership with load. A
-// process serves one of three shapes: a lone Engine, a Balancer over a
-// fixed set of backends, or an Autoscaler (internal/remote's
-// NewBackendWith builds them).
+// peers, other fronts — and re-runs the jobs of a backend that dies.
+// NewAutoscaler builds an elastic one: an Autoscaler policy attached to
+// the Balancer grows and shrinks its membership with load, beside any
+// fixed members. A process serves one of two shapes: a lone Engine or a
+// Balancer (internal/remote's NewBackendWith builds them).
 package engine
 
 import (

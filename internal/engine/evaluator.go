@@ -8,9 +8,10 @@ import (
 
 // Evaluator is the one backend interface of the evaluation stack: a thing
 // that runs batches of Jobs and reports lifetime counters. Every way of
-// evaluating — a local worker pool (*Engine), a health-aware front over
-// other evaluators (*Balancer, *Autoscaler), an HTTP client proxying to a
-// remote art9-serve instance (internal/remote.Client) — implements it, so
+// evaluating — a local worker pool (*Engine), the health-aware front
+// over other evaluators (*Balancer, fixed or elastic), an HTTP client
+// proxying to a remote art9-serve instance (internal/remote.Client) —
+// implements it, so
 // consumers (internal/serve, cmd/art9-batch, the art9.New facade) are
 // written once against this surface and composed freely: fronts mixing
 // local pools with remote peers, a serve instance fronting a fleet of
@@ -26,9 +27,9 @@ import (
 //     The channel is buffered to len(jobs), so an abandoned stream never
 //     blocks the backend. Cancelling ctx resolves outstanding jobs with
 //     the context error; the channel still closes.
-//   - Stats is a point-in-time snapshot of the backend's counters; for
-//     composite backends it aggregates the members' job counters and
-//     reports the front's own Stream count.
+//   - Stats is a point-in-time snapshot of the backend's counters; a
+//     Balancer aggregates its members' job counters and reports its own
+//     Stream count.
 //   - Close releases the backend's resources. Jobs already executing
 //     finish; anything undispatched resolves with ErrClosed. Idempotent.
 type Evaluator interface {
@@ -45,32 +46,12 @@ var (
 	_ Evaluator = (*Balancer)(nil)
 )
 
-// Composite is implemented by backends that front an ordered set of
-// other backends — Balancer and Autoscaler. Generic consumers (stats
-// drill-downs, per-shard reports, LocalStats) introspect through it
-// instead of enumerating concrete types, so a new composite backend
-// works with all of them unmodified.
-type Composite interface {
-	Evaluator
-	// Size returns the number of fronted backends.
-	Size() int
-	// Backend returns fronted backend i.
-	Backend(i int) Evaluator
-	// Streams returns how many Stream calls the front itself served.
-	// A front hands its members chunks through Run or DispatchChunk,
-	// never Stream, so composite stats report this count instead of
-	// summing the members' stream counters.
-	Streams() uint64
-}
-
-var _ Composite = (*Balancer)(nil)
-
-// BackendStats returns one Stats snapshot per fronted backend of a
-// composite, in backend order — queried concurrently, since a remote
-// backend's Stats is a network scrape — or a single-element slice for
-// a non-composite backend.
+// BackendStats returns one Stats snapshot per member of a Balancer, in
+// member order — queried concurrently, since a remote backend's Stats
+// is a network scrape — or a single-element slice for any other
+// backend.
 func BackendStats(ev Evaluator) []Stats {
-	c, ok := ev.(Composite)
+	c, ok := ev.(*Balancer)
 	if !ok {
 		return []Stats{ev.Stats()}
 	}
@@ -194,8 +175,8 @@ type ResultCache interface {
 }
 
 // ResultCached is implemented by fronts that carry a result cache —
-// Engine, Balancer, and Autoscaler — so report builders can find the
-// tier's counters without knowing the topology.
+// Engine and Balancer — so report builders can find the tier's
+// counters without knowing the topology.
 type ResultCached interface {
 	ResultCache() ResultCache
 }
@@ -215,15 +196,15 @@ func closeResultCache(c ResultCache) error {
 
 // ResultCacheOf walks ev for the result cache consulted on its
 // dispatch path: the front's own cache when it has one, otherwise the
-// first cache found among a composite's backends. Nil when the
-// topology runs uncached.
+// first cache found among a Balancer's members. Nil when the topology
+// runs uncached.
 func ResultCacheOf(ev Evaluator) ResultCache {
 	if rc, ok := ev.(ResultCached); ok {
 		if c := rc.ResultCache(); c != nil {
 			return c
 		}
 	}
-	if comp, ok := ev.(Composite); ok {
+	if comp, ok := ev.(*Balancer); ok {
 		for i := 0; i < comp.Size(); i++ {
 			if c := ResultCacheOf(comp.Backend(i)); c != nil {
 				return c
@@ -240,14 +221,15 @@ type LocalStatser interface {
 	LocalStats() Stats
 }
 
-// LocalStats returns ev's counters without any network I/O: composite
-// backends are walked (the front's own Stream count standing in for the
-// members'), LocalStatser backends report their local view, and plain
-// local backends answer Stats directly. Use it where blocking on a peer
+// LocalStats returns ev's counters without any network I/O: a
+// Balancer's members are walked (its own Stream count standing in for
+// the members': it hands them chunks, never streams), LocalStatser
+// backends report their local view, and plain local backends answer
+// Stats directly. Use it where blocking on a peer
 // is unacceptable (liveness probes) or where only this process's
 // submissions should be counted (per-run reports).
 func LocalStats(ev Evaluator) Stats {
-	if c, ok := ev.(Composite); ok {
+	if c, ok := ev.(*Balancer); ok {
 		var t Stats
 		for i := 0; i < c.Size(); i++ {
 			t = t.Add(LocalStats(c.Backend(i)))

@@ -175,7 +175,8 @@ func TestBalancerResultCacheShortCircuits(t *testing.T) {
 func TestAutoscalerResultCacheShortCircuits(t *testing.T) {
 	cache := newFakeResultCache()
 	a := NewAutoscaler(AutoscalerOptions{
-		Min: 1, Max: 1, Interval: -1, Cache: cache,
+		BalancerOptions: BalancerOptions{Cache: cache},
+		Min:             1, Max: 1, Interval: -1,
 		Engine: Options{Workers: 2},
 	})
 	defer a.Close()

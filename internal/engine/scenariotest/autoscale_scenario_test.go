@@ -18,18 +18,19 @@ import (
 	"repro/internal/serve"
 )
 
-// fastScaler builds an autoscaler whose background loop re-evaluates
-// every millisecond, with no cooldown unless opts sets one, so a burst
-// that stays queued triggers scale events within the run.
-func fastScaler(t *testing.T, opts engine.AutoscalerOptions) *engine.Autoscaler {
+// fastScaler builds an elastic pool beside the fixed backends whose
+// background loop re-evaluates every millisecond, with no cooldown
+// unless opts sets one, so a burst that stays queued triggers scale
+// events within the run. It returns the pool and its scaling policy.
+func fastScaler(t *testing.T, opts engine.AutoscalerOptions, fixed ...engine.Evaluator) (*engine.Balancer, *engine.Autoscaler) {
 	t.Helper()
 	opts.Interval = time.Millisecond
 	if opts.Cooldown == 0 {
 		opts.Cooldown = -1
 	}
-	a := engine.NewAutoscaler(opts)
-	t.Cleanup(func() { a.Close() })
-	return a
+	b := engine.NewAutoscaler(opts, fixed...)
+	t.Cleanup(func() { b.Close() })
+	return b, b.Autoscaler()
 }
 
 // burstJobs returns n bench jobs whose local runs each wait, for at most
@@ -74,18 +75,18 @@ func TestAutoscaleUpUnderBurst(t *testing.T) {
 	jobs := scenariotest.BenchJobs(t, n)
 	want := scenariotest.ReferenceRows(t, jobs)
 
-	a := fastScaler(t, engine.AutoscalerOptions{
+	b, a := fastScaler(t, engine.AutoscalerOptions{
 		Min: 1, Max: 3,
 		Engine: engine.Options{Workers: 1},
 	})
 
-	scenariotest.Check(t, a, burstJobs(t, a, n), want,
+	scenariotest.Check(t, b, burstJobs(t, a, n), want,
 		scenariotest.RenderRows)
 
 	if got := a.ScaleUps(); got == 0 {
 		t.Error("burst produced no scale-up events")
 	}
-	if got := a.Size(); got < 2 {
+	if got := b.Size(); got < 2 {
 		t.Errorf("pool held %d members after the burst, want growth beyond the minimum", got)
 	}
 	for _, e := range a.Events() {
@@ -104,12 +105,12 @@ func TestAutoscaleDownToIdle(t *testing.T) {
 	jobs := scenariotest.BenchJobs(t, n)
 	want := scenariotest.ReferenceRows(t, jobs)
 
-	a := fastScaler(t, engine.AutoscalerOptions{
+	b, a := fastScaler(t, engine.AutoscalerOptions{
 		Min: 1, Max: 3,
 		Engine: engine.Options{Workers: 1},
 	})
 
-	scenariotest.Check(t, a, burstJobs(t, a, n), want,
+	scenariotest.Check(t, b, burstJobs(t, a, n), want,
 		scenariotest.RenderRows)
 	if a.ScaleUps() == 0 {
 		t.Fatal("burst produced no scale-up events to shrink back from")
@@ -121,7 +122,7 @@ func TestAutoscaleDownToIdle(t *testing.T) {
 		return a.ScaleDowns() > 0 && a.ScaleState().ActiveShards == 1
 	})
 	retired := 0
-	for _, h := range a.Health() {
+	for _, h := range b.Health() {
 		if h.Retired {
 			retired++
 			if h.Healthy {
@@ -134,7 +135,7 @@ func TestAutoscaleDownToIdle(t *testing.T) {
 	}
 
 	// The shrunken pool serves the same suite identically.
-	scenariotest.Check(t, a, scenariotest.BenchJobs(t, n), want,
+	scenariotest.Check(t, b, scenariotest.BenchJobs(t, n), want,
 		scenariotest.RenderRows)
 }
 
@@ -157,7 +158,7 @@ func TestAutoscaleStandbyBurst(t *testing.T) {
 	// A cooldown longer than the burst allows one scale event during it:
 	// the peer recruited for the burst is neither retired nor recruited
 	// again before the suite ends, so it holds one scorecard.
-	a := fastScaler(t, engine.AutoscalerOptions{
+	b, a := fastScaler(t, engine.AutoscalerOptions{
 		Min: 1, Max: 1,
 		Engine:   engine.Options{Workers: 1},
 		Cooldown: time.Minute,
@@ -167,14 +168,14 @@ func TestAutoscaleStandbyBurst(t *testing.T) {
 		}},
 	})
 
-	scenariotest.Check(t, a, burstJobs(t, a, n), want,
+	scenariotest.Check(t, b, burstJobs(t, a, n), want,
 		scenariotest.RenderRows)
 
 	if a.ScaleUps() == 0 {
 		t.Error("burst never recruited the standby peer")
 	}
 	sawStandby := false
-	for _, h := range a.Health() {
+	for _, h := range b.Health() {
 		if h.Standby && h.Name == "standby-peer" {
 			sawStandby = true
 			if h.Dispatched == 0 {
@@ -185,4 +186,71 @@ func TestAutoscaleStandbyBurst(t *testing.T) {
 	if !sawStandby {
 		t.Error("no standby member appears in the health scorecards")
 	}
+}
+
+// TestAutoscaleBesideFixedPeer pins fixed members in an elastic pool: a
+// pool built beside one art9-serve leaf grows under the burst, the
+// merged rows stay byte-identical to the healthy reference, and once
+// idle, ScaleNow retires the spawned locals down to the minimum but
+// never the leaf, which keeps carrying jobs.
+func TestAutoscaleBesideFixedPeer(t *testing.T) {
+	const n = 10
+	jobs := scenariotest.BenchJobs(t, n)
+	want := scenariotest.ReferenceRows(t, jobs)
+
+	leaf := serve.NewWithBackend(engine.New(engine.Options{Workers: 2}))
+	ts := httptest.NewServer(leaf.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		leaf.Close()
+	})
+	client, err := remote.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Width 1 holds the leaf to one job at a time. The leaf can drain
+	// the queue between two ticks, but the held job on the pool's one
+	// local slot keeps utilization at 1/2 until the loop has grown the
+	// pool, so an up threshold of 0.5 makes the growth certain.
+	b, a := fastScaler(t, engine.AutoscalerOptions{
+		BalancerOptions: engine.BalancerOptions{Width: 1},
+		Min:             1, Max: 3,
+		Engine:      engine.Options{Workers: 1},
+		UpThreshold: 0.5,
+	}, client)
+
+	scenariotest.Check(t, b, burstJobs(t, a, n), want,
+		scenariotest.RenderRows)
+	if a.ScaleUps() == 0 {
+		t.Fatal("burst produced no scale-up events to shrink back from")
+	}
+
+	waitForScaler(t, "the pool to shrink to its minimum", func() bool {
+		a.ScaleNow()
+		return a.ScaleState().ActiveShards == 1
+	})
+	if a.ScaleNow() {
+		t.Error("ScaleNow shrank a pool already at its minimum beside a fixed member")
+	}
+	sawLeaf := false
+	for _, h := range b.Health() {
+		if h.Name != ts.URL {
+			continue
+		}
+		sawLeaf = true
+		if h.Retired || !h.Healthy {
+			t.Errorf("fixed leaf scorecard %+v, want healthy and never retired", h)
+		}
+		if h.Dispatched == 0 {
+			t.Error("fixed leaf carried no jobs")
+		}
+	}
+	if !sawLeaf {
+		t.Errorf("no scorecard for the fixed leaf %s in %+v", ts.URL, b.Health())
+	}
+
+	// The shrunken pool and its leaf serve the suite identically.
+	scenariotest.Check(t, b, scenariotest.BenchJobs(t, n), want,
+		scenariotest.RenderRows)
 }

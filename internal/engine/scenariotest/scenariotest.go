@@ -3,7 +3,7 @@
 // reference, canonical result rendering, and one Check entry point that
 // pins a topology × fault scenario's merged output — exactly-once and
 // byte-identical to the healthy reference. Every Evaluator topology
-// (Engine, Balancer, Autoscaler, remote clients, and mixes) runs through
+// (Engine, fixed and elastic Balancers, remote clients, and mixes) runs through
 // the same harness, so the balancer and serve fault suites stop
 // re-implementing their own setup and a new topology gets the whole
 // fault matrix by writing one builder. The Balancer has one placement

@@ -141,16 +141,11 @@ var (
 	_ rescache.BatchFiller = (*CacheClient)(nil)
 )
 
-// NewCacheClient builds a cache client for one art9-serve base URL at
-// epoch 0, validated eagerly like New so a misconfigured fleet fails
-// at construction, not at the first lookup.
-func NewCacheClient(baseURL string) (*CacheClient, error) {
-	return NewCacheClientWith(baseURL, 0)
-}
-
-// NewCacheClientWith builds a cache client pinned to one cache epoch:
-// every exchange is stamped with it and every reply row from a
-// different epoch is discarded as a standing miss.
+// NewCacheClientWith builds a cache client for one art9-serve base URL
+// pinned to one cache epoch: every exchange is stamped with it and every
+// reply row from a different epoch is discarded as a standing miss. The
+// URL is validated eagerly like New, so a misconfigured fleet fails at
+// construction, not at the first lookup.
 func NewCacheClientWith(baseURL string, epoch uint64) (*CacheClient, error) {
 	u, err := url.Parse(strings.TrimSpace(baseURL))
 	if err != nil {
@@ -333,24 +328,13 @@ type ResultCacheConfig struct {
 	// Epoch is the fleet-wide invalidation generation: stamped onto
 	// every wire exchange and reported in Stats.
 	Epoch uint64
-	// FillQueue and DrainTimeout configure the write-behind queue
-	// (see rescache.TieredConfig).
-	FillQueue    int
-	DrainTimeout time.Duration
 }
 
-// NewResultCache assembles the per-process result-cache tier the
-// BackendConfig.Cache knob selects: a bounded local LRU (maxBytes 0
-// selects rescache.DefaultMaxBytes, negative unbounded) fronting one
+// NewResultCacheWith assembles the per-process result-cache tier the
+// BackendConfig.Cache knob selects: a bounded local LRU fronting one
 // CacheClient per peer URL, composed behind the singleflight Tiered
-// store at epoch 0. With no peers the tier is local-only but keeps the
-// same Stats shape.
-func NewResultCache(maxBytes int64, peerURLs []string) (*rescache.Tiered, error) {
-	return NewResultCacheWith(ResultCacheConfig{MaxBytes: maxBytes, Peers: peerURLs})
-}
-
-// NewResultCacheWith assembles a tier from an explicit configuration —
-// the epoch-aware entry point NewBackendWith uses for BackendConfig.Cache.
+// store with the default write-behind bounds. With no peers the tier is
+// local-only but keeps the same Stats shape.
 func NewResultCacheWith(cfg ResultCacheConfig) (*rescache.Tiered, error) {
 	local := rescache.NewLRU(cfg.MaxBytes, 0)
 	var peers []rescache.Cache
@@ -362,10 +346,8 @@ func NewResultCacheWith(cfg ResultCacheConfig) (*rescache.Tiered, error) {
 		peers = append(peers, cc)
 	}
 	return rescache.NewTieredWith(rescache.TieredConfig{
-		Local:        local,
-		Peers:        peers,
-		Epoch:        cfg.Epoch,
-		FillQueue:    cfg.FillQueue,
-		DrainTimeout: cfg.DrainTimeout,
+		Local: local,
+		Peers: peers,
+		Epoch: cfg.Epoch,
 	}), nil
 }

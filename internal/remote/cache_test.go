@@ -58,11 +58,11 @@ func (s *cachePeerStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func TestNewCacheClientRejectsBadURLs(t *testing.T) {
 	for _, bad := range []string{"", "host:9009", "ftp://host", "http://"} {
-		if _, err := NewCacheClient(bad); err == nil {
-			t.Errorf("NewCacheClient(%q) accepted a bad URL", bad)
+		if _, err := NewCacheClientWith(bad, 0); err == nil {
+			t.Errorf("NewCacheClientWith(%q, 0) accepted a bad URL", bad)
 		}
 	}
-	c, err := NewCacheClient("http://host:9009/")
+	c, err := NewCacheClientWith("http://host:9009/", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCacheClientRoundTrip(t *testing.T) {
 	peer := newCachePeerStub()
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
-	c, err := NewCacheClient(srv.URL)
+	c, err := NewCacheClientWith(srv.URL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCacheClientRoundTrip(t *testing.T) {
 func TestCacheClientDegradesOnDeadAndOldPeers(t *testing.T) {
 	// A dead peer: every op degrades to a miss and a PeerErrors tick.
 	srv := httptest.NewServer(http.NotFoundHandler())
-	dead, err := NewCacheClient(srv.URL)
+	dead, err := NewCacheClientWith(srv.URL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCacheClientDegradesOnDeadAndOldPeers(t *testing.T) {
 	// miss, not an error — mixed-version fleets stay healthy.
 	old := httptest.NewServer(http.NotFoundHandler())
 	defer old.Close()
-	oc, err := NewCacheClient(old.URL)
+	oc, err := NewCacheClientWith(old.URL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCacheClientDegradesOnDeadAndOldPeers(t *testing.T) {
 		w.Write([]byte("<html>not ndjson</html>\n"))
 	}))
 	defer garbled.Close()
-	gc, err := NewCacheClient(garbled.URL)
+	gc, err := NewCacheClientWith(garbled.URL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestNewResultCacheTier(t *testing.T) {
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
 
-	if _, err := NewResultCache(0, []string{"not a url"}); err == nil {
+	if _, err := NewResultCacheWith(ResultCacheConfig{Peers: []string{"not a url"}}); err == nil {
 		t.Fatal("bad cache peer URL accepted")
 	}
 
-	tier, err := NewResultCache(0, []string{srv.URL})
+	tier, err := NewResultCacheWith(ResultCacheConfig{Peers: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}

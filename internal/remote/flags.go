@@ -29,10 +29,10 @@ func FleetFlags(fs *flag.FlagSet, shards int) func() (BackendConfig, string, err
 	var peers, standbyPeers, cachePeers string
 	fs.IntVar(&cfg.Shards, "shards", shards, "local engine shards (0: one, or none when -peers is set)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "worker-pool size per local shard (0: GOMAXPROCS)")
-	fs.StringVar(&peers, "peers", "", "comma-separated base URLs of downstream art9-serve instances to fan jobs out to")
-	fs.DurationVar(&cfg.HealthInterval, "health-interval", 0, "balancer health-probe period, with several backends (0: 2s; negative: probes off)")
-	fs.IntVar(&cfg.MaxRetries, "max-retries", 0, "balancer failover budget per job, with several backends (0: 2; negative: no failover)")
-	fs.IntVar(&cfg.Chunk, "chunk", 0, "balancer chunk size, with several backends: dispatch up to N jobs per backend as one acknowledged suite stream (0 or 1: per-job)")
+	fs.StringVar(&peers, "peers", "", "comma-separated base URLs of downstream art9-serve instances to fan jobs out to (fixed members of an elastic pool under autoscaling)")
+	fs.DurationVar(&cfg.HealthInterval, "health-interval", 0, "balancer health-probe period, with several backends or autoscaling (0: 2s, none under autoscaling; negative: probes off)")
+	fs.IntVar(&cfg.MaxRetries, "max-retries", 0, "balancer failover budget per job, with several backends or autoscaling (0: 2; negative: no failover)")
+	fs.IntVar(&cfg.Chunk, "chunk", 0, "balancer chunk size, with several backends or autoscaling: dispatch up to N jobs per backend as one acknowledged suite stream (0 or 1: per-job)")
 	fs.IntVar(&cfg.AutoscaleMin, "autoscale-min", 0, "elastic pool floor: minimum local shards (0 with -autoscale-max: 1)")
 	fs.IntVar(&cfg.AutoscaleMax, "autoscale-max", 0, "elastic pool ceiling: maximum local shards (0: autoscaling off)")
 	fs.StringVar(&standbyPeers, "standby-peers", "", "comma-separated downstream art9-serve base URLs dialed only when the elastic pool's local ceiling is exhausted")

@@ -41,8 +41,8 @@ func TestFleetFlags(t *testing.T) {
 	}{
 		{
 			// No valid topology sets every knob (autoscaling excludes a
-			// fixed shard count and peers), so this one also errs; the
-			// config still comes back as read.
+			// fixed shard count), so this one also errs; the config
+			// still comes back as read.
 			name: "every flag reaches its field", shards: 1,
 			args: []string{"-shards", "3", "-workers", "4", "-peers", "http://p1.invalid",
 				"-health-interval", "5s", "-max-retries", "6", "-chunk", "7",
@@ -57,7 +57,7 @@ func TestFleetFlags(t *testing.T) {
 				ScaleCooldown: 3 * time.Second, ScaleInterval: 2 * time.Second,
 				Cache: true, CachePeers: []string{"http://c1.invalid"}, CacheMaxBytes: 1024, CacheEpoch: 9,
 			},
-			wantErr: "-chunk, -max-retries, -health-interval: tunes a fixed balancer",
+			wantErr: "-shards fixes the shard count",
 		},
 		{name: "art9-batch -shards default", shards: 0, want: remote.BackendConfig{}},
 		{name: "art9-serve -shards default", shards: 1, want: remote.BackendConfig{Shards: 1}},

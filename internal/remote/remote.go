@@ -772,11 +772,11 @@ var flagNames = optionNames{
 
 // validateTopology is the one rule set, applied by NewBackendWith with
 // libraryNames and by FleetFlags with flagNames: options that only tune
-// an absent front (balancer tuning where NewBackendWith builds no fixed
+// an absent front (balancer tuning where NewBackendWith builds no
 // Balancer, scale tuning or standby peers without Autoscale, cache
 // tuning without Cache) error out, since silently ignoring them would
 // leave the user believing they are in effect; incoherent autoscale
-// bounds and thresholds, and autoscaling mixed with a fixed topology,
+// bounds and thresholds, and autoscaling with a fixed shard count,
 // error out; an autoscaled pool that can never scale warns (the CLIs
 // print it; the library ignores it). Hard errors wrap
 // engine.ErrInvalidOptions.
@@ -807,7 +807,7 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 		}
 	}
 	autoscale := cfg.AutoscaleMin != 0 || cfg.AutoscaleMax != 0
-	if autoscale || !cfg.balanced() {
+	if !autoscale && !cfg.balanced() {
 		var orphaned []string
 		if cfg.Chunk > 0 {
 			orphaned = append(orphaned, n.chunk)
@@ -818,12 +818,7 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 		if cfg.HealthInterval != 0 {
 			orphaned = append(orphaned, n.healthInterval)
 		}
-		switch {
-		case len(orphaned) == 0:
-		case autoscale:
-			return "", invalid("%s: tunes a fixed balancer, but %s builds an elastic pool that balances its own members; drop it",
-				strings.Join(orphaned, ", "), n.autoscale)
-		default:
+		if len(orphaned) > 0 {
 			return "", invalid("%s: only meaningful over several backends, and a lone local engine has nothing to fail over to; add %s or %s above 1, or drop it",
 				strings.Join(orphaned, ", "), n.peers, n.shards)
 		}
@@ -856,23 +851,19 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 		return "", invalid("%s bounds inverted: max %d < min %d",
 			n.autoscale, cfg.AutoscaleMax, cfg.AutoscaleMin)
 	}
-	// The autoscaler owns its topology — an elastic local pool plus
-	// standby peers — so fixed shard counts and fixed peer sets cannot
-	// compose with it coherently.
+	// The pool's local shard count floats between the bounds, so a
+	// fixed one cannot compose with it; fixed peers can, as members the
+	// policy never retires.
 	if cfg.Shards > 0 {
 		return "", invalid("%s fixes the shard count, which contradicts %s; drop %s (the pool floats between the bounds)",
 			n.shards, n.autoscale, n.shards)
-	}
-	if len(cfg.Peers) > 0 {
-		return "", invalid("%s is a fixed backend set, which contradicts %s; list elastic peers with %s instead",
-			n.peers, n.autoscale, n.standbyPeers)
 	}
 	up, down := cfg.ScaleUpThreshold, cfg.ScaleDownThreshold
 	if up < 0 || up > 1 || down < 0 || down >= 1 {
 		return "", invalid("%s thresholds must be within [0,1] with down < 1 (got up %g, down %g)",
 			n.scaleThresholds, up, down)
 	}
-	if up != 0 && down != 0 && down >= up {
+	if up, down := engine.ScaleThresholds(up, down); down >= up {
 		return "", invalid("%s scale-down threshold %g must be below the scale-up threshold %g (hysteresis needs a gap)",
 			n.scaleThresholds, down, up)
 	}
@@ -899,10 +890,11 @@ type BackendConfig struct {
 	// point a fleet at itself: a cycle proxies forever.
 	Peers []string
 	// HealthInterval and MaxRetries tune the engine.Balancer that fronts
-	// more than one local shard or any peer (engine defaults apply at
-	// zero; MaxRetries -1 turns failover off, HealthInterval -1 the
-	// probe loop). An error on a lone local engine or an autoscaled
-	// pool, which have no fixed balancer to tune.
+	// more than one local shard, any peer, or an autoscaled pool
+	// (engine defaults apply at zero, except that an autoscaled pool
+	// runs no probe loop unless HealthInterval is set; MaxRetries -1
+	// turns failover off, HealthInterval -1 the probe loop). An error
+	// on a lone local engine, which has no balancer to tune.
 	HealthInterval time.Duration
 	MaxRetries     int
 	// Chunk makes the Balancer dispatch in chunks of up to this many
@@ -911,11 +903,12 @@ type BackendConfig struct {
 	// places each job on its own, one acknowledged stream per job. An
 	// error where HealthInterval and MaxRetries are.
 	Chunk int
-	// AutoscaleMin and AutoscaleMax, when either is non-zero, select
-	// the elastic engine.Autoscaler front instead of a fixed topology:
-	// the local shard count floats between the bounds (min 0 selects 1)
-	// driven by queue depth and utilization. Incompatible with Shards
-	// and Peers — the autoscaler owns its topology.
+	// AutoscaleMin and AutoscaleMax, when either is non-zero, make the
+	// Balancer an elastic pool (engine.NewAutoscaler): its local shard
+	// count floats between the bounds (min 0 selects 1) driven by queue
+	// depth and utilization, and Peers join it as fixed members the
+	// pool never retires. Incompatible with Shards, which would fix the
+	// local count.
 	AutoscaleMin, AutoscaleMax int
 	// StandbyPeers lists art9-serve base URLs the autoscaler dials only
 	// when the local bound is exhausted and retires first when load
@@ -954,14 +947,15 @@ func (cfg BackendConfig) balanced() bool {
 }
 
 // NewBackendWith assembles the standard backend topology shared by
-// art9.New, serve.New and art9-batch. It builds exactly one of three
-// shapes: the elastic Autoscaler when autoscale bounds are set; a bare
-// local Engine for one local shard and no peers (the default); and
-// otherwise a health-aware Balancer over Shards local engines plus one
-// Client per peer URL. The result cache attaches to the front that
-// places jobs — the Autoscaler, the Balancer, or the lone engine — which
-// also closes it. Incoherent configurations are rejected with an error
-// wrapping engine.ErrInvalidOptions that names the art9 options.
+// art9.New, serve.New and art9-batch. It builds exactly one of two
+// shapes: a bare local Engine for one local shard, no peers and no
+// autoscale bounds (the default); otherwise a health-aware Balancer
+// over one Client per peer URL plus Shards local engines, or, when
+// autoscale bounds are set, an elastic pool of local engines
+// (engine.NewAutoscaler). The result cache attaches to the front that
+// places jobs — the Balancer or the lone engine — which also closes
+// it. Incoherent configurations are rejected with an error wrapping
+// engine.ErrInvalidOptions that names the art9 options.
 func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 	if _, err := validateTopology(cfg, libraryNames); err != nil {
 		return nil, err
@@ -1008,18 +1002,24 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 		}
 		resultCache = bench.NewResultCache(tier)
 	}
+	bo := engine.BalancerOptions{
+		MaxRetries:     cfg.MaxRetries,
+		HealthInterval: cfg.HealthInterval,
+		Chunk:          cfg.Chunk,
+		Cache:          resultCache,
+	}
 	if cfg.AutoscaleMin != 0 || cfg.AutoscaleMax != 0 {
 		return engine.NewAutoscaler(engine.AutoscalerOptions{
-			Min:           cfg.AutoscaleMin,
-			Max:           cfg.AutoscaleMax,
-			Engine:        eo,
-			Standby:       standbys,
-			UpThreshold:   cfg.ScaleUpThreshold,
-			DownThreshold: cfg.ScaleDownThreshold,
-			Cooldown:      cfg.ScaleCooldown,
-			Interval:      cfg.ScaleInterval,
-			Cache:         resultCache,
-		}), nil
+			BalancerOptions: bo,
+			Min:             cfg.AutoscaleMin,
+			Max:             cfg.AutoscaleMax,
+			Engine:          eo,
+			Standby:         standbys,
+			UpThreshold:     cfg.ScaleUpThreshold,
+			DownThreshold:   cfg.ScaleDownThreshold,
+			Cooldown:        cfg.ScaleCooldown,
+			Interval:        cfg.ScaleInterval,
+		}, peers...), nil
 	}
 	if !cfg.balanced() {
 		eo.Cache = resultCache
@@ -1029,10 +1029,5 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 	for i := range backends {
 		backends[i] = engine.New(eo)
 	}
-	return engine.NewBalancer(engine.BalancerOptions{
-		MaxRetries:     cfg.MaxRetries,
-		HealthInterval: cfg.HealthInterval,
-		Chunk:          cfg.Chunk,
-		Cache:          resultCache,
-	}, append(backends, peers...)...), nil
+	return engine.NewBalancer(bo, append(backends, peers...)...), nil
 }

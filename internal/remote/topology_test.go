@@ -30,25 +30,29 @@ func leafURL(t *testing.T) string {
 	return ts.URL
 }
 
-// TestNewBackendWithShapes pins the three shapes NewBackendWith builds:
-// a bare Engine for one local shard and no peers, a Balancer over every
-// backend of any other fixed topology (carrying the result cache when
-// one is configured), and the Autoscaler for autoscale bounds.
+// TestNewBackendWithShapes pins the two shapes NewBackendWith builds: a
+// bare Engine for one local shard, no peers and no autoscaling, and a
+// Balancer over every backend of any other topology (carrying the
+// result cache when one is configured), with a scaling policy attached
+// exactly when autoscale bounds are set.
 func TestNewBackendWithShapes(t *testing.T) {
 	a, b := "http://peer-a.invalid:9009", "http://peer-b.invalid:9009"
 	for _, tc := range []struct {
-		name string
-		cfg  remote.BackendConfig
-		want string // the front's type
-		size int    // Balancer members
+		name   string
+		cfg    remote.BackendConfig
+		want   string // the front's type
+		size   int    // Balancer members
+		scaled bool   // the Balancer is an elastic pool
 	}{
-		{"default", remote.BackendConfig{}, "*engine.Engine", 0},
-		{"one shard", remote.BackendConfig{Shards: 1}, "*engine.Engine", 0},
-		{"two shards", remote.BackendConfig{Shards: 2}, "*engine.Balancer", 2},
-		{"one peer", remote.BackendConfig{Peers: []string{a}}, "*engine.Balancer", 1},
-		{"two peers", remote.BackendConfig{Peers: []string{a, b}}, "*engine.Balancer", 2},
-		{"shard and peer", remote.BackendConfig{Shards: 1, Peers: []string{a}}, "*engine.Balancer", 2},
-		{"autoscale", remote.BackendConfig{AutoscaleMin: 1, AutoscaleMax: 2, ScaleInterval: -1}, "*engine.Autoscaler", 0},
+		{"default", remote.BackendConfig{}, "*engine.Engine", 0, false},
+		{"one shard", remote.BackendConfig{Shards: 1}, "*engine.Engine", 0, false},
+		{"two shards", remote.BackendConfig{Shards: 2}, "*engine.Balancer", 2, false},
+		{"one peer", remote.BackendConfig{Peers: []string{a}}, "*engine.Balancer", 1, false},
+		{"two peers", remote.BackendConfig{Peers: []string{a, b}}, "*engine.Balancer", 2, false},
+		{"shard and peer", remote.BackendConfig{Shards: 1, Peers: []string{a}}, "*engine.Balancer", 2, false},
+		{"autoscale", remote.BackendConfig{AutoscaleMin: 1, AutoscaleMax: 2, ScaleInterval: -1}, "*engine.Balancer", 1, true},
+		{"autoscale beside a peer", remote.BackendConfig{AutoscaleMin: 2, AutoscaleMax: 3, ScaleInterval: -1,
+			Peers: []string{a}, Chunk: 4}, "*engine.Balancer", 3, true},
 	} {
 		for _, cache := range []bool{false, true} {
 			cfg := tc.cfg
@@ -67,6 +71,12 @@ func TestNewBackendWithShapes(t *testing.T) {
 				}
 				if got := bal.ResultCache() != nil; got != cache {
 					t.Errorf("%s: Balancer carries a result cache: %v, want %v", tc.name, got, cache)
+				}
+				if got := bal.Autoscaler() != nil; got != tc.scaled {
+					t.Errorf("%s: Balancer has a scaling policy: %v, want %v", tc.name, got, tc.scaled)
+				}
+				if got := bal.Chunk(); got != max(tc.cfg.Chunk, 1) {
+					t.Errorf("%s: Balancer chunk %d, want %d", tc.name, got, max(tc.cfg.Chunk, 1))
 				}
 			}
 			if got := engine.ResultCacheOf(ev) != nil; got != cache {

@@ -349,16 +349,10 @@ type TieredConfig struct {
 	DrainTimeout time.Duration
 }
 
-// NewTiered composes the local store and remote peers into one Cache
-// at epoch 0 with default write-behind bounds. With no peers it is a
-// counting wrapper over local, so callers get one Stats shape
-// regardless of topology.
-func NewTiered(local Cache, peers ...Cache) *Tiered {
-	return NewTieredWith(TieredConfig{Local: local, Peers: peers})
-}
-
-// NewTieredWith composes a tier from an explicit configuration. A tier
-// with peers starts one background worker; Close it to drain and stop.
+// NewTieredWith composes the local store and remote peers into one
+// Cache. With no peers it is a counting wrapper over local, so callers
+// get one Stats shape regardless of topology; a tier with peers starts
+// one background worker, so Close it to drain and stop.
 func NewTieredWith(cfg TieredConfig) *Tiered {
 	t := &Tiered{
 		local:        cfg.Local,

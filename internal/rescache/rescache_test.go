@@ -153,7 +153,7 @@ func TestTieredPeerHitFillsLocal(t *testing.T) {
 	peer := newCountingCache()
 	peer.Put(ctx, "k", []byte("v"))
 	local := NewLRU(0, 0)
-	tier := NewTiered(local, peer)
+	tier := NewTieredWith(TieredConfig{Local: local, Peers: []Cache{peer}})
 
 	v, ok := tier.Get(ctx, "k")
 	if !ok || string(v) != "v" {
@@ -175,7 +175,7 @@ func TestTieredPeerHitFillsLocal(t *testing.T) {
 
 func TestTieredMissCountsOnce(t *testing.T) {
 	ctx := context.Background()
-	tier := NewTiered(NewLRU(0, 0), newCountingCache())
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{newCountingCache()}})
 	if _, ok := tier.Get(ctx, "absent"); ok {
 		t.Fatal("hit on absent key")
 	}
@@ -190,7 +190,7 @@ func TestTieredPutFansOutToPeers(t *testing.T) {
 	// landed once Close's drain returns, not synchronously with Put.
 	ctx := context.Background()
 	p1, p2 := newCountingCache(), newCountingCache()
-	tier := NewTiered(NewLRU(0, 0), p1, p2)
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{p1, p2}})
 	tier.Put(ctx, "k", []byte("v"))
 	if err := tier.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -215,7 +215,7 @@ func TestTieredSingleflightCoalesces(t *testing.T) {
 	peer := newCountingCache()
 	peer.m["k"] = []byte("v")
 	peer.gate = make(chan struct{})
-	tier := NewTiered(NewLRU(0, 0), peer)
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{peer}})
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -251,7 +251,7 @@ func TestTieredSingleflightCoalesces(t *testing.T) {
 func TestTieredStatsSumsPeerErrors(t *testing.T) {
 	p1, p2 := newCountingCache(), newCountingCache()
 	p1.errs, p2.errs = 2, 3
-	tier := NewTiered(NewLRU(0, 0), p1, p2)
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{p1, p2}})
 	if st := tier.Stats(); st.PeerErrors != 5 {
 		t.Fatalf("peer errors = %d, want 5", st.PeerErrors)
 	}
@@ -340,7 +340,7 @@ func (c *batchCache) PutBatch(ctx context.Context, entries []Entry) {
 func TestTieredFillWorkerBatches(t *testing.T) {
 	ctx := context.Background()
 	peer := &batchCache{countingCache: newCountingCache()}
-	tier := NewTiered(NewLRU(0, 0), peer)
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{peer}})
 	const n = 32
 	for i := 0; i < n; i++ {
 		tier.Put(ctx, fmt.Sprintf("k%d", i), []byte("v"))

@@ -24,10 +24,10 @@
 // Jobs are fanned out across an engine.Evaluator backend, which New
 // builds with remote.NewBackendWith from a Config (an alias of
 // remote.BackendConfig, the one fleet topology declaration): one local
-// engine by default; a health-aware engine.Balancer over several local
-// shards and (Config.Peers) other art9-serve instances reached through
-// internal/remote clients, which is how one instance serves a
-// multi-machine fleet; or an elastic engine.Autoscaler. With
+// engine by default, or a health-aware engine.Balancer over several
+// local shards and (Config.Peers) other art9-serve instances reached
+// through internal/remote clients, which is how one instance serves a
+// multi-machine fleet, or over an elastic pool of local shards. With
 // Config.Cache the /v1/cache endpoints serve the result-cache tier that
 // backend's front consults, so there is one tier per server. Each
 // request's jobs are cancelled with the request context, so a
@@ -97,9 +97,9 @@ type Server struct {
 	cacheEpochRejects atomic.Uint64
 }
 
-// New starts the evaluation back end: one local engine, a Balancer over
-// local shards and remote clients for cfg.Peers, or an Autoscaler, as
-// remote.NewBackendWith builds it. The backend (and the process-wide
+// New starts the evaluation back end: one local engine, or a Balancer
+// over local shards — a fixed count or an elastic pool — and remote
+// clients for cfg.Peers, as remote.NewBackendWith builds it. The backend (and the process-wide
 // program/analysis caches the bench jobs share) lives for the server's
 // lifetime, so every request after the first reuses prior work. Fails
 // on an invalid peer URL or an incoherent option combination.
@@ -135,17 +135,17 @@ func NewWithBackend(backend engine.Evaluator) *Server {
 func (s *Server) Backend() engine.Evaluator { return s.backend }
 
 // Shards reports how many shards the backend spans, local engines and
-// peers together (1 for a non-composite backend): the figure /v1/healthz
-// reports.
+// peers together (1 for a backend other than a Balancer): the figure
+// /v1/healthz reports.
 func (s *Server) Shards() int {
-	if c, ok := s.backend.(engine.Composite); ok {
-		return c.Size()
+	if b, ok := s.backend.(*engine.Balancer); ok {
+		return b.Size()
 	}
 	return 1
 }
 
-// shardStats reports per-shard counters (one entry for a non-composite
-// backend).
+// shardStats reports per-shard counters (one entry for a backend other
+// than a Balancer).
 func (s *Server) shardStats() []engine.Stats {
 	return engine.BackendStats(s.backend)
 }
@@ -182,12 +182,12 @@ type EvalRequest struct {
 }
 
 // StatsReply is the GET /v1/stats body. Balancer is present exactly
-// when the backend is a health-aware Balancer or an elastic
-// Autoscaler: one scorecard per backend with dispatch/failover/probe
-// counters (autoscaler members additionally flag retired/standby).
-// Autoscale is present exactly when the backend is an Autoscaler: the
-// pool's point-in-time scale state (bounds, active members, busy/queue
-// load, thresholds, lifetime up/down counts). Capacity is the
+// when the backend is a health-aware Balancer: one scorecard per
+// backend with dispatch/failover/probe counters (an elastic pool's
+// members additionally flag retired/standby). Autoscale is present
+// exactly when the Balancer is an elastic pool: its point-in-time scale
+// state (bounds, active members, busy/queue load, thresholds, lifetime
+// up/down counts). Capacity is the
 // process-local load snapshot (the same numbers /v1/capacity serves as
 // a fast path), so capacity-aware fronts can size chunks off either
 // endpoint.
@@ -210,12 +210,13 @@ type healthzReply struct {
 	Shards  int    `json:"shards"`
 	Workers int    `json:"workers"`
 	Peers   int    `json:"peers,omitempty"`
-	// Failover reports whether a health-aware Balancer fronts the
+	// Failover reports whether a fixed health-aware Balancer fronts the
 	// backends — every topology with more than one local shard or any
-	// peer; its per-backend scorecards live in /v1/stats.
+	// peer and no autoscaling; its per-backend scorecards live in
+	// /v1/stats.
 	Failover bool `json:"failover,omitempty"`
-	// Autoscale reports whether an elastic Autoscaler fronts the
-	// backends; its scale state and scorecards live in /v1/stats.
+	// Autoscale reports whether the Balancer is an elastic pool; its
+	// scale state and scorecards live in /v1/stats.
 	Autoscale bool `json:"autoscale,omitempty"`
 	// Cache reports whether the result cache (and its /v1/cache
 	// endpoints) is enabled; its counters live in /v1/stats.
@@ -241,15 +242,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// whose backends are all down reports 503: an upper failover tier
 	// probing this endpoint then routes around the whole front, which
 	// is how balancers nest across serve→serve tiers.
-	switch front := s.backend.(type) {
-	case *engine.Balancer:
-		reply.Failover = true
-		if err := front.Probe(r.Context()); err != nil {
-			reply.Status = "degraded"
-			status = http.StatusServiceUnavailable
-		}
-	case *engine.Autoscaler:
-		reply.Autoscale = true
+	if front, ok := s.backend.(*engine.Balancer); ok {
+		reply.Autoscale = front.Autoscaler() != nil
+		reply.Failover = !reply.Autoscale
 		if err := front.Probe(r.Context()); err != nil {
 			reply.Status = "degraded"
 			status = http.StatusServiceUnavailable
@@ -274,8 +269,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, st := range per {
 		total = total.Add(st)
 	}
-	if c, ok := s.backend.(engine.Composite); ok {
-		total.Streams = c.Streams()
+	front, balanced := s.backend.(*engine.Balancer)
+	if balanced {
+		total.Streams = front.Streams()
 	}
 	reply := StatsReply{
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -290,13 +286,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		reply.Cache.Results = bench.ResultCacheReportFrom(s.results.Stats())
 		reply.Cache.Results.EpochRejects += s.cacheEpochRejects.Load()
 	}
-	switch front := s.backend.(type) {
-	case *engine.Balancer:
+	if balanced {
 		reply.Balancer = front.Health()
-	case *engine.Autoscaler:
-		reply.Balancer = front.Health()
-		state := front.ScaleState()
-		reply.Autoscale = &state
+		if a := front.Autoscaler(); a != nil {
+			state := a.ScaleState()
+			reply.Autoscale = &state
+		}
 	}
 	writeJSON(w, http.StatusOK, reply)
 }

@@ -798,15 +798,15 @@ func TestNewFailoverConfig(t *testing.T) {
 }
 
 // TestNewAutoscaleConfig pins the Config wiring of the elastic front:
-// the autoscale bounds select an Autoscaler backend, /v1/healthz flags
-// it, and /v1/stats carries the scale state next to the per-member
-// scorecards.
+// the autoscale bounds select a Balancer with a scaling policy,
+// /v1/healthz flags it, and /v1/stats carries the scale state next to
+// the per-member scorecards.
 func TestNewAutoscaleConfig(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1, AutoscaleMin: 1, AutoscaleMax: 2, ScaleInterval: -1,
 	})
-	if _, ok := s.Backend().(*engine.Autoscaler); !ok {
-		t.Fatalf("autoscale config built %T, want *engine.Autoscaler", s.Backend())
+	if b, ok := s.Backend().(*engine.Balancer); !ok || b.Autoscaler() == nil {
+		t.Fatalf("autoscale config built %T, want an elastic *engine.Balancer", s.Backend())
 	}
 
 	hResp, err := http.Get(ts.URL + "/v1/healthz")

@@ -45,16 +45,17 @@ func WithPeers(urls ...string) Option {
 func WithFailover() Option { return func(*remote.BackendConfig) {} }
 
 // WithHealthInterval sets the Balancer's health-probe period (0 selects
-// 2s; negative disables the background loop). Only meaningful where New
-// builds a Balancer: WithShards above 1, or any WithPeers.
+// 2s, or no loop in an elastic pool; negative disables the background
+// loop). Only meaningful where New builds a Balancer: WithShards above
+// 1, any WithPeers, or WithAutoscale.
 func WithHealthInterval(d time.Duration) Option {
 	return func(c *remote.BackendConfig) { c.HealthInterval = d }
 }
 
 // WithMaxRetries bounds how many times one job is re-dispatched after a
 // backend-level failure (0 selects 2; negative disables failover). Only
-// meaningful where New builds a Balancer: WithShards above 1, or any
-// WithPeers.
+// meaningful where New builds a Balancer: WithShards above 1, any
+// WithPeers, or WithAutoscale.
 func WithMaxRetries(n int) Option { return func(c *remote.BackendConfig) { c.MaxRetries = n } }
 
 // WithChunk makes the Balancer dispatch in chunks of up to n jobs: a
@@ -63,18 +64,20 @@ func WithMaxRetries(n int) Option { return func(c *remote.BackendConfig) { c.Max
 // its unresolved jobs on the survivors), and chunk sizes follow the
 // backend's free slots and scraped live capacity. 0 or 1 places each job
 // on its own, one acknowledged stream per job. Only meaningful where New
-// builds a Balancer: WithShards above 1, or any WithPeers.
+// builds a Balancer: WithShards above 1, any WithPeers, or
+// WithAutoscale.
 func WithChunk(n int) Option { return func(c *remote.BackendConfig) { c.Chunk = n } }
 
-// WithAutoscale selects the elastic Autoscaler front: the local shard
-// count floats between min and max (min 0 selects 1), growing when
-// jobs queue beyond the active capacity and shrinking — each retired
-// shard drained before it is closed, so no in-flight job is lost —
-// when utilization falls. Tune the hysteresis with WithScaleThresholds,
-// WithScaleCooldown and WithScaleInterval; recruit remote capacity
-// beyond max with WithStandbyPeers. Incompatible with WithShards and
-// WithPeers, and takes no balancer tuning (WithChunk, WithMaxRetries,
-// WithHealthInterval): the autoscaler owns its topology.
+// WithAutoscale makes New build an elastic pool: a Balancer whose local
+// shard count floats between min and max (min 0 selects 1), growing
+// when jobs queue beyond the active capacity and shrinking — each
+// retired shard drained before it is closed, so no in-flight job is
+// lost — when utilization falls. Tune the hysteresis with
+// WithScaleThresholds, WithScaleCooldown and WithScaleInterval; recruit
+// remote capacity beyond max with WithStandbyPeers. WithPeers adds
+// fixed members the pool never retires, and WithChunk, WithMaxRetries
+// and WithHealthInterval tune the pool's Balancer. Incompatible with
+// WithShards, which would fix the local shard count.
 func WithAutoscale(min, max int) Option {
 	return func(c *remote.BackendConfig) { c.AutoscaleMin, c.AutoscaleMax = min, max }
 }
@@ -105,8 +108,8 @@ func WithScaleCooldown(d time.Duration) Option {
 
 // WithScaleInterval sets the period of the autoscaler's background
 // evaluation loop (0 selects 1s; negative disables it — scaling then
-// only happens through Autoscaler.ScaleNow). Only meaningful with
-// WithAutoscale.
+// only happens through ev.(*Balancer).Autoscaler().ScaleNow). Only
+// meaningful with WithAutoscale.
 func WithScaleInterval(d time.Duration) Option {
 	return func(c *remote.BackendConfig) { c.ScaleInterval = d }
 }
@@ -167,19 +170,21 @@ func WithCacheEpoch(epoch uint64) Option {
 //	         art9.WithStandbyPeers(                //  shards, standby peers
 //	                "http://h1:9009"))             //  recruited under burst
 //
-// One local shard and no peers is a bare Engine. Every other fixed
-// topology is a Balancer: least-loaded dispatch over the backends,
-// health probes, and job-level failover when a backend dies. Close the
-// returned Evaluator when done; closing a front closes every backend.
+// One local shard, no peers and no autoscaling is a bare Engine. Every
+// other topology is a Balancer: least-loaded dispatch over the
+// backends, health probes, and job-level failover when a backend dies;
+// with WithAutoscale its Autoscaler method returns the scaling policy.
+// Close the returned Evaluator when done; closing a front closes every
+// backend.
 //
 // New fails on an invalid peer URL and on incoherent option
 // combinations — balancer tuning (WithChunk, WithMaxRetries,
-// WithHealthInterval) on a lone local engine or with WithAutoscale,
-// autoscale tuning or standby peers without WithAutoscale, inverted
-// autoscale bounds or thresholds, WithAutoscale mixed with a fixed
-// topology, cache tuning (WithCachePeers, WithCacheMaxBytes,
-// WithCacheEpoch) without WithResultCache — with an error wrapping the
-// typed ErrInvalidOptions. The CLIs vet their flags through the same
+// WithHealthInterval) on a lone local engine, autoscale tuning or
+// standby peers without WithAutoscale, inverted autoscale bounds or
+// thresholds, WithAutoscale with WithShards, cache tuning
+// (WithCachePeers, WithCacheMaxBytes, WithCacheEpoch) without
+// WithResultCache — with an error wrapping the typed
+// ErrInvalidOptions. The CLIs vet their flags through the same
 // rule set, so the diagnostics match.
 func New(opts ...Option) (Evaluator, error) {
 	var cfg remote.BackendConfig

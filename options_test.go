@@ -69,15 +69,9 @@ func TestNewRejectsInvalidOptionCombinations(t *testing.T) {
 				art9.WithScaleThresholds(0.9, 0.1), art9.WithScaleCooldown(time.Second),
 				art9.WithScaleInterval(time.Second)},
 			want: "WithStandbyPeers, WithScaleThresholds, WithScaleCooldown, WithScaleInterval"},
-		{name: "autoscale mixed with failover",
-			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithMaxRetries(1)},
-			want: "WithMaxRetries: tunes a fixed balancer, but WithAutoscale builds an elastic pool"},
 		{name: "autoscale mixed with fixed shards",
 			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithShards(2)},
 			want: "WithShards"},
-		{name: "autoscale mixed with fixed peers",
-			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithPeers("http://peer.invalid:9009")},
-			want: "WithStandbyPeers instead"},
 		{name: "up threshold out of range",
 			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithScaleThresholds(1.5, 0.1)},
 			want: "within [0,1]"},
@@ -86,6 +80,12 @@ func TestNewRejectsInvalidOptionCombinations(t *testing.T) {
 			want: "within [0,1]"},
 		{name: "hysteresis gap inverted",
 			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithScaleThresholds(0.3, 0.6)},
+			want: "hysteresis needs a gap"},
+		{name: "up threshold below the default down threshold",
+			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithScaleThresholds(0.2, 0)},
+			want: "hysteresis needs a gap"},
+		{name: "down threshold above the default up threshold",
+			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithScaleThresholds(0, 0.9)},
 			want: "hysteresis needs a gap"},
 	}
 	for _, tt := range tests {
@@ -126,6 +126,12 @@ func TestNewAcceptsCoherentCombinations(t *testing.T) {
 			opts: []art9.Option{art9.WithAutoscale(1, 2), art9.WithWorkers(1),
 				art9.WithScaleThresholds(0.9, 0.2), art9.WithScaleCooldown(-1),
 				art9.WithScaleInterval(-1)}},
+		{name: "autoscale mixed with failover",
+			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithWorkers(1),
+				art9.WithMaxRetries(1), art9.WithScaleInterval(-1)}},
+		{name: "autoscale mixed with fixed peers",
+			opts: []art9.Option{art9.WithAutoscale(1, 4), art9.WithWorkers(1),
+				art9.WithPeers("http://peer.invalid:9009"), art9.WithScaleInterval(-1)}},
 		{name: "result cache over local pool",
 			opts: []art9.Option{art9.WithResultCache(), art9.WithWorkers(1)}},
 		{name: "tuned result cache over failover fleet",
@@ -147,19 +153,20 @@ func TestNewAcceptsCoherentCombinations(t *testing.T) {
 }
 
 // TestNewWithAutoscaleIsAutoscaler pins the topology selection: the
-// autoscale options build the elastic front, which serves a batch like
-// any other Evaluator and exposes its scale state through the facade
-// aliases.
+// autoscale options build a Balancer with a scaling policy attached,
+// which serves a batch like any other Evaluator and exposes its scale
+// state through the facade aliases.
 func TestNewWithAutoscaleIsAutoscaler(t *testing.T) {
 	ev, err := art9.New(art9.WithAutoscale(1, 2), art9.WithWorkers(1), art9.WithScaleInterval(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ev.Close()
-	as, ok := ev.(*art9.Autoscaler)
-	if !ok {
-		t.Fatalf("New(WithAutoscale) built %T, want *Autoscaler", ev)
+	b, ok := ev.(*art9.Balancer)
+	if !ok || b.Autoscaler() == nil {
+		t.Fatalf("New(WithAutoscale) built %T, want a *Balancer with an Autoscaler", ev)
 	}
+	as := b.Autoscaler()
 	if as.Min() != 1 || as.Max() != 2 {
 		t.Fatalf("bounds (%d, %d), want (1, 2)", as.Min(), as.Max())
 	}
@@ -172,4 +179,22 @@ func TestNewWithAutoscaleIsAutoscaler(t *testing.T) {
 		t.Errorf("scale state %+v, want at least the minimum shard active", st)
 	}
 	var _ []art9.ScaleEvent = as.Events()
+}
+
+// TestNewAutoscaleTunesItsBalancer pins balancer tuning under
+// autoscaling: it tunes the elastic pool's own Balancer.
+func TestNewAutoscaleTunesItsBalancer(t *testing.T) {
+	ev, err := art9.New(art9.WithAutoscale(1, 2), art9.WithChunk(4), art9.WithMaxRetries(1),
+		art9.WithWorkers(1), art9.WithScaleInterval(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev.Close()
+	b, ok := ev.(*art9.Balancer)
+	if !ok || b.Autoscaler() == nil {
+		t.Fatalf("New(WithAutoscale) built %T, want a *Balancer with an Autoscaler", ev)
+	}
+	if b.Chunk() != 4 || b.MaxRetries() != 1 {
+		t.Errorf("Chunk() = %d, MaxRetries() = %d, want 4 and 1", b.Chunk(), b.MaxRetries())
+	}
 }
