@@ -143,7 +143,7 @@ func BenchmarkTable4CNTFET(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tech := gate.CNTFET32()
 		an := gate.Analyze(gate.BuildART9(), tech)
-		impl = perf.Estimate(an, tech, 0, cyclesPerIter, 0, 1.2, 0)
+		impl = perf.Estimate(an, tech, 0, cyclesPerIter, 0, o.MemAccessRate(), 0)
 	}
 	b.ReportMetric(float64(impl.Gates), "gates")
 	b.ReportMetric(impl.PowerW*1e6, "power-uW")
@@ -160,7 +160,7 @@ func BenchmarkTable5FPGA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tech := gate.StratixVEmulation()
 		an := gate.Analyze(gate.BuildART9(), tech)
-		impl = perf.Estimate(an, tech, 150, cyclesPerIter, 2*256*9, 1.2, 2*256*18)
+		impl = perf.Estimate(an, tech, 150, cyclesPerIter, 2*256*9, o.MemAccessRate(), 2*256*18)
 	}
 	b.ReportMetric(float64(impl.ALMs), "ALMs")
 	b.ReportMetric(float64(impl.Registers), "registers")

@@ -122,8 +122,8 @@ func TestTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := <-ev.(*art9.Engine).Submit(context.Background(), art9.EngineJob{ID: "slow",
-		Fn: func(ctx context.Context) (any, error) { <-ctx.Done(); return nil, ctx.Err() }})
+	r := <-ev.Stream(context.Background(), []art9.EngineJob{{ID: "slow",
+		Fn: func(ctx context.Context) (any, error) { <-ctx.Done(); return nil, ctx.Err() }}})
 	if !errors.Is(r.Err, art9.ErrTimeout) {
 		t.Errorf("timeout error %v, want art9.ErrTimeout", r.Err)
 	}

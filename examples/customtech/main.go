@@ -59,7 +59,7 @@ func main() {
 			freq = 150
 			memTrits = 2 * 256 * 9
 		}
-		p := an.PowerW(tech, freq, memTrits, 1.2)
+		p := an.PowerW(tech, freq, memTrits, o.MemAccessRate())
 		fmt.Printf("%-36s %7.1fMHz %11.4gW %12.4g\n",
 			tech.Name, an.FmaxMHz, p, dmipsPerMHz*freq/p)
 	}

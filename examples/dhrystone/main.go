@@ -44,7 +44,7 @@ func main() {
 			freq = 150
 			memTrits = 2 * 256 * 9
 		}
-		p := an.PowerW(tech, freq, memTrits, 1.2)
+		p := an.PowerW(tech, freq, memTrits, o.MemAccessRate())
 		dmips := dmipsPerMHz * freq
 		fmt.Printf("%-24s %6.1f MHz  %10.4g W  %10.4g DMIPS/W\n",
 			tech.Name, freq, p, dmips/p)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/perf"
 	"repro/internal/rv32"
 	"repro/internal/sim"
 	"repro/internal/xlate"
@@ -52,15 +53,10 @@ func (o *Outcome) CyclesPerIteration() float64 {
 	return float64(o.ART9Cycles) / float64(max(1, o.Workload.Iterations))
 }
 
-// MemAccessRate returns the measured TIM+TDM word-access rate of the
-// run: one instruction fetch per issue slot plus the data-access duty
-// cycle — the activity input of the memory power model.
+// MemAccessRate returns the ART-9 run's perf.MemAccessRate — the
+// activity input of the memory power model.
 func (o *Outcome) MemAccessRate() float64 {
-	if o.ART9Cycles == 0 {
-		return 1
-	}
-	return (float64(o.ARTRetired) + float64(o.ARTLoads+o.ARTStores)) /
-		float64(o.ART9Cycles)
+	return perf.MemAccessRate(o.ARTRetired, o.ARTLoads, o.ARTStores, o.ART9Cycles)
 }
 
 // Run executes the workload on the RV32 machine (feeding both baseline

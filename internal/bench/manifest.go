@@ -135,7 +135,8 @@ func (m *Manifest) Workloads(dir string) ([]Workload, error) {
 }
 
 // JobSpec is the serializable description of one engine job, attached
-// to engine.Job.Spec by SuiteJobs. Backends that cannot ship closures —
+// to engine.Job.Spec as a *JobSpec, the one shape remote backends and
+// the result cache accept. Backends that cannot ship closures —
 // the internal/remote HTTP client — re-create the work on a peer from
 // it: the job rendered as a manifest entry (with the program inlined as
 // source text, so file jobs travel by content, never by path) plus the

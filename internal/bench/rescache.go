@@ -65,16 +65,18 @@ func (c *ResultCache) Close() error {
 	return nil
 }
 
-// Lookup answers a job spec from the cache. Only specs the key
-// derivation can address hit. A stored row that is the canonical
-// encoding of a successful, unnamed JobReport (canonicalRow) is handed
-// back undecoded, as a *CachedRow; any other row is decoded, and one
-// that fails to decode or was somehow stored non-OK is treated as a
-// miss AND deleted from the store — left in place it would re-fail on
-// every future lookup — and counted in Stats().Corrupt. A row that
-// decodes is handed back as the *JobReport it decodes to.
+// Lookup answers a job spec from the cache. Only a *JobSpec the key
+// derivation can address hits; a spec of any other type is a miss. A
+// stored row that is the canonical encoding of a successful, unnamed
+// JobReport (canonicalRow) is handed back undecoded, as a *CachedRow;
+// any other row is decoded, and one that fails to decode or was somehow
+// stored non-OK is treated as a miss AND deleted from the store — left
+// in place it would re-fail on every future lookup — and counted in
+// Stats().Corrupt. A row that decodes is handed back as the *JobReport
+// it decodes to.
 func (c *ResultCache) Lookup(ctx context.Context, spec any) (any, bool) {
-	key, ok := resultKey(jobSpecOf(spec))
+	s, _ := spec.(*JobSpec)
+	key, ok := resultKey(s)
 	if !ok {
 		return nil, false
 	}
@@ -102,7 +104,7 @@ func (c *ResultCache) Lookup(ctx context.Context, spec any) (any, bool) {
 // *JobReport, or a member's cache hit). Failures are never cached: a
 // timeout or a dead backend says nothing about the program.
 func (c *ResultCache) Store(ctx context.Context, spec any, value any) {
-	s := jobSpecOf(spec)
+	s, _ := spec.(*JobSpec)
 	key, ok := resultKey(s)
 	if !ok {
 		return
@@ -112,18 +114,6 @@ func (c *ResultCache) Store(ctx context.Context, spec any, value any) {
 		return
 	}
 	c.store.Put(ctx, key, raw)
-}
-
-// jobSpecOf recognizes the spec shapes the suite attaches to jobs.
-func jobSpecOf(spec any) *JobSpec {
-	switch s := spec.(type) {
-	case *JobSpec:
-		return s
-	case JobSpec:
-		return &s
-	default:
-		return nil
-	}
 }
 
 // resultKey derives the content-addressed cache key for a job spec.

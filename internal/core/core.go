@@ -85,9 +85,10 @@ type Evaluation struct {
 }
 
 // Evaluate runs the assembled program on the pipelined ART-9 core, then
-// feeds the cycle count and the gate-level analysis into the performance
-// estimator. iterations scales the Dhrystone-style per-iteration metrics
-// (pass 1 for plain programs).
+// feeds the cycle count, the run's memory-access rate and the gate-level
+// analysis into the performance estimator — the inputs bench.ImplFor
+// takes from a suite job. iterations scales the Dhrystone-style
+// per-iteration metrics (pass 1 for plain programs).
 func (f *HardwareFramework) Evaluate(p *asm.Program, data map[int]ternary.Word, iterations int) (*Evaluation, error) {
 	tech := f.Tech
 	if tech == nil {
@@ -127,8 +128,8 @@ func (f *HardwareFramework) Evaluate(p *asm.Program, data map[int]ternary.Word, 
 		memTrits = 2 * f.MemWords * ternary.WordTrits
 		ramBits = memTrits * ternary.BitsPerTrit
 	}
-	impl := perf.Estimate(an, tech, f.FreqMHz,
-		float64(res.Cycles)/float64(iterations), memTrits, 1.2, ramBits)
+	impl := perf.Estimate(an, tech, f.FreqMHz, float64(res.Cycles)/float64(iterations),
+		memTrits, perf.MemAccessRate(res.Retired, res.Loads, res.Stores, res.Cycles), ramBits)
 	return &Evaluation{Cycles: res, Analysis: an, Impl: impl}, nil
 }
 

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/gate"
 	"repro/internal/sim"
+	"repro/internal/xlate"
 )
 
 const tinyRV = `
@@ -93,6 +95,38 @@ func TestHardwareFrameworkFPGA(t *testing.T) {
 	}
 	if ev.Impl.ALMs == 0 || ev.Impl.Registers == 0 {
 		t.Error("FPGA resources missing")
+	}
+}
+
+// TestEvaluateMatchesImplFor holds the hardware framework to the
+// tables' inputs: on the Dhrystone program and data, Evaluate returns the
+// Implementation bench.ImplFor derives from bench.Run's outcome, for
+// Table V's FPGA emulation at its 150 MHz, 256-word operating point and
+// Table IV's CNTFET core at fmax.
+func TestEvaluateMatchesImplFor(t *testing.T) {
+	w, ok := bench.ByName("dhrystone")
+	if !ok {
+		t.Fatal("no dhrystone workload")
+	}
+	o, err := bench.Run(w, xlate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&SoftwareFramework{}).Compile(w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hw := range []*HardwareFramework{
+		{Tech: gate.StratixVEmulation(), FreqMHz: 150, MemWords: 256},
+		{Tech: gate.CNTFET32()},
+	} {
+		ev, err := hw.Evaluate(res.Program, res.Data, w.Iterations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bench.ImplFor(o, hw.Tech); ev.Impl != want {
+			t.Errorf("%s: Evaluate %+v, want bench.ImplFor's %+v", hw.Tech.Name, ev.Impl, want)
+		}
 	}
 }
 

@@ -512,49 +512,6 @@ func (b *Balancer) Stream(ctx context.Context, jobs []Job) <-chan Result {
 	return out
 }
 
-// cacheStore records one successful result in the result cache,
-// best-effort — called outside b.mu because a tiered cache fans the
-// fill out to peers.
-func (b *Balancer) cacheStore(ctx context.Context, j Job, v any) {
-	if b.cache == nil || j.Spec == nil {
-		return
-	}
-	b.cache.Store(ctx, j.Spec, v)
-}
-
-// filterCached resolves every cache-hit job up front — concurrently,
-// since a miss may cost a peer round-trip — and returns the indices
-// still needing dispatch, so a hot job never rides a chunk.
-func (b *Balancer) filterCached(ctx context.Context, jobs []Job, emit func(int, Result)) []int {
-	hit := make([]bool, len(jobs))
-	vals := make([]any, len(jobs))
-	sem := make(chan struct{}, 16)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		if jobs[i].Spec == nil || ctx.Err() != nil {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			vals[i], hit[i] = b.cache.Lookup(ctx, jobs[i].Spec)
-		}(i)
-	}
-	wg.Wait()
-	pending := make([]int, 0, len(jobs))
-	for i := range jobs {
-		if hit[i] {
-			b.cacheHits.Add(1)
-			emit(i, Result{ID: jobs[i].ID, Value: vals[i], Worker: -1})
-		} else {
-			pending = append(pending, i)
-		}
-	}
-	return pending
-}
-
 // chunkItem is one job's book-keeping in a placement queue: its index
 // in the batch, how many attempts it has consumed, and the backends
 // excluded by earlier failures (nil until its first one). An item is
@@ -636,21 +593,14 @@ func (b *Balancer) dispatch(ctx context.Context, jobs []Job, emit func(int, Resu
 	// Cache hits resolve before the queue exists: a hot job neither
 	// rides a chunk, occupies a reservation another job could use, nor
 	// counts as queued demand.
-	var items []chunkItem
-	if b.cache != nil {
-		pending := b.filterCached(ctx, jobs, emit)
-		items = make([]chunkItem, len(pending))
-		for k, i := range pending {
-			items[k].idx = i
-		}
-	} else {
-		items = make([]chunkItem, len(jobs))
-		for k := range items {
-			items[k].idx = k
-		}
-	}
+	pending := lookupCached(ctx, b.cache, jobs, func(i int, r Result) {
+		b.cacheHits.Add(1)
+		emit(i, r)
+	})
+	items := make([]chunkItem, len(pending))
 	p := &placement{jobs: jobs, emit: emit, queue: make([]*chunkItem, len(items))}
-	for k := range items {
+	for k, i := range pending {
+		items[k].idx = i
 		p.queue[k] = &items[k]
 	}
 
@@ -940,7 +890,7 @@ func (b *Balancer) settleChunk(ctx context.Context, m *member, p *placement, ite
 			continue
 		}
 		if acks[i].r.Err == nil {
-			b.cacheStore(ctx, p.jobs[it.idx], acks[i].r.Value)
+			storeCached(ctx, b.cache, &p.jobs[it.idx], acks[i].r.Value)
 		}
 		p.emit(it.idx, acks[i].r)
 	}

@@ -10,11 +10,11 @@ import (
 
 // TestCloseResolvesQueuedJobs is the regression test for the shutdown
 // contract: Close with jobs buffered in the dispatch queue (and more
-// parked in pending Submit sends) must resolve every Submit channel —
-// each job either executed or rejected with ErrClosed, never stranded.
-// The pre-fix engine could strand a queued task when a worker's two-way
-// select took quit over a ready job, leaving its done channel forever
-// unresolved and Run blocked. The race window opens only when quit
+// still waiting to be fed) must resolve every job's Stream — each job
+// either executed or rejected with ErrClosed, never stranded. The
+// pre-fix engine could strand a queued task when a worker's two-way
+// select took quit over a ready job, leaving its result forever
+// undelivered and Run blocked. The race window opens only when quit
 // closes while the queue is non-empty, so the scenario is staged — pin
 // the single worker, fill the queue, begin Close, then let the worker
 // go — and repeated, since the pre-fix select loses it with probability
@@ -22,23 +22,23 @@ import (
 func TestCloseResolvesQueuedJobs(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		const queued = 24
-		e := New(Options{Workers: 1, Queue: 4})
+		e := New(Options{Workers: 1})
 
 		started := make(chan struct{})
 		release := make(chan struct{})
-		pinned := e.Submit(context.Background(), Job{ID: "pinned", Fn: func(context.Context) (any, error) {
+		pinned := e.Stream(context.Background(), []Job{{ID: "pinned", Fn: func(context.Context) (any, error) {
 			close(started)
 			<-release
 			return "pinned", nil
-		}})
+		}}})
 		<-started // the only worker is mid-job; everything below queues
 
 		chans := make([]<-chan Result, queued)
 		for i := range chans {
-			chans[i] = e.Submit(context.Background(), Job{
+			chans[i] = e.Stream(context.Background(), []Job{{
 				ID: fmt.Sprintf("queued-%d", i),
 				Fn: func(context.Context) (any, error) { return "ran", nil },
-			})
+			}})
 		}
 
 		closed := make(chan struct{})
@@ -67,7 +67,7 @@ func TestCloseResolvesQueuedJobs(t *testing.T) {
 					t.Errorf("queued-%d: error %v, want nil or ErrClosed", i, r.Err)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatalf("round %d, queued-%d: Submit channel never resolved — Close stranded it", round, i)
+				t.Fatalf("round %d, queued-%d: Stream never resolved — Close stranded it", round, i)
 			}
 		}
 		select {
@@ -90,16 +90,16 @@ func TestCloseResolvesQueuedJobs(t *testing.T) {
 
 // TestCloseRejectsWithoutWaiters drives the same shutdown race without
 // anyone reading the result channels first: Close itself must not block
-// on unread done channels (they are buffered), and reads afterwards must
+// on unread Stream channels (they are buffered), and reads afterwards must
 // still see every result.
 func TestCloseRejectsWithoutWaiters(t *testing.T) {
-	e := New(Options{Workers: 2, Queue: 2})
+	e := New(Options{Workers: 2})
 	var chans []<-chan Result
 	for i := 0; i < 16; i++ {
-		chans = append(chans, e.Submit(context.Background(), Job{
+		chans = append(chans, e.Stream(context.Background(), []Job{{
 			ID: fmt.Sprintf("j%d", i),
 			Fn: func(context.Context) (any, error) { return nil, nil },
-		}))
+		}}))
 	}
 	done := make(chan struct{})
 	go func() {

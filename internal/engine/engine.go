@@ -11,7 +11,8 @@
 // Run returns results in submission order, which is how the
 // concurrent suite reproduces the serial tables byte for byte; Stream
 // delivers them in completion order, which is how the evaluation server
-// pushes NDJSON rows to a client the moment each job finishes.
+// pushes NDJSON rows to a client the moment each job finishes. Both feed
+// a whole batch to the workers from one goroutine, not one per job.
 //
 // One front composes engines into fleets. A Balancer places a batch, in
 // chunks, on the healthiest of several backends — local engines, remote
@@ -51,19 +52,15 @@ var ErrTimeout = errors.New("engine: job timeout")
 
 // Options configure an Engine.
 type Options struct {
-	// Workers is the pool size; 0 selects runtime.GOMAXPROCS(0).
+	// Workers is the pool size; 0 selects runtime.GOMAXPROCS(0). The
+	// dispatch queue in front of the workers holds 2×Workers jobs.
 	Workers int
 	// JobTimeout bounds each job's execution unless the job sets its
 	// own Timeout; 0 means no per-job deadline.
 	JobTimeout time.Duration
-	// Queue is the depth of the buffered dispatch queue between Submit
-	// and the workers; 0 selects 2×Workers. A deeper queue lets bursty
-	// submitters (the HTTP suite endpoint, Stream fan-outs) hand off
-	// without parking one goroutine per pending send.
-	Queue int
 	// Cache, when set, is consulted with each job's Spec before the
-	// job is enqueued: a hit resolves the Submit immediately with the
-	// cached value (Worker -1, counted as completed) and the job never
+	// batch is queued: a hit resolves the job at once with the cached
+	// value (Worker -1, counted as completed) and the job never
 	// occupies a worker. Successful executions are stored back. Jobs
 	// without a Spec bypass the cache entirely.
 	Cache ResultCache
@@ -127,10 +124,36 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
+// batch is one Run or Stream call in flight: each job resolves once,
+// through resolve, and the last resolution calls finish.
+type batch struct {
+	ctx     context.Context
+	jobs    []Job
+	emit    func(i int, r Result)
+	finish  func()
+	pending atomic.Int64
+}
+
+func (b *batch) resolve(i int, r Result) {
+	b.emit(i, r)
+	if b.pending.Add(-1) == 0 {
+		b.finish()
+	}
+}
+
+// fail resolves the jobs at idx, which no worker ran, with err and
+// counts them in n (Canceled or Rejected).
+func (b *batch) fail(idx []int, err error, n *atomic.Uint64) {
+	n.Add(uint64(len(idx)))
+	for _, i := range idx {
+		b.resolve(i, Result{ID: b.jobs[i].ID, Err: err, Worker: -1})
+	}
+}
+
+// task is one queued job: its index in the batch that carries it.
 type task struct {
-	ctx  context.Context
-	job  Job
-	done chan<- Result
+	b *batch
+	i int
 }
 
 // Engine is a fixed-size worker pool with a buffered dispatch queue and
@@ -145,18 +168,18 @@ type Engine struct {
 	wg      sync.WaitGroup
 	once    sync.Once
 
-	// mu orders Submit against Close: Submit registers its enqueue
-	// goroutine in submitters under a read lock while closed is false,
+	// mu orders a batch's dispatch against Close: dispatch registers
+	// the batch in submitters under a read lock while closed is false,
 	// so Close — which flips closed under the write lock — can wait for
-	// every in-flight enqueue before sweeping the queue. Without the
-	// handshake a Submit racing Close could park a task in the buffer
-	// after the sweep and strand its done channel forever.
+	// every batch still feeding the queue before sweeping it. Without
+	// the handshake a batch racing Close could park a task in the
+	// buffer after the sweep and strand its job forever.
 	mu         sync.RWMutex
 	closed     bool
 	submitters sync.WaitGroup
 
-	// cache, when non-nil, short-circuits Submit on known Specs and
-	// records successful executions — the fleet-wide result tier.
+	// cache, when non-nil, answers known Specs before they are queued
+	// and records successful executions — the fleet-wide result tier.
 	cache ResultCache
 
 	submitted atomic.Uint64
@@ -173,14 +196,10 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	q := opts.Queue
-	if q <= 0 {
-		q = 2 * w
-	}
 	e := &Engine{
 		workers: w,
 		timeout: opts.JobTimeout,
-		jobs:    make(chan task, q),
+		jobs:    make(chan task, 2*w),
 		quit:    make(chan struct{}),
 		cache:   opts.Cache,
 	}
@@ -212,24 +231,21 @@ func (e *Engine) Probe(context.Context) error {
 
 // Capacity answers the CapacityReporter query from the pool's own
 // counters — no I/O, so a probe round over local backends stays cheap.
-func (e *Engine) Capacity(context.Context) (Capacity, error) {
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
-		return Capacity{}, ErrClosed
+func (e *Engine) Capacity(ctx context.Context) (Capacity, error) {
+	if err := e.Probe(ctx); err != nil {
+		return Capacity{}, err
 	}
 	return CapacityFromStats(e.Stats()), nil
 }
 
 // Close stops the workers. Jobs already executing finish, and workers
 // drain jobs already sitting in the dispatch queue before exiting; any
-// task still undispatched when the pool is gone — plus everything
-// submitted afterwards — resolves with ErrClosed. Every Submit channel
-// resolves exactly once; Close never strands a waiter. Idempotent. An
-// attached result cache is released last (a tier drains its queued
-// peer fills there), and its close verdict is the only error Close can
-// return.
+// job still unfed or undispatched when the pool is gone — plus
+// everything submitted afterwards — resolves with ErrClosed. Every job
+// resolves exactly once; Close never strands a Run or a Stream.
+// Idempotent. An attached result cache is released last (a tier drains
+// its queued peer fills there), and its close verdict is the only error
+// Close can return.
 func (e *Engine) Close() error {
 	var err error
 	e.once.Do(func() {
@@ -237,21 +253,15 @@ func (e *Engine) Close() error {
 		e.closed = true
 		e.mu.Unlock()
 		close(e.quit)
-		// Every registered enqueue resolves promptly now that quit is
-		// closed: the send either lands in the queue or loses to the
-		// quit case and rejects. Only then is the queue membership
-		// final and the sweep below sound.
+		// Every registered batch stops feeding promptly now that quit
+		// is closed: its next send either lands in the queue or loses
+		// to the quit case, which rejects the rest of the batch. Only
+		// then is the queue membership final and the sweep below sound.
 		e.submitters.Wait()
 		e.wg.Wait()
-	sweep:
-		for {
-			select {
-			case t := <-e.jobs:
-				e.rejected.Add(1)
-				t.done <- Result{ID: t.job.ID, Err: ErrClosed, Worker: -1}
-			default:
-				break sweep
-			}
+		for len(e.jobs) > 0 {
+			t := <-e.jobs
+			t.b.fail([]int{t.i}, ErrClosed, &e.rejected)
 		}
 		err = closeResultCache(e.cache)
 	})
@@ -271,62 +281,78 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Submit enqueues one job and returns a channel that will receive its
-// Result exactly once. Cancelling ctx before a worker picks the job up
-// resolves it immediately with ctx's error.
-func (e *Engine) Submit(ctx context.Context, j Job) <-chan Result {
-	e.submitted.Add(1)
-	done := make(chan Result, 1)
+// Run dispatches every job and waits for all of them, returning results
+// in submission order regardless of completion order — the Evaluator
+// batch entry point. Individual job failures are reported per-result;
+// the returned error is non-nil only when ctx ended before the batch
+// drained.
+func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
+	out := make([]Result, len(jobs))
+	done := make(chan struct{})
+	e.dispatch(ctx, jobs, func(i int, r Result) { out[i] = r }, func() { close(done) })
+	<-done
+	return out, ctx.Err()
+}
+
+// Stream dispatches like Run but yields each result the moment its job
+// resolves, in completion order, on a channel buffered to len(jobs) that
+// closes after the last one — the Evaluator contract. The batch feeds
+// the workers from a goroutine of its own, so Stream never blocks.
+func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan Result {
+	e.streams.Add(1)
+	out := make(chan Result, len(jobs))
+	go e.dispatch(ctx, jobs, func(_ int, r Result) { out <- r }, func() { close(out) })
+	return out
+}
+
+// dispatch resolves every job of one batch exactly once through emit,
+// then calls finish. It registers the batch with Close, resolves cache
+// hits (lookupCached), and feeds the misses to the workers in order from
+// the calling goroutine, which resolves any job still unfed when ctx
+// ends (Canceled) or Close begins (Rejected); workers resolve the rest.
+// Keep its frame small: Stream's goroutine starts on a small stack, and
+// at 0x1d0 bytes of locals every Stream grew it, 2.5 µs a call.
+func (e *Engine) dispatch(ctx context.Context, jobs []Job, emit func(int, Result), finish func()) {
+	if len(jobs) == 0 {
+		finish()
+		return
+	}
+	b := &batch{ctx: ctx, jobs: jobs, emit: emit, finish: finish}
+	b.pending.Store(int64(len(jobs)))
+	e.submitted.Add(uint64(len(jobs)))
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		e.rejected.Add(1)
-		done <- Result{ID: j.ID, Err: ErrClosed, Worker: -1}
-		return done
+		b.fail(indices(len(jobs)), ErrClosed, &e.rejected)
+		return
 	}
 	e.submitters.Add(1)
 	e.mu.RUnlock()
-	go func() {
-		defer e.submitters.Done()
-		// Consult the result cache before the job touches the queue: a
-		// hit is a finished job — no worker, no queue slot. The lookup
-		// happens off the caller's goroutine because a tiered cache may
-		// do a peer round-trip on a local miss.
-		if e.cache != nil && j.Spec != nil {
-			if v, ok := e.cache.Lookup(ctx, j.Spec); ok {
-				e.completed.Add(1)
-				done <- Result{ID: j.ID, Value: v, Worker: -1}
-				return
-			}
+	defer e.submitters.Done()
+
+	misses := lookupCached(ctx, e.cache, jobs, func(i int, r Result) {
+		e.completed.Add(1)
+		b.resolve(i, r)
+	})
+	for k, i := range misses {
+		// Bias the feed toward the queue, as the workers are: a job
+		// that finds room stays queued even if ctx ends or Close begins
+		// (a worker resolves it), and needs no ctx.Done channel.
+		select {
+		case e.jobs <- task{b: b, i: i}:
+			continue
+		default:
 		}
 		select {
-		case e.jobs <- task{ctx: ctx, job: j, done: done}:
+		case e.jobs <- task{b: b, i: i}:
+			continue
 		case <-ctx.Done():
-			e.canceled.Add(1)
-			done <- Result{ID: j.ID, Err: ctx.Err(), Worker: -1}
+			b.fail(misses[k:], ctx.Err(), &e.canceled)
 		case <-e.quit:
-			e.rejected.Add(1)
-			done <- Result{ID: j.ID, Err: ErrClosed, Worker: -1}
+			b.fail(misses[k:], ErrClosed, &e.rejected)
 		}
-	}()
-	return done
-}
-
-// Run submits every job and waits for all of them, returning results in
-// submission order regardless of completion order — the Evaluator batch
-// entry point. Individual job failures are reported per-result; the
-// returned error is non-nil only when ctx ended before the batch
-// drained.
-func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	chans := make([]<-chan Result, len(jobs))
-	for i, j := range jobs {
-		chans[i] = e.Submit(ctx, j)
+		return
 	}
-	out := make([]Result, len(jobs))
-	for i, ch := range chans {
-		out[i] = <-ch
-	}
-	return out, ctx.Err()
 }
 
 func (e *Engine) worker(id int) {
@@ -339,13 +365,13 @@ func (e *Engine) worker(id int) {
 		// honoured when the queue is (momentarily) empty.
 		select {
 		case t := <-e.jobs:
-			t.done <- e.execute(id, t)
+			t.b.resolve(t.i, e.execute(id, t))
 			continue
 		default:
 		}
 		select {
 		case t := <-e.jobs:
-			t.done <- e.execute(id, t)
+			t.b.resolve(t.i, e.execute(id, t))
 		case <-e.quit:
 			return
 		}
@@ -353,15 +379,16 @@ func (e *Engine) worker(id int) {
 }
 
 func (e *Engine) execute(worker int, t task) Result {
-	r := Result{ID: t.job.ID, Worker: worker}
-	if err := t.ctx.Err(); err != nil {
+	j := &t.b.jobs[t.i]
+	r := Result{ID: j.ID, Worker: worker}
+	if err := t.b.ctx.Err(); err != nil {
 		e.canceled.Add(1)
 		r.Err = err
 		r.Worker = -1
 		return r
 	}
-	ctx := t.ctx
-	timeout := t.job.Timeout
+	ctx := t.b.ctx
+	timeout := j.Timeout
 	if timeout <= 0 {
 		timeout = e.timeout
 	}
@@ -371,21 +398,19 @@ func (e *Engine) execute(worker int, t task) Result {
 		defer cancel()
 	}
 	start := time.Now()
-	r.Value, r.Err = t.job.Fn(ctx)
+	r.Value, r.Err = j.Fn(ctx)
 	r.Elapsed = time.Since(start)
 	// A deadline the engine itself imposed surfaces as the typed
 	// ErrTimeout; a deadline or cancellation that was already on the
 	// caller's context stays the caller's error.
-	if timeout > 0 && errors.Is(r.Err, context.DeadlineExceeded) && t.ctx.Err() == nil {
+	if timeout > 0 && errors.Is(r.Err, context.DeadlineExceeded) && t.b.ctx.Err() == nil {
 		r.Err = fmt.Errorf("%w after %v: %w", ErrTimeout, timeout, r.Err)
 	}
 	if r.Err != nil {
 		e.failed.Add(1)
 	} else {
 		e.completed.Add(1)
-		if e.cache != nil && t.job.Spec != nil {
-			e.cache.Store(t.ctx, t.job.Spec, r.Value)
-		}
+		storeCached(t.b.ctx, e.cache, j, r.Value)
 	}
 	return r
 }

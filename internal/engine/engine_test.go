@@ -77,10 +77,10 @@ func TestSubmitSingle(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
 
-	r := <-e.Submit(context.Background(), Job{
+	r := <-e.Stream(context.Background(), []Job{{
 		ID: "one",
 		Fn: func(context.Context) (any, error) { return "done", nil },
-	})
+	}})
 	if r.Err != nil || r.Value != "done" || r.ID != "one" {
 		t.Fatalf("unexpected result %+v", r)
 	}
@@ -99,12 +99,12 @@ func TestCancellationMidBatch(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var executed atomic.Int32
-	first := e.Submit(ctx, Job{ID: "pinned", Fn: func(context.Context) (any, error) {
+	first := e.Stream(ctx, []Job{{ID: "pinned", Fn: func(context.Context) (any, error) {
 		executed.Add(1)
 		close(started)
 		<-release
 		return "first", nil
-	}})
+	}}})
 	<-started // the only worker is now mid-job
 
 	queued := make([]Job, 15)
@@ -143,7 +143,7 @@ func TestPerJobTimeout(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
 
-	r := <-e.Submit(context.Background(), Job{
+	r := <-e.Stream(context.Background(), []Job{{
 		ID:      "slow",
 		Timeout: 10 * time.Millisecond,
 		Fn: func(ctx context.Context) (any, error) {
@@ -154,7 +154,7 @@ func TestPerJobTimeout(t *testing.T) {
 				return "too late", nil
 			}
 		},
-	})
+	}})
 	if !errors.Is(r.Err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want context.DeadlineExceeded", r.Err)
 	}
@@ -164,13 +164,13 @@ func TestEngineDefaultTimeout(t *testing.T) {
 	e := New(Options{Workers: 1, JobTimeout: 10 * time.Millisecond})
 	defer e.Close()
 
-	r := <-e.Submit(context.Background(), Job{
+	r := <-e.Stream(context.Background(), []Job{{
 		ID: "slow",
 		Fn: func(ctx context.Context) (any, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},
-	})
+	}})
 	if !errors.Is(r.Err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want context.DeadlineExceeded", r.Err)
 	}
@@ -181,10 +181,10 @@ func TestSubmitAfterClose(t *testing.T) {
 	e.Close()
 	e.Close() // idempotent
 
-	r := <-e.Submit(context.Background(), Job{
+	r := <-e.Stream(context.Background(), []Job{{
 		ID: "late",
 		Fn: func(context.Context) (any, error) { return nil, nil },
-	})
+	}})
 	if !errors.Is(r.Err, ErrClosed) {
 		t.Fatalf("error = %v, want ErrClosed", r.Err)
 	}

@@ -49,7 +49,7 @@ var (
 // BackendStats returns one Stats snapshot per member of a Balancer, in
 // member order — queried concurrently, since a remote backend's Stats
 // is a network scrape — or a single-element slice for any other
-// backend.
+// backend. A member an elastic pool has retired reports no Workers.
 func BackendStats(ev Evaluator) []Stats {
 	c, ok := ev.(*Balancer)
 	if !ok {
@@ -65,6 +65,11 @@ func BackendStats(ev Evaluator) []Stats {
 		}(i)
 	}
 	wg.Wait()
+	for i, h := range c.Health()[:len(out)] {
+		if h.Retired {
+			out[i].Workers = 0
+		}
+	}
 	return out
 }
 
@@ -174,6 +179,61 @@ type ResultCache interface {
 	Store(ctx context.Context, spec any, value any)
 }
 
+// lookupCached resolves a batch's result-cache hits before anything is
+// queued, the one lookup both fronts make: up to 16 in flight (a tiered
+// miss may cost a peer round-trip), none started once ctx has ended,
+// then each hit resolved through hit on the calling goroutine in
+// submission order. It returns the other jobs' indices, in order.
+func lookupCached(ctx context.Context, c ResultCache, jobs []Job, hit func(int, Result)) []int {
+	if c == nil {
+		return indices(len(jobs))
+	}
+	misses := make([]int, 0, len(jobs))
+	found := make([]bool, len(jobs))
+	vals := make([]any, len(jobs))
+	sem := make(chan struct{}, 16)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		if jobs[i].Spec == nil || ctx.Err() != nil {
+			continue
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			vals[i], found[i] = c.Lookup(ctx, jobs[i].Spec)
+		}(i)
+	}
+	wg.Wait()
+	for i := range jobs {
+		if found[i] {
+			hit(i, Result{ID: jobs[i].ID, Value: vals[i], Worker: -1})
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	return misses
+}
+
+// storeCached records a successful job's value in c, best-effort; a nil
+// cache or a spec-less job stores nothing. Call it outside any lock: a
+// tiered cache fans the fill out to peers.
+func storeCached(ctx context.Context, c ResultCache, j *Job, v any) {
+	if c != nil && j.Spec != nil {
+		c.Store(ctx, j.Spec, v)
+	}
+}
+
+// indices returns 0, 1, ..., n-1.
+func indices(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // ResultCached is implemented by fronts that carry a result cache —
 // Engine and Balancer — so report builders can find the tier's
 // counters without knowing the topology.
@@ -227,12 +287,17 @@ type LocalStatser interface {
 // backends report their local view, and plain local backends answer
 // Stats directly. Use it where blocking on a peer
 // is unacceptable (liveness probes) or where only this process's
-// submissions should be counted (per-run reports).
+// submissions should be counted (per-run reports). A member an elastic
+// pool has retired still counts its jobs, but not its Workers.
 func LocalStats(ev Evaluator) Stats {
 	if c, ok := ev.(*Balancer); ok {
 		var t Stats
-		for i := 0; i < c.Size(); i++ {
-			t = t.Add(LocalStats(c.Backend(i)))
+		for i, h := range c.Health() {
+			st := LocalStats(c.Backend(i))
+			if h.Retired {
+				st.Workers = 0
+			}
+			t = t.Add(st)
 		}
 		t.Streams = c.Streams()
 		return t

@@ -15,8 +15,8 @@ func TestJobTimeoutIsTyped(t *testing.T) {
 	e := New(Options{Workers: 1, JobTimeout: 5 * time.Millisecond})
 	defer e.Close()
 
-	r := <-e.Submit(context.Background(), Job{ID: "slow",
-		Fn: func(ctx context.Context) (any, error) { <-ctx.Done(); return nil, ctx.Err() }})
+	r := <-e.Stream(context.Background(), []Job{{ID: "slow",
+		Fn: func(ctx context.Context) (any, error) { <-ctx.Done(); return nil, ctx.Err() }}})
 	if !errors.Is(r.Err, ErrTimeout) {
 		t.Errorf("engine-deadline error %v, want ErrTimeout", r.Err)
 	}
@@ -26,8 +26,8 @@ func TestJobTimeoutIsTyped(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
-	ch := e.Submit(ctx, Job{ID: "caller-cancel",
-		Fn: func(ctx context.Context) (any, error) { close(started); <-ctx.Done(); return nil, ctx.Err() }})
+	ch := e.Stream(ctx, []Job{{ID: "caller-cancel",
+		Fn: func(ctx context.Context) (any, error) { close(started); <-ctx.Done(); return nil, ctx.Err() }}})
 	<-started
 	cancel()
 	if r := <-ch; errors.Is(r.Err, ErrTimeout) || !errors.Is(r.Err, context.Canceled) {

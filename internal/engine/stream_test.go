@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -79,8 +80,7 @@ func TestStreamCancelMidStream(t *testing.T) {
 	defer cancel()
 
 	// Every job gates on release, so whichever one the single worker
-	// dispatches first is the one pinned mid-run; dispatch order across
-	// the stream's concurrent submitters is unspecified.
+	// dispatches first is the one pinned mid-run.
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	jobs := make([]Job, 12)
@@ -123,12 +123,55 @@ func TestStreamCancelMidStream(t *testing.T) {
 	}
 }
 
+// TestStreamHoldsOneGoroutinePerBatch holds a 1,024-job Stream on a
+// 2-worker engine with both workers pinned: the jobs beyond the queue
+// wait in the batch's one feeder, so the held stream costs a constant
+// number of goroutines, not one or two per job.
+func TestStreamHoldsOneGoroutinePerBatch(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	jobs := make([]Job, 1024)
+	for i := range jobs {
+		jobs[i] = Job{ID: fmt.Sprintf("held-%d", i), Fn: func(context.Context) (any, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-release
+			return nil, nil
+		}}
+	}
+	before := runtime.NumGoroutine()
+	out := e.Stream(context.Background(), jobs)
+	<-started
+	<-started // both workers hold a job; the rest of the batch waits
+	held := runtime.NumGoroutine() - before
+	close(release)
+
+	n := 0
+	for r := range out {
+		if r.Err != nil {
+			t.Errorf("job %s: %v", r.ID, r.Err)
+		}
+		n++
+	}
+	if n != len(jobs) {
+		t.Errorf("stream yielded %d results, want %d", n, len(jobs))
+	}
+	if held > 4 {
+		t.Errorf("a held %d-job Stream kept %d extra goroutines, want at most 4", len(jobs), held)
+	}
+}
+
 // TestStreamCloseRaceStress interleaves Stream batches with a concurrent
 // Close under the race detector: every stream must terminate, and every
 // result must be success, ErrClosed, or a context error — nothing
 // stranded, no double-resolution, no races on the counters.
 func TestStreamCloseRaceStress(t *testing.T) {
-	e := New(Options{Workers: 4, Queue: 2})
+	e := New(Options{Workers: 4})
 
 	const streams, perStream = 8, 25
 	var wg sync.WaitGroup

@@ -37,6 +37,15 @@ func DMIPSPerWatt(freqMHz, cyclesPerIteration, powerW float64) float64 {
 	return DMIPS(freqMHz, cyclesPerIteration) / powerW
 }
 
+// MemAccessRate returns a run's TIM+TDM word accesses (a fetch per
+// retired instruction, loads, stores) per cycle, or 1 for no cycles.
+func MemAccessRate(retired, loads, stores, cycles uint64) float64 {
+	if cycles == 0 {
+		return 1
+	}
+	return (float64(retired) + float64(loads+stores)) / float64(cycles)
+}
+
 // CoreRow is one column of Table II.
 type CoreRow struct {
 	Name         string

@@ -18,8 +18,9 @@
 //
 // Jobs are shipped by their engine.Job.Spec (a *bench.JobSpec, attached
 // by bench.SuiteJobs / Manifest.EngineJobs): the program travels inline
-// as source text, never as a server-side path. Jobs without a spec fail
-// fast with ErrNotRemotable instead of contacting the peer.
+// as source text, never as a server-side path. Jobs without one (no spec,
+// or a spec of another type) fail fast with ErrNotRemotable instead of
+// contacting the peer.
 //
 // Failure surface: connection errors at dial are retried a bounded
 // number of times with exponential backoff; a peer dying mid-stream
@@ -309,22 +310,6 @@ func (c *Client) PeerStats(ctx context.Context) (engine.Stats, error) {
 	}, nil
 }
 
-// specOf extracts the serializable description of one job.
-func specOf(j engine.Job) (*bench.JobSpec, error) {
-	switch s := j.Spec.(type) {
-	case *bench.JobSpec:
-		return s, nil
-	case bench.JobSpec:
-		return &s, nil
-	case *bench.ManifestJob:
-		return &bench.JobSpec{Job: *s}, nil
-	case bench.ManifestJob:
-		return &bench.JobSpec{Job: s}, nil
-	default:
-		return nil, fmt.Errorf("%w (job %q)", ErrNotRemotable, j.ID)
-	}
-}
-
 // pendingJob tracks one not-yet-acknowledged job of a wire chunk: its
 // index in the batch and its original (pre-deduplication) name.
 type pendingJob struct {
@@ -395,13 +380,14 @@ func (c *Client) DispatchChunk(ctx context.Context, jobs []engine.Job, ack func(
 	var valid []int
 	specs := make([]*bench.JobSpec, len(jobs))
 	for i, j := range jobs {
-		spec, err := specOf(j)
-		if err != nil {
-			// Spec-less jobs cannot travel at all: acknowledge the
-			// job-level failure inline so the balancer does not re-try
-			// a job that can never reach a peer.
+		spec, _ := j.Spec.(*bench.JobSpec)
+		if spec == nil {
+			// A job without the *bench.JobSpec every producer attaches
+			// cannot travel at all: acknowledge the job-level failure
+			// inline so the balancer does not re-try a job that can
+			// never reach a peer.
 			c.failed.Add(1)
-			wrap(i, engine.Result{ID: j.ID, Err: err, Worker: -1})
+			wrap(i, engine.Result{ID: j.ID, Err: fmt.Errorf("%w (job %q)", ErrNotRemotable, j.ID), Worker: -1})
 			continue
 		}
 		specs[i] = spec

@@ -57,9 +57,9 @@ import (
 // bodies are rejected with 413 via http.MaxBytesReader, not truncated.
 const maxBody = 4 << 20
 
-// maxSuiteJobs bounds one /v1/suite request. Every job costs a buffered
-// channel slot and two goroutines up front (Stream fan-out + Submit
-// handoff), so an uncapped manifest would let a single request allocate
+// maxSuiteJobs bounds one /v1/suite request. Every job costs its engine
+// job, its spec and a slot in the Stream's buffered channel up front, so
+// an uncapped manifest would let a single request allocate
 // proportionally to its own size before any evaluation runs.
 const maxSuiteJobs = 1024
 
@@ -135,13 +135,20 @@ func NewWithBackend(backend engine.Evaluator) *Server {
 func (s *Server) Backend() engine.Evaluator { return s.backend }
 
 // Shards reports how many shards the backend spans, local engines and
-// peers together (1 for a backend other than a Balancer): the figure
-// /v1/healthz reports.
+// peers together (1 for a backend other than a Balancer), leaving out
+// members an elastic pool has retired: the figure /v1/healthz reports.
 func (s *Server) Shards() int {
-	if b, ok := s.backend.(*engine.Balancer); ok {
-		return b.Size()
+	b, ok := s.backend.(*engine.Balancer)
+	if !ok {
+		return 1
 	}
-	return 1
+	n := 0
+	for _, h := range b.Health() {
+		if !h.Retired {
+			n++
+		}
+	}
+	return n
 }
 
 // shardStats reports per-shard counters (one entry for a backend other
@@ -427,8 +434,8 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	for res := range s.backend.Stream(r.Context(), jobs) {
 		if clientGone {
 			// The client is gone; keep draining so the stream's
-			// forwarders finish against the cancelled context, but
-			// skip rendering rows nobody will receive.
+			// jobs resolve against the cancelled context, but skip
+			// rendering rows nobody will receive.
 			continue
 		}
 		// A result-cache hit is written as its stored row with the

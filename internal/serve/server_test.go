@@ -846,6 +846,94 @@ func TestNewAutoscaleConfig(t *testing.T) {
 	}
 }
 
+// TestCapacityAfterScaleDown grows an elastic pool twice and shrinks it
+// twice, then expects /v1/capacity and /v1/healthz to describe the one
+// member left, as /v1/stats' scale state does: a retired member's pool
+// is not capacity, though its jobs still count.
+func TestCapacityAfterScaleDown(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Workers: 1, AutoscaleMin: 1, AutoscaleMax: 3,
+		ScaleInterval: -1, ScaleCooldown: -1,
+	})
+	b := s.Backend().(*engine.Balancer)
+	a := b.Autoscaler()
+
+	// Cancelling on cleanup frees held jobs should the test stop early,
+	// so the server's Close does not wait on them.
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	release := make(chan struct{})
+	jobs := make([]engine.Job, 4)
+	for i := range jobs {
+		jobs[i] = engine.Job{ID: fmt.Sprintf("held-%d", i), Fn: func(ctx context.Context) (any, error) {
+			select {
+			case <-release:
+				return nil, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}}
+	}
+	stream := b.Stream(ctx, jobs)
+	for round := 0; round < 2; round++ {
+		deadline := time.Now().Add(5 * time.Second)
+		for a.ScaleState().Queue == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no job queued for a slot", round)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if !a.ScaleNow() {
+			t.Fatalf("round %d: ScaleNow did not grow a queued pool", round)
+		}
+	}
+	close(release)
+	for r := range stream {
+		if r.Err != nil {
+			t.Errorf("job %s: %v", r.ID, r.Err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		if !a.ScaleNow() {
+			t.Fatalf("round %d: ScaleNow did not shrink the idle pool", round)
+		}
+	}
+
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var c engine.Capacity
+	get("/v1/capacity", &c)
+	if c.Workers != 1 || c.Free != 1 {
+		t.Errorf("capacity after two scale-downs %+v, want the one remaining worker, free", c)
+	}
+	var h struct {
+		Shards  int `json:"shards"`
+		Workers int `json:"workers"`
+	}
+	get("/v1/healthz", &h)
+	var sr StatsReply
+	get("/v1/stats", &sr)
+	if sr.Autoscale == nil || sr.Autoscale.ActiveShards != 1 || sr.Autoscale.ScaleDowns != 2 {
+		t.Fatalf("autoscale state %+v, want 1 active shard after 2 scale-downs", sr.Autoscale)
+	}
+	if h.Shards != sr.Autoscale.ActiveShards || h.Workers != 1 {
+		t.Errorf("healthz %+v, want %d shard and 1 worker", h, sr.Autoscale.ActiveShards)
+	}
+	if st := sr.Engine; st.Workers != 1 || st.Shards != 1 ||
+		st.Submitted != st.Completed+st.Failed+st.Canceled+st.Rejected {
+		t.Errorf("stats engine %+v, want 1 shard of 1 worker and balanced job counters", st)
+	}
+}
+
 // TestNewRejectsIncoherentConfig pins serve.New's validation: the same
 // rule set behind art9.New rejects orphaned tuning with a typed error
 // instead of silently ignoring it.

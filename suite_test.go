@@ -52,8 +52,8 @@ func TestFacadeSuiteRun(t *testing.T) {
 }
 
 // TestFacadeEngine runs the suite batch on a bare local Engine — every
-// Evaluator accepts the same jobs — then submits a custom closure job
-// on the engine's own channel API.
+// Evaluator accepts the same jobs — then streams a custom closure job
+// on its own.
 func TestFacadeEngine(t *testing.T) {
 	eng := art9.NewEngine(art9.EngineOptions{Workers: 2, JobTimeout: time.Minute})
 	defer eng.Close()
@@ -75,10 +75,10 @@ func TestFacadeEngine(t *testing.T) {
 		t.Errorf("engine stats %+v, want %d completed", s, len(results))
 	}
 
-	r := <-eng.Submit(context.Background(), art9.EngineJob{
+	r := <-eng.Stream(context.Background(), []art9.EngineJob{{
 		ID: "custom",
 		Fn: func(context.Context) (any, error) { return 7, nil },
-	})
+	}})
 	if r.Err != nil || r.Value.(int) != 7 {
 		t.Fatalf("custom engine job result %+v", r)
 	}
