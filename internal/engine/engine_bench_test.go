@@ -4,7 +4,11 @@ package engine_test
 // no-op closure jobs on a 2-worker engine, so the numbers are queueing,
 // hand-off to the workers and result collection — not evaluation. The
 // cached case answers 7 of 8 jobs from a map-backed result cache, so it
-// shows the lookup path beside one worker run. Run with -benchmem.
+// shows the lookup path beside one worker run. The balancer cases run
+// the same batches through a Balancer whose one member is such an
+// engine: their gap to run/jobs=1 and run/jobs=16 is what placement,
+// chunk attempts and health book-keeping add to a lone engine. Run with
+// -benchmem.
 
 import (
 	"context"
@@ -36,7 +40,7 @@ func noopJobs(n int) []engine.Job {
 }
 
 func BenchmarkEngineDispatch(b *testing.B) {
-	run := func(e *engine.Engine, jobs []engine.Job) func(b *testing.B) {
+	run := func(e engine.Evaluator, jobs []engine.Job) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -75,6 +79,13 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	for _, size := range []int{1, 8, 16} {
 		b.Run(fmt.Sprintf("run/jobs=%d", size), run(e, noopJobs(size)))
 		b.Run(fmt.Sprintf("stream/jobs=%d", size), stream(e, noopJobs(size)))
+	}
+
+	bal := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
+		engine.New(engine.Options{Workers: 2}))
+	defer bal.Close()
+	for _, size := range []int{1, 16} {
+		b.Run(fmt.Sprintf("balancer/run/jobs=%d", size), run(bal, noopJobs(size)))
 	}
 
 	cache := mapCache{}
