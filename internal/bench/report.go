@@ -293,13 +293,10 @@ func cacheReport(ps, as engine.CacheStats) CacheReport {
 // them (engine.LocalStats), not their peer's lifetime totals — which is
 // what a per-run document like BENCH_*.json should carry. Workers
 // consequently counts local pools only; remote capacity is the report's
-// peers field.
+// peers field. Shards and Workers leave out members an elastic pool has
+// retired.
 func RunReportFor(ev engine.Evaluator) EngineReport {
-	shards := 1
-	if b, ok := ev.(*engine.Balancer); ok {
-		shards = b.Size()
-	}
-	return EngineReportFrom(engine.LocalStats(ev), shards)
+	return EngineReportFrom(engine.LocalStats(ev), engine.Shards(ev))
 }
 
 // EngineReportFrom renders an already-taken stats snapshot over shards

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +22,10 @@ import (
 //     clients GET /v1/healthz) and each job result updates the score
 //     reactively — a backend-level failure (Retryable: ErrClosed or
 //     ErrUnavailable) marks the backend down immediately, the next
-//     success or clean probe revives it.
+//     success or clean probe revives it. The transition itself cancels
+//     the chunks it abandons: those on a backend going down, and, when a
+//     backend comes up, the last-resort chunks stuck on backends still
+//     down.
 //   - Dispatch: one placement loop per batch moves jobs in chunks of up
 //     to Chunk (1 unless configured): it reserves slots on the healthy
 //     backend with the most free slots (ties rotate), bounded per
@@ -80,9 +84,8 @@ type Balancer struct {
 	// mu guards members (appended by addLocked) and every member's mutable
 	// state, plus closed, rr, queued and every placement's queue; cond
 	// (on mu) wakes placement loops when a slot frees, a probe changes a
-	// backend's health, membership changes, or the balancer closes.
-	// Dispatch contexts get a watcher goroutine that broadcasts on
-	// cancellation so waiters observe it.
+	// backend's health, membership changes, the balancer closes, or a
+	// dispatch context ends.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	members []*member
@@ -91,11 +94,6 @@ type Balancer struct {
 	// queued counts jobs waiting in dispatch queues for a slot — the
 	// scaling policy's queue-depth signal. Cache hits never enter a queue.
 	queued int
-
-	// revived is closed (and replaced) whenever any member transitions
-	// to healthy; last-resort attempts on unhealthy backends watch it
-	// so a recovery elsewhere rescues jobs stuck on a wedged backend.
-	revived chan struct{}
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -118,11 +116,10 @@ type member struct {
 	retired  bool
 	inflight int
 	lastErr  string
-	// down is closed when the member transitions to unhealthy and
-	// replaced with a fresh channel on revival; in-flight attempts
-	// watch it so a backend declared dead (by a probe, or by another
-	// job's failure) does not hold its jobs hostage.
-	down chan struct{}
+	// attempts are the chunks in flight here, registered at placement
+	// so that the health transitions which abandon them can cancel them
+	// (setHealthLocked).
+	attempts []attempt
 
 	dispatched    uint64
 	completed     uint64
@@ -153,22 +150,52 @@ func (m *member) freeSlotsLocked() int {
 	return w - m.inflight
 }
 
-// setHealthLocked applies a health transition (callers hold b.mu):
-// going down closes the member's down channel so in-flight attempts
-// abandon the backend; coming up replaces it and fires the
-// balancer-wide revived signal so last-resort attempts stuck on other
-// dead backends re-dispatch here.
+// attempt is one chunk in flight on a member: the context it runs
+// under, which identifies it, and the func that cancels that context.
+type attempt struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// dropAttempt forgets the attempt running under ctx and returns its
+// cancel func. Callers hold b.mu.
+func (m *member) dropAttempt(ctx context.Context) context.CancelFunc {
+	i := slices.IndexFunc(m.attempts, func(a attempt) bool { return a.ctx == ctx })
+	cancel := m.attempts[i].cancel
+	m.attempts = slices.Delete(m.attempts, i, i+1)
+	return cancel
+}
+
+// setHealthLocked applies a health transition and cancels the attempts
+// it abandons, so that a backend declared dead — by a probe, or by
+// another job's failure — holds no jobs hostage (callers hold b.mu).
+// Going down abandons every attempt on the member. Coming up, unless
+// the member is retired, abandons every attempt on a member still down:
+// last-resort attempts, whose jobs can move here now. The member's own
+// attempts run on through its recovery, since the running job is the
+// evidence it recovered.
 func (b *Balancer) setHealthLocked(m *member, h bool) {
 	if m.healthy == h {
 		return
 	}
 	m.healthy = h
-	if h {
-		m.down = make(chan struct{})
-		close(b.revived)
-		b.revived = make(chan struct{})
-	} else {
-		close(m.down)
+	switch {
+	case !h:
+		m.cancelAttempts()
+	case !m.retired:
+		for _, o := range b.members {
+			if !o.healthy {
+				o.cancelAttempts()
+			}
+		}
+	}
+}
+
+// cancelAttempts cancels every attempt in flight on m. Callers hold
+// b.mu.
+func (m *member) cancelAttempts() {
+	for _, a := range m.attempts {
+		a.cancel()
 	}
 }
 
@@ -284,7 +311,6 @@ func newBalancer(opts BalancerOptions, backends []Evaluator) *Balancer {
 		width:      opts.Width,
 		chunk:      opts.Chunk,
 		cache:      opts.Cache,
-		revived:    make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
@@ -313,7 +339,6 @@ func (b *Balancer) addLocked(ev Evaluator, name string) *member {
 		name:    name,
 		width:   w,
 		healthy: true,
-		down:    make(chan struct{}),
 	}
 	b.members = append(b.members, m)
 	return m
@@ -573,22 +598,17 @@ func (b *Balancer) dispatch(ctx context.Context, jobs []Job, emit func(int, Resu
 	if len(jobs) == 0 {
 		return
 	}
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Broadcast under mu: a waiter that checked ctx.Err() just
-			// before the cancellation still holds mu until its Wait
-			// parks it, so taking the lock here orders this wakeup
-			// after that park — an unlocked Broadcast could fire into
-			// the gap and strand the waiter forever.
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		case <-watchDone:
-		}
-	}()
-	defer close(watchDone)
+	// The caller's context ending wakes the loop wherever it waits.
+	// Broadcast under mu: a waiter that checked ctx.Err() just before the
+	// cancellation still holds mu until its Wait parks it, so taking the
+	// lock here orders this wakeup after that park — an unlocked
+	// Broadcast could fire into the gap and strand the waiter forever.
+	stop := context.AfterFunc(ctx, func() {
+		b.mu.Lock()
+		b.cond.Broadcast()
+		b.mu.Unlock()
+	})
+	defer stop()
 
 	// Cache hits resolve before the queue exists: a hot job neither
 	// rides a chunk, occupies a reservation another job could use, nor
@@ -658,11 +678,13 @@ func (b *Balancer) dispatch(ctx context.Context, jobs []Job, emit func(int, Resu
 		if want > len(take) {
 			b.cond.Broadcast()
 		}
+		actx, cancel := context.WithCancel(ctx)
+		m.attempts = append(m.attempts, attempt{actx, cancel})
 		b.mu.Unlock()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b.attemptChunk(ctx, m, p, take)
+			b.attemptChunk(ctx, actx, m, p, take)
 		}()
 		b.mu.Lock()
 	}
@@ -749,11 +771,11 @@ func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (
 	}
 }
 
-// attemptChunk runs one chunk on one backend, then settles it (see
-// settleChunk). While the chunk is in flight it watches an abandonment
-// signal (see watchAttempt): a backend declared dead mid-chunk — a
-// failed probe, another job's backend-level failure — has the chunk
-// cancelled and its unresolved jobs re-classified ErrUnavailable, so a
+// attemptChunk runs one chunk on one backend under actx, the attempt's
+// context registered on m at placement, then settles it (see
+// settleChunk). A health transition that abandons the attempt — a
+// failed probe, another job's backend-level failure — cancels actx, and
+// the chunk's unresolved jobs are re-classified ErrUnavailable, so a
 // wedged-but-connected peer (a network partition, a stopped process
 // holding its TCP connections open) cannot hold jobs hostage past the
 // health verdict.
@@ -762,12 +784,7 @@ func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (
 // the backend's dispatch path in a goroutine started per chunk, stays
 // small: a goroutine whose stack must grow deep inside that path pays
 // for copying every frame above it.
-func (b *Balancer) attemptChunk(ctx context.Context, m *member, p *placement, items []*chunkItem) {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := make(chan struct{})
-	go b.watchAttempt(m, stop, cancel)
-
+func (b *Balancer) attemptChunk(ctx, actx context.Context, m *member, p *placement, items []*chunkItem) {
 	// A one-job chunk — per-job placement — rides the caller's slice;
 	// the capacity bound keeps a backend from appending over its
 	// neighbours.
@@ -805,23 +822,25 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, p *placement, it
 				m.name, len(rs), len(items), ErrUnavailable)
 		}
 	}
-	close(stop)
-	b.settleChunk(ctx, m, p, items, acks, chunkErr, actx.Err() != nil && ctx.Err() == nil)
+	b.settleChunk(ctx, actx, m, p, items, acks, chunkErr)
 }
 
-// settleChunk scores one finished chunk and resolves its jobs: each
-// job the backend acknowledged with a success or a job-level failure is
-// emitted; jobs the chunk left unresolved (chunkErr explains why, when
-// the backend said) and jobs acknowledged with a backend-level failure
-// re-queue on p within the retry budget, and resolve with that failure
-// once it is spent. abandoned reports that the balancer cancelled the
-// chunk after the fleet's health changed, which makes every failure in
-// it backend-level.
-func (b *Balancer) settleChunk(ctx context.Context, m *member, p *placement, items []*chunkItem, acks []chunkAck, chunkErr error, abandoned bool) {
+// settleChunk drops the attempt from m, scores the finished chunk and
+// resolves its jobs: each job the backend acknowledged with a success
+// or a job-level failure is emitted; jobs the chunk left unresolved
+// (chunkErr explains why, when the backend said) and jobs acknowledged
+// with a backend-level failure re-queue on p within the retry budget,
+// and resolve with that failure once it is spent. An attempt whose
+// context a health transition cancelled while the caller's was live
+// was abandoned, which makes every failure in it backend-level.
+func (b *Balancer) settleChunk(ctx, actx context.Context, m *member, p *placement, items []*chunkItem, acks []chunkAck, chunkErr error) {
 	requeued := 0
 	sawSuccess, sawRetryable := false, false
 	b.mu.Lock()
 	m.inflight -= len(items)
+	cancel := m.dropAttempt(actx)
+	abandoned := actx.Err() != nil && ctx.Err() == nil
+	cancel()
 	for i, it := range items {
 		r := &acks[i].r
 		if !acks[i].ok {
@@ -869,13 +888,11 @@ func (b *Balancer) settleChunk(ctx context.Context, m *member, p *placement, ite
 			m.failed++
 		}
 	}
-	// A success revives the backend; a backend-level failure in the
-	// same chunk then marks it down again.
-	if sawSuccess {
-		b.setHealthLocked(m, true)
-	}
-	if sawRetryable {
-		b.setHealthLocked(m, false)
+	// A success revives the backend unless a backend-level failure in
+	// the same chunk marks it down: one transition, so a chunk that ends
+	// down on a down backend abandons nothing elsewhere.
+	if sawSuccess || sawRetryable {
+		b.setHealthLocked(m, !sawRetryable)
 	}
 	if requeued > 0 {
 		m.chunkResumes++
@@ -901,47 +918,6 @@ func (b *Balancer) settleChunk(ctx context.Context, m *member, p *placement, ite
 type chunkAck struct {
 	r  Result
 	ok bool
-}
-
-// watchAttempt watches one in-flight attempt on m and cancels it when
-// the fleet's health says the job should move: a healthy member's
-// attempt abandons when that member goes down; a last-resort attempt on
-// an unhealthy member abandons when some OTHER member becomes healthy.
-// The member's own recovery mid-attempt is not an abandonment — the
-// running job is the evidence it recovered — so the watch re-arms on
-// the member's fresh down channel instead of cancelling.
-func (b *Balancer) watchAttempt(m *member, stop <-chan struct{}, cancel context.CancelFunc) {
-	for {
-		b.mu.Lock()
-		wasHealthy := m.healthy
-		ch := m.down
-		if !wasHealthy {
-			ch = b.revived
-		}
-		b.mu.Unlock()
-		select {
-		case <-stop:
-			return
-		case <-ch:
-		}
-		b.mu.Lock()
-		abandon := wasHealthy // the member we were running on went down
-		if !wasHealthy && !m.healthy {
-			// A revival fired elsewhere while m stayed down: move the
-			// job if somewhere healthy actually exists right now.
-			for _, o := range b.members {
-				if o != m && o.healthy && !o.retired {
-					abandon = true
-					break
-				}
-			}
-		}
-		b.mu.Unlock()
-		if abandon {
-			cancel()
-			return
-		}
-	}
 }
 
 // healthLoop drives periodic probing until Close.

@@ -15,7 +15,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -400,6 +402,81 @@ func TestBalancerAbandonsWedgedBackend(t *testing.T) {
 	if h.ProbeFailures == 0 {
 		t.Error("probe failure not recorded")
 	}
+}
+
+// TestBalancerAbandonsAttemptDownedAtStart pins the abandonment of an
+// attempt whose member goes down before the attempt has done anything:
+// the backend marks itself sick and has the front probe it from inside
+// its own Run, then holds the chunk until cancelled. The attempt was
+// placed on a healthy member, so the down verdict must abandon it and
+// the job must finish on the engine. Under GOMAXPROCS(1) the verdict
+// lands before any goroutine the attempt starts gets to run, so the
+// test holds whatever way an attempt learns of it.
+func TestBalancerAbandonsAttemptDownedAtStart(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sick := &sickensOnRun{}
+	// The engine has one worker and sick the default width of 8, so the
+	// job is placed on sick.
+	b := newBalancer(t, engine.BalancerOptions{},
+		engine.New(engine.Options{Workers: 1}),
+		sick)
+	sick.front = b
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	rs, err := b.Run(ctx, scenariotest.Jobs(1))
+	if err != nil {
+		t.Fatalf("run ended with %v: the attempt on the downed member was not abandoned", err)
+	}
+	if rs[0].Err != nil {
+		t.Fatalf("job failed: %v", rs[0].Err)
+	}
+	h := b.Health()
+	if h[0].Completed != 1 {
+		t.Errorf("engine scorecard %+v, want the job completed there", h[0])
+	}
+	if h[1].Healthy || h[1].Failovers != 1 {
+		t.Errorf("sick scorecard %+v, want it down with the job failed over", h[1])
+	}
+}
+
+// sickensOnRun is a remote-like backend (no local workers) whose probe
+// turns sick inside its first Run: it has the front probe it, then
+// holds the chunk until the front cancels it.
+type sickensOnRun struct {
+	front *engine.Balancer
+	sick  atomic.Bool
+}
+
+func (s *sickensOnRun) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
+	s.sick.Store(true)
+	s.front.ProbeNow(context.Background())
+	<-ctx.Done()
+	out := make([]engine.Result, len(jobs))
+	for i, j := range jobs {
+		out[i] = engine.Result{ID: j.ID, Err: ctx.Err(), Worker: -1}
+	}
+	return out, ctx.Err()
+}
+
+func (s *sickensOnRun) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Result {
+	out := make(chan engine.Result, len(jobs))
+	rs, _ := s.Run(ctx, jobs)
+	for _, r := range rs {
+		out <- r
+	}
+	close(out)
+	return out
+}
+
+func (s *sickensOnRun) Stats() engine.Stats { return engine.Stats{} }
+func (s *sickensOnRun) Close() error        { return nil }
+
+func (s *sickensOnRun) Probe(context.Context) error {
+	if s.sick.Load() {
+		return errors.New("healthz failed")
+	}
+	return nil
 }
 
 // TestBalancerProbeLeavesNonProberAlone pins the no-oracle rule: a

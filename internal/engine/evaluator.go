@@ -73,6 +73,23 @@ func BackendStats(ev Evaluator) []Stats {
 	return out
 }
 
+// Shards reports how many shards ev spans: a Balancer's members, local
+// engines and peers together, leaving out those an elastic pool has
+// retired, and 1 for any other backend.
+func Shards(ev Evaluator) int {
+	b, ok := ev.(*Balancer)
+	if !ok {
+		return 1
+	}
+	n := 0
+	for _, h := range b.Health() {
+		if !h.Retired {
+			n++
+		}
+	}
+	return n
+}
+
 // Prober is implemented by backends that can answer a cheap liveness
 // check: nil means the backend is fit to take jobs, an error explains
 // why it is not. Local engines answer from their closed flag; the

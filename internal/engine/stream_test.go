@@ -131,9 +131,34 @@ func TestStreamHoldsOneGoroutinePerBatch(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer e.Close()
 
-	started := make(chan struct{}, 2)
+	if held := heldStreamGoroutines(t, e, 1024, 2); held > 4 {
+		t.Errorf("a held 1024-job Stream kept %d extra goroutines, want at most 4", held)
+	}
+}
+
+// TestBalancerStreamHoldsOneGoroutinePerChunk holds a 64-job Stream on
+// a Balancer over two 2-worker engines until all four workers hold a
+// job: each chunk in flight costs one goroutine, beside the Stream's
+// own, and nothing else watches the batch or its chunks.
+func TestBalancerStreamHoldsOneGoroutinePerChunk(t *testing.T) {
+	b := NewBalancer(BalancerOptions{HealthInterval: -1},
+		New(Options{Workers: 2}), New(Options{Workers: 2}))
+	defer b.Close()
+
+	if held := heldStreamGoroutines(t, b, 64, 4); held > 6 {
+		t.Errorf("a held 64-job Stream over 4 chunks kept %d extra goroutines, want at most 6", held)
+	}
+}
+
+// heldStreamGoroutines streams n jobs on ev that each block until
+// released, counts the goroutines the stream has added once the first
+// workers jobs are running, then releases the batch and checks every
+// job succeeded.
+func heldStreamGoroutines(t *testing.T, ev Evaluator, n, workers int) int {
+	t.Helper()
+	started := make(chan struct{}, workers)
 	release := make(chan struct{})
-	jobs := make([]Job, 1024)
+	jobs := make([]Job, n)
 	for i := range jobs {
 		jobs[i] = Job{ID: fmt.Sprintf("held-%d", i), Fn: func(context.Context) (any, error) {
 			select {
@@ -145,25 +170,24 @@ func TestStreamHoldsOneGoroutinePerBatch(t *testing.T) {
 		}}
 	}
 	before := runtime.NumGoroutine()
-	out := e.Stream(context.Background(), jobs)
-	<-started
-	<-started // both workers hold a job; the rest of the batch waits
+	out := ev.Stream(context.Background(), jobs)
+	for i := 0; i < workers; i++ {
+		<-started // every worker holds a job; the rest of the batch waits
+	}
 	held := runtime.NumGoroutine() - before
 	close(release)
 
-	n := 0
+	got := 0
 	for r := range out {
 		if r.Err != nil {
 			t.Errorf("job %s: %v", r.ID, r.Err)
 		}
-		n++
+		got++
 	}
-	if n != len(jobs) {
-		t.Errorf("stream yielded %d results, want %d", n, len(jobs))
+	if got != n {
+		t.Errorf("stream yielded %d results, want %d", got, n)
 	}
-	if held > 4 {
-		t.Errorf("a held %d-job Stream kept %d extra goroutines, want at most 4", len(jobs), held)
-	}
+	return held
 }
 
 // TestStreamCloseRaceStress interleaves Stream batches with a concurrent

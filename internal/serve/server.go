@@ -134,22 +134,9 @@ func NewWithBackend(backend engine.Evaluator) *Server {
 // Backend exposes the evaluation backend (stats drill-down, tests).
 func (s *Server) Backend() engine.Evaluator { return s.backend }
 
-// Shards reports how many shards the backend spans, local engines and
-// peers together (1 for a backend other than a Balancer), leaving out
-// members an elastic pool has retired: the figure /v1/healthz reports.
-func (s *Server) Shards() int {
-	b, ok := s.backend.(*engine.Balancer)
-	if !ok {
-		return 1
-	}
-	n := 0
-	for _, h := range b.Health() {
-		if !h.Retired {
-			n++
-		}
-	}
-	return n
-}
+// Shards reports how many shards the backend spans (engine.Shards): the
+// figure /v1/healthz reports.
+func (s *Server) Shards() int { return engine.Shards(s.backend) }
 
 // shardStats reports per-shard counters (one entry for a backend other
 // than a Balancer).

@@ -847,9 +847,10 @@ func TestNewAutoscaleConfig(t *testing.T) {
 }
 
 // TestCapacityAfterScaleDown grows an elastic pool twice and shrinks it
-// twice, then expects /v1/capacity and /v1/healthz to describe the one
-// member left, as /v1/stats' scale state does: a retired member's pool
-// is not capacity, though its jobs still count.
+// twice, then expects /v1/capacity, /v1/healthz and a BENCH run report
+// (bench.RunReportFor) to describe the one member left, as /v1/stats'
+// scale state does: a retired member's pool is not capacity, though its
+// jobs still count.
 func TestCapacityAfterScaleDown(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1, AutoscaleMin: 1, AutoscaleMax: 3,
@@ -931,6 +932,9 @@ func TestCapacityAfterScaleDown(t *testing.T) {
 	if st := sr.Engine; st.Workers != 1 || st.Shards != 1 ||
 		st.Submitted != st.Completed+st.Failed+st.Canceled+st.Rejected {
 		t.Errorf("stats engine %+v, want 1 shard of 1 worker and balanced job counters", st)
+	}
+	if rep := bench.RunReportFor(b); rep.Shards != sr.Autoscale.ActiveShards || rep.Workers != 1 {
+		t.Errorf("run report %+v, want %d shard and 1 worker", rep, sr.Autoscale.ActiveShards)
 	}
 }
 
