@@ -56,7 +56,7 @@ func TestCachedRowLineMatchesEncoder(t *testing.T) {
 				t.Fatal(err)
 			}
 			store := rescache.NewLRU(0, 0)
-			cache := NewResultCache(store)
+			cache := NewResultCache(localTier(store))
 			spec := &JobSpec{
 				Job:          ManifestJob{Source: w.Source, Iterations: w.Iterations},
 				Technologies: names,
@@ -96,7 +96,7 @@ func FuzzResultCacheReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, name string) {
 		ctx := context.Background()
 		store := rescache.NewLRU(0, 0)
-		cache := NewResultCache(store)
+		cache := NewResultCache(localTier(store))
 		spec := &JobSpec{Job: ManifestJob{Source: "LDI T1, 1\nHALT", Iterations: 1}}
 		key, _ := resultKey(spec)
 		store.Put(ctx, key, raw)
@@ -151,7 +151,7 @@ func FuzzResultCacheReplay(f *testing.F) {
 // line /v1/suite writes for it.
 func BenchmarkResultCacheHit(b *testing.B) {
 	ctx := context.Background()
-	cache := NewResultCache(rescache.NewLRU(0, 0))
+	cache := NewResultCache(localTier(rescache.NewLRU(0, 0)))
 	spec := &JobSpec{
 		Job:          ManifestJob{Name: "bubble", Source: BubbleSort.Source, Iterations: 1},
 		Technologies: []string{"cntfet32", "stratixv"},

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"strconv"
 	"sync/atomic"
 
@@ -21,58 +20,52 @@ import (
 // through JobReportOf identically to a row computed anywhere in the
 // fleet.
 
-// ResultCache adapts a rescache store to engine.ResultCache: it keys
+// ResultCache adapts a rescache tier to engine.ResultCache: it keys
 // entries by the job's content-addressed identity (program source
 // text, iterations, technology content fingerprints — never the
 // display name, path, or timeout) and encodes results as normalized
 // report rows.
 type ResultCache struct {
-	store   rescache.Cache
+	tier    *rescache.Tiered
 	corrupt atomic.Uint64
 }
 
 var _ engine.ResultCache = (*ResultCache)(nil)
 
-// NewResultCache wraps a rescache store (an LRU, or a Tiered local +
-// peers composition) for the dispatch path.
-func NewResultCache(store rescache.Cache) *ResultCache {
-	return &ResultCache{store: store}
+// NewResultCache wraps a tier (a local LRU, and the peers it shares
+// rows with) for the dispatch path.
+func NewResultCache(tier *rescache.Tiered) *ResultCache {
+	return &ResultCache{tier: tier}
 }
 
-// Backing returns the store this adapter wraps.
-func (c *ResultCache) Backing() rescache.Cache { return c.store }
+// Backing returns the tier this adapter wraps.
+func (c *ResultCache) Backing() *rescache.Tiered { return c.tier }
 
 // Stats exposes the underlying tier's counters for reports, folding in
 // the codec-level corrupt-entry count only this adapter can observe. The
 // tier counts a lookup as a hit once it returns bytes, but Lookup answers
 // a corrupt row as a miss, so each corrupt row moves from Hits to Misses.
 func (c *ResultCache) Stats() rescache.Stats {
-	st := c.store.Stats()
+	st := c.tier.Stats()
 	st.Corrupt = c.corrupt.Load()
-	n := min(st.Corrupt, st.Hits) // a store that counts no hits has none to move
+	n := min(st.Corrupt, st.Hits) // the two counters are read at different instants
 	st.Hits -= n
 	st.Misses += n
 	return st
 }
 
-// Close releases the underlying store if it holds resources — a Tiered
-// store drains its write-behind peer fills here. Fronts call it from
+// Close drains the tier's write-behind peer fills. Fronts call it from
 // their own Close, so a short batch run still seeds the fleet.
-func (c *ResultCache) Close() error {
-	if cl, ok := c.store.(io.Closer); ok {
-		return cl.Close()
-	}
-	return nil
-}
+func (c *ResultCache) Close() error { return c.tier.Close() }
 
 // Lookup answers a job spec from the cache. Only a *JobSpec the key
 // derivation can address hits; a spec of any other type is a miss. A
 // stored row that is the canonical encoding of a successful, unnamed
 // JobReport (canonicalRow) is handed back undecoded, as a *CachedRow;
 // any other row is decoded, and one that fails to decode or was somehow
-// stored non-OK is treated as a miss AND deleted from the store — left
-// in place it would re-fail on every future lookup — and counted in
-// Stats().Corrupt. A row that decodes is handed back as the *JobReport
+// stored non-OK is treated as a miss AND deleted from the tier's local
+// store — left in place it would re-fail on every future lookup — and
+// counted in Stats().Corrupt. A row that decodes is handed back as the *JobReport
 // it decodes to.
 func (c *ResultCache) Lookup(ctx context.Context, spec any) (any, bool) {
 	s, _ := spec.(*JobSpec)
@@ -80,7 +73,7 @@ func (c *ResultCache) Lookup(ctx context.Context, spec any) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	raw, ok := c.store.Get(ctx, key)
+	raw, ok := c.tier.Get(ctx, key)
 	if !ok {
 		return nil, false
 	}
@@ -90,9 +83,7 @@ func (c *ResultCache) Lookup(ctx context.Context, spec any) (any, bool) {
 	var jr JobReport
 	if err := json.Unmarshal(raw, &jr); err != nil || !jr.OK {
 		c.corrupt.Add(1)
-		if d, ok := c.store.(rescache.Deleter); ok {
-			d.Delete(ctx, key)
-		}
+		c.tier.Local().Delete(ctx, key)
 		return nil, false
 	}
 	return &jr, true
@@ -113,7 +104,7 @@ func (c *ResultCache) Store(ctx context.Context, spec any, value any) {
 	if !ok {
 		return
 	}
-	c.store.Put(ctx, key, raw)
+	c.tier.Put(ctx, key, raw)
 }
 
 // resultKey derives the content-addressed cache key for a job spec.
@@ -250,8 +241,8 @@ func ResultCacheReportFrom(st rescache.Stats) *ResultCacheReport {
 	}
 }
 
-// ResultCacheReportFor walks an Evaluator topology for the result
-// cache on its dispatch path (engine.ResultCacheOf) and renders its
+// ResultCacheReportFor finds the result cache on an Evaluator's
+// dispatch path (engine.ResultCacheOf) and renders its
 // counters, or nil when the topology runs uncached — callers attach it
 // to CacheReport.Results exactly when it exists.
 func ResultCacheReportFor(ev engine.Evaluator) *ResultCacheReport {

@@ -34,13 +34,18 @@ func warmManifest(t *testing.T) ([]engine.Job, *Manifest) {
 	return jobs, m
 }
 
+// localTier wraps store in a tier with no peers.
+func localTier(store *rescache.LRU) *rescache.Tiered {
+	return rescache.NewTieredWith(rescache.TieredConfig{Local: store})
+}
+
 func TestResultCacheRoundTripRendersIdentically(t *testing.T) {
 	jobs, m := warmManifest(t)
 	techs, err := m.ResolveTechnologies()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewResultCache(rescache.NewLRU(0, 0))
+	cache := NewResultCache(localTier(rescache.NewLRU(0, 0)))
 
 	cold := engine.New(engine.Options{Workers: 2, Cache: cache})
 	defer cold.Close()
@@ -202,7 +207,7 @@ func TestResultKeyCoversTechnologyContent(t *testing.T) {
 
 func TestResultCacheRejectsCorruptAndFailedEntries(t *testing.T) {
 	store := rescache.NewLRU(0, 0)
-	cache := NewResultCache(store)
+	cache := NewResultCache(localTier(store))
 	ctx := context.Background()
 	spec := &JobSpec{Job: ManifestJob{Source: "LDI T1, 1\nHALT", Iterations: 1}}
 

@@ -10,7 +10,7 @@ import (
 const goodSrc = "LDI T1, 42\nADDI T1, 1\nHALT"
 
 func TestProgramCacheHit(t *testing.T) {
-	c := NewProgramCache()
+	c := newProgramCache(DefaultProgramCacheEntries, DefaultProgramCacheBytes)
 	p1, err := c.Assemble(goodSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestProgramCacheHit(t *testing.T) {
 }
 
 func TestProgramCacheDistinctSources(t *testing.T) {
-	c := NewProgramCache()
+	c := newProgramCache(DefaultProgramCacheEntries, DefaultProgramCacheBytes)
 	p1, err := c.Assemble("LDI T1, 1\nHALT")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestProgramCacheDistinctSources(t *testing.T) {
 }
 
 func TestProgramCacheMemoizesErrors(t *testing.T) {
-	c := NewProgramCache()
+	c := newProgramCache(DefaultProgramCacheEntries, DefaultProgramCacheBytes)
 	_, err1 := c.Assemble("NOT AN OPCODE")
 	_, err2 := c.Assemble("NOT AN OPCODE")
 	if err1 == nil || err2 == nil {
@@ -62,7 +62,7 @@ func TestProgramCacheMemoizesErrors(t *testing.T) {
 }
 
 func TestProgramCacheSingleflight(t *testing.T) {
-	c := NewProgramCache()
+	c := newProgramCache(DefaultProgramCacheEntries, DefaultProgramCacheBytes)
 	const n = 32
 	progs := make([]any, n)
 	var wg sync.WaitGroup
@@ -91,19 +91,19 @@ func TestProgramCacheSingleflight(t *testing.T) {
 }
 
 func TestAnalysisCacheKeying(t *testing.T) {
-	c := NewAnalysisCache()
+	c := newAnalysisCache(DefaultAnalysisCacheEntries, DefaultAnalysisCacheBytes)
 
 	// Two independently constructed descriptions of the same
 	// technology must share one entry: the key is content, not
 	// pointer identity.
-	a1 := c.Analyze("art9", ART9Netlist, gate.CNTFET32())
-	a2 := c.Analyze("art9", ART9Netlist, gate.CNTFET32())
+	a1 := c.Analyze(gate.CNTFET32())
+	a2 := c.Analyze(gate.CNTFET32())
 	if a1 != a2 {
 		t.Error("identical technologies missed the cache")
 	}
 
 	// A different technology gets its own entry.
-	a3 := c.Analyze("art9", ART9Netlist, gate.StratixVEmulation())
+	a3 := c.Analyze(gate.StratixVEmulation())
 	if a3 == a1 {
 		t.Error("distinct technologies shared an entry")
 	}
@@ -111,7 +111,7 @@ func TestAnalysisCacheKeying(t *testing.T) {
 	// A modified copy under the same name must NOT collide.
 	custom := *gate.CNTFET32()
 	custom.ClkQPs *= 2
-	a4 := c.Analyze("art9", ART9Netlist, &custom)
+	a4 := c.Analyze(&custom)
 	if a4 == a1 {
 		t.Error("modified technology collided with the original")
 	}
@@ -125,7 +125,7 @@ func TestAnalysisCacheKeying(t *testing.T) {
 }
 
 func TestProgramCacheEvictsByEntryBound(t *testing.T) {
-	c := NewProgramCacheSized(2, -1)
+	c := newProgramCache(2, -1)
 	srcs := []string{"LDI T1, 1\nHALT", "LDI T1, 2\nHALT", "LDI T1, 3\nHALT"}
 	for _, s := range srcs {
 		if _, err := c.Assemble(s); err != nil {
@@ -148,7 +148,7 @@ func TestProgramCacheEvictsByEntryBound(t *testing.T) {
 func TestProgramCacheEvictsByByteBound(t *testing.T) {
 	// Each entry costs len(src)+programFootprint, so two entries
 	// overflow this bound and the colder one ages out.
-	c := NewProgramCacheSized(-1, programFootprint+512)
+	c := newProgramCache(-1, programFootprint+512)
 	if _, err := c.Assemble("LDI T1, 1\nHALT"); err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +172,15 @@ func TestProgramCacheEvictsByByteBound(t *testing.T) {
 }
 
 func TestAnalysisCacheEvictsAndRecomputes(t *testing.T) {
-	c := NewAnalysisCacheSized(1, -1)
-	a1 := c.Analyze("art9", ART9Netlist, gate.CNTFET32())
-	c.Analyze("art9", ART9Netlist, gate.StratixVEmulation()) // evicts the first
+	c := newAnalysisCache(1, -1)
+	a1 := c.Analyze(gate.CNTFET32())
+	c.Analyze(gate.StratixVEmulation()) // evicts the first
 	s := c.Stats()
 	if s.Entries != 1 || s.Evictions != 1 {
 		t.Fatalf("stats %+v, want 1 entry / 1 eviction", s)
 	}
 	// The evicted analysis recomputes to an equivalent result.
-	a2 := c.Analyze("art9", ART9Netlist, gate.CNTFET32())
+	a2 := c.Analyze(gate.CNTFET32())
 	if a1 == a2 {
 		t.Fatal("evicted analysis returned the same instance; want a recompute")
 	}
@@ -196,5 +196,23 @@ func TestAnalyzeART9MatchesDirect(t *testing.T) {
 	if cached.Gates != direct.Gates || cached.FmaxMHz != direct.FmaxMHz ||
 		cached.CriticalPathPs != direct.CriticalPathPs || cached.LeakageW != direct.LeakageW {
 		t.Errorf("cached analysis diverges from direct analysis:\n%+v\n%+v", cached, direct)
+	}
+}
+
+// TestMemoHitsAllocateNothing pins the cost of a hit on both shared
+// memos: every suite job assembles through the program memo, and
+// bench.ImplFor looks an analysis up once per technology for every row
+// it computes.
+func TestMemoHitsAllocateNothing(t *testing.T) {
+	tech := gate.CNTFET32()
+	AnalyzeART9(tech)
+	if _, err := AssembleCached(goodSrc); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { AssembleCached(goodSrc) }); n != 0 {
+		t.Errorf("an AssembleCached hit allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { AnalyzeART9(tech) }); n != 0 {
+		t.Errorf("an AnalyzeART9 hit allocates %v times, want 0", n)
 	}
 }

@@ -211,7 +211,7 @@ func TestDefaultWorkerCount(t *testing.T) {
 func TestRaceStress(t *testing.T) {
 	e := New(Options{Workers: 8})
 	defer e.Close()
-	programs := NewProgramCache()
+	programs := newProgramCache(DefaultProgramCacheEntries, DefaultProgramCacheBytes)
 
 	sources := []string{
 		"LDI T1, 1\nHALT",

@@ -251,13 +251,6 @@ func indices(n int) []int {
 	return idx
 }
 
-// ResultCached is implemented by fronts that carry a result cache —
-// Engine and Balancer — so report builders can find the tier's
-// counters without knowing the topology.
-type ResultCached interface {
-	ResultCache() ResultCache
-}
-
 // closeResultCache releases a result cache attached to a front, when
 // it holds resources to release — a tiered store drains its queued
 // write-behind peer fills here, which is what lets a short-lived batch
@@ -271,22 +264,17 @@ func closeResultCache(c ResultCache) error {
 	return nil
 }
 
-// ResultCacheOf walks ev for the result cache consulted on its
-// dispatch path: the front's own cache when it has one, otherwise the
-// first cache found among a Balancer's members. Nil when the topology
-// runs uncached.
+// ResultCacheOf returns the result cache consulted on ev's dispatch
+// path: the front's own, which is where remote.NewBackendWith attaches
+// it, so report builders find the tier's counters without knowing the
+// topology. Nil when the front runs uncached or is not an Engine or a
+// Balancer.
 func ResultCacheOf(ev Evaluator) ResultCache {
-	if rc, ok := ev.(ResultCached); ok {
-		if c := rc.ResultCache(); c != nil {
-			return c
-		}
-	}
-	if comp, ok := ev.(*Balancer); ok {
-		for i := 0; i < comp.Size(); i++ {
-			if c := ResultCacheOf(comp.Backend(i)); c != nil {
-				return c
-			}
-		}
+	switch f := ev.(type) {
+	case *Engine:
+		return f.ResultCache()
+	case *Balancer:
+		return f.ResultCache()
 	}
 	return nil
 }

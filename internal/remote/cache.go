@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -119,7 +117,7 @@ func scanCacheRows(r io.Reader, fn func(cacheRow) bool) error {
 	return sc.Err()
 }
 
-// CacheClient is the remote tier of the result cache: a rescache.Cache
+// CacheClient is the remote tier of the result cache: a rescache.Peer
 // whose store is another art9-serve instance's /v1/cache endpoints.
 // Every failure — dial, status, malformed row — degrades to a miss and
 // a PeerErrors tick, never an error: a dead cache peer means compute,
@@ -136,10 +134,7 @@ type CacheClient struct {
 	epochRejects atomic.Uint64
 }
 
-var (
-	_ rescache.Cache       = (*CacheClient)(nil)
-	_ rescache.BatchFiller = (*CacheClient)(nil)
-)
+var _ rescache.Peer = (*CacheClient)(nil)
 
 // NewCacheClientWith builds a cache client for one art9-serve base URL
 // pinned to one cache epoch: every exchange is stamped with it and every
@@ -147,18 +142,12 @@ var (
 // URL is validated eagerly like New, so a misconfigured fleet fails at
 // construction, not at the first lookup.
 func NewCacheClientWith(baseURL string, epoch uint64) (*CacheClient, error) {
-	u, err := url.Parse(strings.TrimSpace(baseURL))
+	base, err := parseBaseURL("cache peer url", baseURL)
 	if err != nil {
-		return nil, fmt.Errorf("remote: cache peer url %q: %w", baseURL, err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("remote: cache peer url %q: scheme must be http or https", baseURL)
-	}
-	if u.Host == "" {
-		return nil, fmt.Errorf("remote: cache peer url %q: missing host", baseURL)
+		return nil, err
 	}
 	return &CacheClient{
-		base:    strings.TrimRight(u.String(), "/"),
+		base:    base,
 		hc:      &http.Client{},
 		timeout: cacheOpTimeout,
 		epoch:   epoch,
@@ -228,18 +217,11 @@ func (c *CacheClient) Get(ctx context.Context, key string) ([]byte, bool) {
 	return val, true
 }
 
-// Put fills key on the peer, best-effort. Values that are not valid
-// JSON are dropped (the wire carries JSON rows), as is anything over
-// the per-row bound.
-func (c *CacheClient) Put(ctx context.Context, key string, val []byte) {
-	c.PutBatch(ctx, []rescache.Entry{{Key: key, Val: val}})
-}
-
-// PutBatch fills many entries in as few wire rounds as possible — one
-// POST per MaxCacheKeys chunk — which is how the write-behind
-// worker drains its queue. Entries the wire cannot carry (empty,
-// oversized, or non-JSON values) are skipped; a fill the server
-// rejects over an epoch disagreement is counted, not retried.
+// PutBatch fills entries on the peer, best-effort, in as few wire
+// rounds as possible — one POST per MaxCacheKeys chunk — which is how
+// the write-behind worker drains its queue. Entries the wire cannot
+// carry (empty, oversized, or non-JSON values) are skipped; a fill the
+// server rejects over an epoch disagreement is counted, not retried.
 func (c *CacheClient) PutBatch(ctx context.Context, entries []rescache.Entry) {
 	wire := make([]cacheFillEntry, 0, len(entries))
 	for _, e := range entries {
@@ -289,10 +271,6 @@ func (c *CacheClient) fill(ctx context.Context, chunk []cacheFillEntry) {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, maxRow))
 }
 
-// Epoch returns the cache epoch this client stamps onto every
-// exchange — the rescache.Epoched hook the Tiered store consults.
-func (c *CacheClient) Epoch() uint64 { return c.epoch }
-
 // Stats reports the remote-tier counters; occupancy lives on the peer.
 func (c *CacheClient) Stats() rescache.Stats {
 	return rescache.Stats{
@@ -337,7 +315,7 @@ type ResultCacheConfig struct {
 // local-only but keeps the same Stats shape.
 func NewResultCacheWith(cfg ResultCacheConfig) (*rescache.Tiered, error) {
 	local := rescache.NewLRU(cfg.MaxBytes, 0)
-	var peers []rescache.Cache
+	var peers []rescache.Peer
 	for _, p := range cfg.Peers {
 		cc, err := NewCacheClientWith(p, cfg.Epoch)
 		if err != nil {

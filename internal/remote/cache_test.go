@@ -84,7 +84,7 @@ func TestCacheClientRoundTrip(t *testing.T) {
 	if _, ok := c.Get(ctx, "k1"); ok {
 		t.Fatal("empty peer answered a lookup")
 	}
-	c.Put(ctx, "k1", []byte(`{"ok":true,"worker":-1}`))
+	c.PutBatch(ctx, []rescache.Entry{{Key: "k1", Val: []byte(`{"ok":true,"worker":-1}`)}})
 	v, ok := c.Get(ctx, "k1")
 	if !ok {
 		t.Fatal("filled key missed")
@@ -113,7 +113,7 @@ func TestCacheClientDegradesOnDeadAndOldPeers(t *testing.T) {
 	if _, ok := dead.Get(ctx, "k"); ok {
 		t.Fatal("dead peer answered a lookup")
 	}
-	dead.Put(ctx, "k", []byte(`{}`))
+	dead.PutBatch(ctx, []rescache.Entry{{Key: "k", Val: []byte(`{}`)}})
 	if st := dead.Stats(); st.PeerErrors != 2 {
 		t.Fatalf("stats %+v, want 2 peer errors", st)
 	}
@@ -129,9 +129,27 @@ func TestCacheClientDegradesOnDeadAndOldPeers(t *testing.T) {
 	if _, ok := oc.Get(ctx, "k"); ok {
 		t.Fatal("pre-cache peer answered a lookup")
 	}
-	oc.Put(ctx, "k", []byte(`{}`))
+	oc.PutBatch(ctx, []rescache.Entry{{Key: "k", Val: []byte(`{}`)}})
 	if st := oc.Stats(); st.PeerErrors != 0 || st.PeerMisses != 1 {
 		t.Fatalf("stats %+v, want a clean miss against a pre-cache peer", st)
+	}
+
+	// A peer predating the epoch field sends found rows with none: on
+	// any other epoch than 0 that is a standing miss and one epoch
+	// reject, never a replay of another generation's row.
+	preEpoch := newCachePeerStub()
+	preEpoch.store.Put(ctx, "k", []byte(`{"ok":true}`))
+	pre := httptest.NewServer(preEpoch)
+	defer pre.Close()
+	pc, err := NewCacheClientWith(pre.URL, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pc.Get(ctx, "k"); ok {
+		t.Fatal("an epoch-less found row answered an epoch-5 lookup")
+	}
+	if st := pc.Stats(); st.EpochRejects != 1 || st.PeerMisses != 1 || st.PeerHits != 0 || st.PeerErrors != 0 {
+		t.Fatalf("stats %+v, want 1 epoch reject / 1 peer miss", st)
 	}
 
 	// Garbage in the reply stream degrades to a miss, not a panic.

@@ -129,18 +129,12 @@ var (
 // "http://host:9009"). The URL is validated here so a misconfigured
 // fleet fails at construction, not first use.
 func New(baseURL string, opts ...Option) (*Client, error) {
-	u, err := url.Parse(strings.TrimSpace(baseURL))
+	base, err := parseBaseURL("peer url", baseURL)
 	if err != nil {
-		return nil, fmt.Errorf("remote: peer url %q: %w", baseURL, err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("remote: peer url %q: scheme must be http or https", baseURL)
-	}
-	if u.Host == "" {
-		return nil, fmt.Errorf("remote: peer url %q: missing host", baseURL)
+		return nil, err
 	}
 	c := &Client{
-		base:         strings.TrimRight(u.String(), "/"),
+		base:         base,
 		hc:           &http.Client{},
 		retries:      2,
 		retryDelay:   100 * time.Millisecond,
@@ -154,6 +148,22 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 
 // Peer returns the normalized base URL this client proxies to.
 func (c *Client) Peer() string { return c.base }
+
+// parseBaseURL validates an art9-serve base URL for either client and
+// returns it without a trailing slash; what names the URL in errors.
+func parseBaseURL(what, raw string) (string, error) {
+	u, err := url.Parse(strings.TrimSpace(raw))
+	if err != nil {
+		return "", fmt.Errorf("remote: %s %q: %w", what, raw, err)
+	}
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return "", fmt.Errorf("remote: %s %q: scheme must be http or https", what, raw)
+	}
+	if u.Host == "" {
+		return "", fmt.Errorf("remote: %s %q: missing host", what, raw)
+	}
+	return strings.TrimRight(u.String(), "/"), nil
+}
 
 // Close marks the client closed — subsequent batches resolve with
 // engine.ErrClosed — and releases idle connections. In-flight requests

@@ -9,27 +9,30 @@
 // imports nothing above the standard library and every layer of the
 // stack can depend on it without cycles.
 //
-// Two stores compose into the per-process tier:
+// One bounded recency index, Index, is the core of every cache in the
+// repo: the LRU store below and the engine's program and analysis
+// memos each keep their entries in one. Two stores compose into the
+// per-process tier:
 //
 //   - LRU — a bounded in-process store with byte and entry accounting.
-//   - Tiered — local-first lookup over an LRU plus remote peers (the
+//   - Tiered — local-first lookup over an LRU plus remote Peers (the
 //     /v1/cache clients from internal/remote), with a singleflight
 //     guard so a thundering herd of identical misses turns into one
 //     peer round-trip and one local fill.
 //
 // A Tiered store carries an epoch — the fleet-wide invalidation
 // generation. Hits and fills are only exchanged between members on the
-// same epoch; a mismatch degrades to a miss (or a dropped fill), never
-// an error, so bumping the epoch on part of a fleet empties the shared
-// tier without any member poisoning another. Peer fills are
-// write-behind: Put enqueues onto a bounded queue drained by one
-// background worker in batches, and Close drains what is queued (with
-// a deadline) so short-lived batch runs still seed their peers before
-// exit.
+// same epoch: a peer client stamps the epoch on every exchange and the
+// other side refuses a mismatch, which degrades to a miss (or a dropped
+// fill), never an error, so bumping the epoch on part of a fleet
+// empties the shared tier without any member poisoning another. Peer
+// fills are write-behind: Put enqueues onto a bounded queue drained by
+// one background worker in batches, and Close drains what is queued
+// (with a deadline) so short-lived batch runs still seed their peers
+// before exit.
 package rescache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -49,19 +52,21 @@ const DefaultMaxBytes = 64 << 20
 // passes 0 — a backstop against pathological tiny-value churn.
 const DefaultMaxEntries = 65536
 
-// Write-behind defaults for a Tiered store with peers. The queue bound
+// Write-behind bounds of a Tiered store with peers. The queue bound
 // is a backstop, not a throughput knob: under steady load the worker
 // drains batches far faster than the dispatch path enqueues single
 // rows, so a full queue means the peers are unreachable and dropping
 // fills (they are an optimization) is the right degradation.
 const (
-	// DefaultFillQueue is the bounded queue's capacity in entries.
-	DefaultFillQueue = 1024
-	// DefaultFillBatch is the most entries one peer round carries.
-	DefaultFillBatch = 64
-	// DefaultDrainTimeout bounds how long Close waits for the worker
-	// to deliver what is queued before cutting it off.
-	DefaultDrainTimeout = 5 * time.Second
+	// fillQueue is the bounded queue's capacity in entries; when it
+	// is full, Put drops the peer fill (the local store is always
+	// filled) and counts it.
+	fillQueue = 1024
+	// fillBatch is the most entries one peer round carries.
+	fillBatch = 64
+	// drainTimeout bounds how long Close waits for the worker to
+	// deliver what is queued before cutting it off.
+	drainTimeout = 5 * time.Second
 )
 
 // Stats is a point-in-time snapshot of a cache tier. Local counters
@@ -110,45 +115,25 @@ type Stats struct {
 	Corrupt uint64
 }
 
-// Cache is the contract every tier implements: Get/Put never fail (a
-// broken tier degrades to a miss) and Stats is safe to call
-// concurrently with either.
-//
-// Values are owned by the cache once Put and by the caller once
-// returned from Get; neither side may mutate a slice after handing it
-// over.
-type Cache interface {
-	Get(ctx context.Context, key string) ([]byte, bool)
-	Put(ctx context.Context, key string, val []byte)
-	Stats() Stats
-}
-
 // Entry is one key/value pair, the unit of a batched peer fill.
 type Entry struct {
 	Key string
 	Val []byte
 }
 
-// Deleter is the optional ability to evict a single entry. The codec
-// layer above the store (internal/bench) uses it to delete an entry
-// whose bytes fail to decode, so a corrupt write costs one miss
-// instead of re-failing on every lookup forever.
-type Deleter interface {
-	Delete(ctx context.Context, key string)
-}
-
-// BatchFiller is the optional ability to accept many fills in one
-// call. The write-behind worker prefers it — one wire round per batch
-// instead of one per entry — and falls back to Put per entry.
-type BatchFiller interface {
+// Peer is one remote member of a Tiered store: the /v1/cache client
+// from internal/remote, or a test's fake. Get and PutBatch never fail
+// (a broken peer degrades to a miss or a dropped fill) and Stats
+// reports the peer's transport and epoch counters; all three are safe
+// to call concurrently.
+//
+// Values are owned by the tier once handed to PutBatch and by the
+// caller once returned from Get; neither side may mutate a slice after
+// handing it over.
+type Peer interface {
+	Get(ctx context.Context, key string) ([]byte, bool)
 	PutBatch(ctx context.Context, entries []Entry)
-}
-
-// Epoched is the optional ability to report a cache epoch. A Tiered
-// store skips peers whose epoch differs from its own — both for
-// lookups and for fills — counting each skip in Stats.EpochRejects.
-type Epoched interface {
-	Epoch() uint64
+	Stats() Stats
 }
 
 // KeyOf derives a cache key from the parts of a content-addressed
@@ -165,27 +150,16 @@ func KeyOf(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// entry is one resident LRU value; cost is its accounted size.
-type entry struct {
-	key  string
-	val  []byte
-	cost int64
-}
-
-// LRU is the bounded in-process store: a map over a recency list with
-// byte and entry accounting, safe for concurrent use.
+// LRU is the bounded in-process store: an Index of values with byte
+// and entry accounting, safe for concurrent use.
 type LRU struct {
-	mu         sync.Mutex
-	m          map[string]*list.Element
-	order      *list.List // front = most recently used
-	maxBytes   int64
-	maxEntries int
-	bytes      int64
+	mu       sync.Mutex
+	idx      *Index[[]byte]
+	maxBytes int64
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	puts      atomic.Uint64
-	evictions atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	puts   atomic.Uint64
 }
 
 // NewLRU builds a bounded store. maxBytes 0 selects DefaultMaxBytes
@@ -198,26 +172,18 @@ func NewLRU(maxBytes int64, maxEntries int) *LRU {
 	if maxEntries == 0 {
 		maxEntries = DefaultMaxEntries
 	}
-	return &LRU{
-		m:          make(map[string]*list.Element),
-		order:      list.New(),
-		maxBytes:   maxBytes,
-		maxEntries: maxEntries,
-	}
+	return &LRU{idx: NewIndex[[]byte](maxEntries, maxBytes), maxBytes: maxBytes}
 }
 
 // Get returns the cached value and refreshes its recency.
 func (c *LRU) Get(_ context.Context, key string) ([]byte, bool) {
 	c.mu.Lock()
-	el, ok := c.m[key]
+	val, ok := c.idx.Get(key)
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	val := el.Value.(*entry).val
-	c.mu.Unlock()
 	c.hits.Add(1)
 	return val, true
 }
@@ -232,26 +198,7 @@ func (c *LRU) Put(_ context.Context, key string, val []byte) {
 		return
 	}
 	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes += cost - e.cost
-		e.val, e.cost = val, cost
-		c.order.MoveToFront(el)
-	} else {
-		c.m[key] = c.order.PushFront(&entry{key: key, val: val, cost: cost})
-		c.bytes += cost
-	}
-	for (c.maxBytes > 0 && c.bytes > c.maxBytes) ||
-		(c.maxEntries > 0 && c.order.Len() > c.maxEntries) {
-		el := c.order.Back()
-		if el == nil || c.order.Len() == 1 {
-			break // never evict the entry just stored
-		}
-		e := c.order.Remove(el).(*entry)
-		delete(c.m, e.key)
-		c.bytes -= e.cost
-		c.evictions.Add(1)
-	}
+	c.idx.Put(key, cost, val)
 	c.mu.Unlock()
 	c.puts.Add(1)
 }
@@ -261,24 +208,20 @@ func (c *LRU) Put(_ context.Context, key string, val []byte) {
 // not deliberate removals.
 func (c *LRU) Delete(_ context.Context, key string) {
 	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		e := c.order.Remove(el).(*entry)
-		delete(c.m, e.key)
-		c.bytes -= e.cost
-	}
+	c.idx.Delete(key)
 	c.mu.Unlock()
 }
 
 // Stats snapshots the store's counters.
 func (c *LRU) Stats() Stats {
 	c.mu.Lock()
-	entries, bytes := c.order.Len(), c.bytes
+	entries, bytes, evictions := c.idx.Len(), c.idx.Bytes(), c.idx.Evictions()
 	c.mu.Unlock()
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Puts:      c.puts.Load(),
-		Evictions: c.evictions.Load(),
+		Evictions: evictions,
 		Entries:   entries,
 		Bytes:     bytes,
 		MaxBytes:  c.maxBytes,
@@ -298,10 +241,10 @@ type flight struct {
 // store. Concurrent misses on the same key coalesce into a single
 // peer lookup (the singleflight guard), so a thundering herd of
 // identical jobs costs one round-trip. Peer fills are write-behind
-// (see TieredConfig); a tier with peers must be Closed to drain them.
+// (see Put); a tier with peers must be Closed to drain them.
 type Tiered struct {
-	local Cache
-	peers []Cache
+	local *LRU
+	peers []Peer
 	epoch uint64
 
 	mu      sync.Mutex
@@ -324,55 +267,39 @@ type Tiered struct {
 	peerMisses   atomic.Uint64
 	coalesced    atomic.Uint64
 	fillsDropped atomic.Uint64
-	epochRejects atomic.Uint64
 }
 
-// TieredConfig configures a tier. The zero value of every optional
-// field selects the package default.
+// TieredConfig configures a tier.
 type TieredConfig struct {
-	Local Cache
-	Peers []Cache
-	// Epoch is the tier's invalidation generation. Peers implementing
-	// Epoched are skipped (lookups and fills) when their epoch
-	// differs; the wire layer additionally stamps it onto every
-	// /v1/cache exchange.
+	Local *LRU
+	Peers []Peer
+	// Epoch is the tier's invalidation generation, reported in Stats.
+	// The peers enforce it: each /v1/cache client is built on the
+	// tier's epoch and stamps it onto every exchange.
 	Epoch uint64
-	// FillQueue bounds the write-behind queue in entries (0 →
-	// DefaultFillQueue). When full, Put drops the peer fill — the
-	// local store is always filled — and counts it.
-	FillQueue int
-	// FillBatch caps how many entries one peer round carries (0 →
-	// DefaultFillBatch).
-	FillBatch int
-	// DrainTimeout bounds how long Close waits for queued fills to
-	// reach the peers (0 → DefaultDrainTimeout).
-	DrainTimeout time.Duration
 }
 
 // NewTieredWith composes the local store and remote peers into one
-// Cache. With no peers it is a counting wrapper over local, so callers
+// tier. With no peers it is a counting wrapper over local, so callers
 // get one Stats shape regardless of topology; a tier with peers starts
 // one background worker, so Close it to drain and stop.
 func NewTieredWith(cfg TieredConfig) *Tiered {
+	return newTiered(cfg, fillQueue, fillBatch, drainTimeout)
+}
+
+// newTiered is NewTieredWith with the write-behind bounds given: the
+// queue's capacity, the entries one peer round carries, and how long
+// Close waits for the drain.
+func newTiered(cfg TieredConfig, queue, batch int, drain time.Duration) *Tiered {
 	t := &Tiered{
 		local:        cfg.Local,
 		peers:        cfg.Peers,
 		epoch:        cfg.Epoch,
 		flights:      make(map[string]*flight),
-		fillBatch:    cfg.FillBatch,
-		drainTimeout: cfg.DrainTimeout,
-	}
-	if t.fillBatch <= 0 {
-		t.fillBatch = DefaultFillBatch
-	}
-	if t.drainTimeout <= 0 {
-		t.drainTimeout = DefaultDrainTimeout
+		fillBatch:    batch,
+		drainTimeout: drain,
 	}
 	if len(t.peers) > 0 {
-		queue := cfg.FillQueue
-		if queue <= 0 {
-			queue = DefaultFillQueue
-		}
 		t.fills = make(chan Entry, queue)
 		t.workerDone = make(chan struct{})
 		ctx, cancel := context.WithCancel(context.Background())
@@ -385,18 +312,10 @@ func NewTieredWith(cfg TieredConfig) *Tiered {
 // Epoch returns the tier's invalidation generation.
 func (t *Tiered) Epoch() uint64 { return t.epoch }
 
-// Delete forwards to the local store when it supports deletion. Peers
-// are untouched: a corrupt local copy says nothing about theirs.
-func (t *Tiered) Delete(ctx context.Context, key string) {
-	if d, ok := t.local.(Deleter); ok {
-		d.Delete(ctx, key)
-	}
-}
-
 // Local returns the in-process store of the tier. The serve layer's
 // /v1/cache endpoints answer from it directly — never through the
 // tier — so two peers pointed at each other cannot loop a miss.
-func (t *Tiered) Local() Cache { return t.local }
+func (t *Tiered) Local() *LRU { return t.local }
 
 // Get answers from the local store, then from the peers; a peer hit
 // is filled into the local store before returning so the next lookup
@@ -439,10 +358,6 @@ func (t *Tiered) peerGet(ctx context.Context, key string) ([]byte, bool) {
 	t.mu.Unlock()
 
 	for _, p := range t.peers {
-		if ep, ok := p.(Epoched); ok && ep.Epoch() != t.epoch {
-			t.epochRejects.Add(1)
-			continue
-		}
 		if v, ok := p.Get(ctx, key); ok {
 			t.peerHits.Add(1)
 			t.local.Put(ctx, key, v)
@@ -515,9 +430,7 @@ func (t *Tiered) fillWorker(ctx context.Context) {
 	}
 }
 
-// flush delivers one batch to every peer: epoch-mismatched peers are
-// skipped (counted per entry in EpochRejects), BatchFillers get the
-// whole batch in one call, anything else gets one Put per entry. A
+// flush delivers one batch to every peer in one PutBatch each. A
 // cancelled ctx — the drain deadline firing — drops the batch instead
 // of blocking Close behind unreachable peers.
 func (t *Tiered) flush(ctx context.Context, batch []Entry) {
@@ -529,20 +442,7 @@ func (t *Tiered) flush(ctx context.Context, batch []Entry) {
 		if ctx.Err() != nil {
 			return
 		}
-		if ep, ok := p.(Epoched); ok && ep.Epoch() != t.epoch {
-			t.epochRejects.Add(uint64(len(batch)))
-			continue
-		}
-		if bf, ok := p.(BatchFiller); ok {
-			bf.PutBatch(ctx, batch)
-			continue
-		}
-		for _, e := range batch {
-			if ctx.Err() != nil {
-				return
-			}
-			p.Put(ctx, e.Key, e.Val)
-		}
+		p.PutBatch(ctx, batch)
 	}
 }
 
@@ -590,7 +490,6 @@ func (t *Tiered) Stats() Stats {
 		st.FillQueue = len(t.fills)
 	}
 	st.FillsDropped = t.fillsDropped.Load()
-	st.EpochRejects = t.epochRejects.Load()
 	for _, p := range t.peers {
 		ps := p.Stats()
 		st.PeerErrors += ps.PeerErrors

@@ -106,8 +106,8 @@ func TestLRUReplaceAdjustsBytes(t *testing.T) {
 	}
 }
 
-// countingCache records Get calls so tests can observe coalescing, and
-// can be gated to hold lookups open.
+// countingCache is a fake Peer: it records Get calls so tests can
+// observe coalescing, and can be gated to hold lookups open.
 type countingCache struct {
 	mu   sync.Mutex
 	m    map[string][]byte
@@ -131,10 +131,12 @@ func (c *countingCache) Get(ctx context.Context, key string) ([]byte, bool) {
 	return v, ok
 }
 
-func (c *countingCache) Put(ctx context.Context, key string, val []byte) {
+func (c *countingCache) PutBatch(ctx context.Context, entries []Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[key] = val
+	for _, e := range entries {
+		c.m[e.Key] = e.Val
+	}
 }
 
 func (c *countingCache) Stats() Stats { return Stats{PeerErrors: c.errs} }
@@ -151,9 +153,9 @@ func (c *countingCache) get(key string) ([]byte, bool) {
 func TestTieredPeerHitFillsLocal(t *testing.T) {
 	ctx := context.Background()
 	peer := newCountingCache()
-	peer.Put(ctx, "k", []byte("v"))
+	peer.m["k"] = []byte("v")
 	local := NewLRU(0, 0)
-	tier := NewTieredWith(TieredConfig{Local: local, Peers: []Cache{peer}})
+	tier := NewTieredWith(TieredConfig{Local: local, Peers: []Peer{peer}})
 
 	v, ok := tier.Get(ctx, "k")
 	if !ok || string(v) != "v" {
@@ -175,7 +177,7 @@ func TestTieredPeerHitFillsLocal(t *testing.T) {
 
 func TestTieredMissCountsOnce(t *testing.T) {
 	ctx := context.Background()
-	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{newCountingCache()}})
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Peer{newCountingCache()}})
 	if _, ok := tier.Get(ctx, "absent"); ok {
 		t.Fatal("hit on absent key")
 	}
@@ -190,7 +192,7 @@ func TestTieredPutFansOutToPeers(t *testing.T) {
 	// landed once Close's drain returns, not synchronously with Put.
 	ctx := context.Background()
 	p1, p2 := newCountingCache(), newCountingCache()
-	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{p1, p2}})
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Peer{p1, p2}})
 	tier.Put(ctx, "k", []byte("v"))
 	if err := tier.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -215,7 +217,7 @@ func TestTieredSingleflightCoalesces(t *testing.T) {
 	peer := newCountingCache()
 	peer.m["k"] = []byte("v")
 	peer.gate = make(chan struct{})
-	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{peer}})
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Peer{peer}})
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -251,7 +253,7 @@ func TestTieredSingleflightCoalesces(t *testing.T) {
 func TestTieredStatsSumsPeerErrors(t *testing.T) {
 	p1, p2 := newCountingCache(), newCountingCache()
 	p1.errs, p2.errs = 2, 3
-	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{p1, p2}})
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Peer{p1, p2}})
 	if st := tier.Stats(); st.PeerErrors != 5 {
 		t.Fatalf("peer errors = %d, want 5", st.PeerErrors)
 	}
@@ -271,76 +273,21 @@ func TestLRUDelete(t *testing.T) {
 	c.Delete(ctx, "absent") // must be a no-op, not a panic
 }
 
-// epochedCache wraps countingCache with a fixed epoch, standing in for
-// a /v1/cache client whose server runs a different generation.
-type epochedCache struct {
-	*countingCache
-	epoch uint64
-}
-
-func (c *epochedCache) Epoch() uint64 { return c.epoch }
-
-func TestTieredSkipsEpochMismatchedPeers(t *testing.T) {
-	ctx := context.Background()
-	stale := &epochedCache{countingCache: newCountingCache(), epoch: 1}
-	stale.m["k"] = []byte("stale")
-	fresh := &epochedCache{countingCache: newCountingCache(), epoch: 2}
-	fresh.m["k"] = []byte("fresh")
-	tier := NewTieredWith(TieredConfig{
-		Local: NewLRU(0, 0),
-		Peers: []Cache{stale, fresh},
-		Epoch: 2,
-	})
-	defer tier.Close()
-
-	v, ok := tier.Get(ctx, "k")
-	if !ok || string(v) != "fresh" {
-		t.Fatalf("Get = %q, %v; want fresh hit past the stale peer", v, ok)
-	}
-	if stale.gets.Load() != 0 {
-		t.Fatal("epoch-mismatched peer was queried")
-	}
-	if st := tier.Stats(); st.EpochRejects == 0 || st.Epoch != 2 {
-		t.Fatalf("stats = %+v; want EpochRejects > 0, Epoch 2", st)
-	}
-
-	// Fills skip the mismatched peer too.
-	tier.Put(ctx, "new", []byte("v"))
-	if err := tier.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, ok := stale.get("new"); ok {
-		t.Fatal("fill delivered to epoch-mismatched peer")
-	}
-	if _, ok := fresh.get("new"); !ok {
-		t.Fatal("fill not delivered to same-epoch peer")
-	}
-}
-
-// batchCache records PutBatch calls to prove the worker prefers the
-// batched path over per-entry Puts.
+// batchCache counts PutBatch calls to prove the worker batches fills.
 type batchCache struct {
 	*countingCache
 	batches atomic.Int64
-	puts    atomic.Int64
-}
-
-func (c *batchCache) Put(ctx context.Context, key string, val []byte) {
-	c.puts.Add(1)
-	c.countingCache.Put(ctx, key, val)
 }
 
 func (c *batchCache) PutBatch(ctx context.Context, entries []Entry) {
 	c.batches.Add(1)
-	for _, e := range entries {
-		c.countingCache.Put(ctx, e.Key, e.Val)
-	}
+	c.countingCache.PutBatch(ctx, entries)
 }
 
 func TestTieredFillWorkerBatches(t *testing.T) {
 	ctx := context.Background()
 	peer := &batchCache{countingCache: newCountingCache()}
-	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Cache{peer}})
+	tier := NewTieredWith(TieredConfig{Local: NewLRU(0, 0), Peers: []Peer{peer}})
 	const n = 32
 	for i := 0; i < n; i++ {
 		tier.Put(ctx, fmt.Sprintf("k%d", i), []byte("v"))
@@ -353,9 +300,6 @@ func TestTieredFillWorkerBatches(t *testing.T) {
 			t.Fatalf("entry k%d not delivered", i)
 		}
 	}
-	if peer.puts.Load() != 0 {
-		t.Fatalf("worker used %d per-entry Puts on a BatchFiller", peer.puts.Load())
-	}
 	if b := peer.batches.Load(); b < 1 || b > n {
 		t.Fatalf("batches = %d", b)
 	}
@@ -363,15 +307,10 @@ func TestTieredFillWorkerBatches(t *testing.T) {
 
 func TestTieredFullQueueDropsNotBlocks(t *testing.T) {
 	ctx := context.Background()
-	// Hold the worker inside a peer Put so the queue stays occupied.
+	// Hold the worker inside a peer fill so the queue stays occupied.
 	blocking := &gatedPutCache{countingCache: newCountingCache(), gate: make(chan struct{})}
-	tier := NewTieredWith(TieredConfig{
-		Local:     NewLRU(0, 0),
-		Peers:     []Cache{blocking},
-		FillQueue: 1,
-		FillBatch: 1,
-	})
-	// First put: worker picks it up and blocks in the peer's Put.
+	tier := newTiered(TieredConfig{Local: NewLRU(0, 0), Peers: []Peer{blocking}}, 1, 1, drainTimeout)
+	// First put: worker picks it up and blocks in the peer's fill.
 	tier.Put(ctx, "a", []byte("1"))
 	for blocking.started.Load() == 0 {
 		runtime.Gosched()
@@ -388,34 +327,29 @@ func TestTieredFullQueueDropsNotBlocks(t *testing.T) {
 	}
 }
 
-// gatedPutCache blocks Put until its gate closes, standing in for an
-// unreachable peer the write-behind worker is stuck on.
+// gatedPutCache blocks PutBatch until its gate closes, standing in for
+// an unreachable peer the write-behind worker is stuck on.
 type gatedPutCache struct {
 	*countingCache
 	gate    chan struct{}
 	started atomic.Int64
 }
 
-func (c *gatedPutCache) Put(ctx context.Context, key string, val []byte) {
+func (c *gatedPutCache) PutBatch(ctx context.Context, entries []Entry) {
 	c.started.Add(1)
 	select {
 	case <-c.gate:
 	case <-ctx.Done():
 		return
 	}
-	c.countingCache.Put(ctx, key, val)
+	c.countingCache.PutBatch(ctx, entries)
 }
 
 func TestTieredCloseDrainDeadline(t *testing.T) {
 	ctx := context.Background()
 	stuck := &gatedPutCache{countingCache: newCountingCache(), gate: make(chan struct{})}
 	defer close(stuck.gate)
-	tier := NewTieredWith(TieredConfig{
-		Local:        NewLRU(0, 0),
-		Peers:        []Cache{stuck},
-		FillBatch:    1,
-		DrainTimeout: 50 * time.Millisecond,
-	})
+	tier := newTiered(TieredConfig{Local: NewLRU(0, 0), Peers: []Peer{stuck}}, fillQueue, 1, 50*time.Millisecond)
 	tier.Put(ctx, "a", []byte("1"))
 	tier.Put(ctx, "b", []byte("2"))
 	done := make(chan error, 1)

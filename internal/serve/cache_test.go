@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/remote"
 	"repro/internal/rescache"
 	"repro/internal/xlate"
 )
@@ -120,6 +121,53 @@ func TestCacheRequestLimitsAndMethods(t *testing.T) {
 		if getResp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("GET %s status %d, want 405", path, getResp.StatusCode)
 		}
+	}
+}
+
+// TestCacheEpochContract pins the /v1/cache epoch contract between the
+// cache client and the server: a fill or a lookup stamped with another
+// epoch is refused and counted on both sides, and only a client on the
+// server's epoch fills and reads the store.
+func TestCacheEpochContract(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Cache: true, CacheEpoch: 7})
+	stale, err := remote.NewCacheClientWith(ts.URL, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := remote.NewCacheClientWith(ts.URL, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	row := []byte(`{"ok":true,"worker":-1}`)
+
+	stale.PutBatch(ctx, []rescache.Entry{{Key: "k", Val: row}})
+	if _, ok := s.cache.Local().Get(ctx, "k"); ok {
+		t.Fatal("an epoch-3 fill reached the epoch-7 store")
+	}
+	if st := stale.Stats(); st.EpochRejects != 1 {
+		t.Fatalf("epoch-3 client stats %+v, want 1 epoch reject", st)
+	}
+
+	fresh.PutBatch(ctx, []rescache.Entry{{Key: "k", Val: row}})
+	if v, ok := fresh.Get(ctx, "k"); !ok || !bytes.Equal(v, row) {
+		t.Fatalf("epoch-7 lookup = %q, %v; want the row it filled", v, ok)
+	}
+	if _, ok := stale.Get(ctx, "k"); ok {
+		t.Fatal("an epoch-3 lookup hit the epoch-7 store")
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats StatsReply
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if r := stats.Cache.Results; r == nil || r.Epoch != 7 || r.EpochRejects != 2 {
+		t.Fatalf("stats cache.results %+v, want epoch 7, epoch_rejects 2", r)
 	}
 }
 
@@ -238,7 +286,7 @@ func testFleetCacheSecondRunHits(t *testing.T, fill Config) {
 	}
 }
 
-// keyRecorder is a rescache.Cache that misses every lookup and records
+// keyRecorder is a rescache.Peer that misses every lookup and records
 // the key asked for, which is how a test learns a job's result key.
 type keyRecorder struct{ key string }
 
@@ -246,8 +294,8 @@ func (k *keyRecorder) Get(_ context.Context, key string) ([]byte, bool) {
 	k.key = key
 	return nil, false
 }
-func (k *keyRecorder) Put(context.Context, string, []byte) {}
-func (k *keyRecorder) Stats() rescache.Stats               { return rescache.Stats{} }
+func (k *keyRecorder) PutBatch(context.Context, []rescache.Entry) {}
+func (k *keyRecorder) Stats() rescache.Stats                      { return rescache.Stats{} }
 
 // TestStatsCountCorruptRows pins that /v1/stats reports the rows the
 // dispatch path found unusable: a non-OK row planted under a job's key
@@ -270,7 +318,9 @@ func TestStatsCountCorruptRows(t *testing.T) {
 	}
 	ctx := context.Background()
 	var rec keyRecorder
-	bench.NewResultCache(&rec).Lookup(ctx, jobs[0].Spec)
+	tier := rescache.NewTieredWith(rescache.TieredConfig{Local: rescache.NewLRU(0, 0), Peers: []rescache.Peer{&rec}})
+	defer tier.Close()
+	bench.NewResultCache(tier).Lookup(ctx, jobs[0].Spec)
 	if rec.key == "" {
 		t.Fatal("the job has no result key")
 	}

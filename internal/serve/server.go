@@ -115,7 +115,7 @@ func New(cfg Config) (*Server, error) {
 	// path fills, so what the backend computes, siblings can look up.
 	if rc, ok := engine.ResultCacheOf(backend).(*bench.ResultCache); ok {
 		s.results = rc
-		s.cache, _ = rc.Backing().(*rescache.Tiered)
+		s.cache = rc.Backing()
 	}
 	return s, nil
 }
@@ -314,25 +314,19 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrStatus(err), err)
 		return
 	}
-	techs, err := bench.Technologies(req.Technologies)
+	// The request is a one-job manifest, resolved as /v1/suite resolves
+	// one: the technologies and timeout ride the job spec, so a peer
+	// backend applies the same estimates and bounds the local path does.
+	m := bench.Manifest{Technologies: req.Technologies, Jobs: []bench.ManifestJob{req.ManifestJob}}
+	techs, err := m.ResolveTechnologies()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	wl, err := req.Resolve("") // dir "" forbids file jobs over HTTP
+	jobs, err := m.EngineJobs("", xlate.Options{}) // dir "" forbids file jobs
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	jobs := bench.SuiteJobs([]bench.Workload{wl})
-	// Forward the request's technologies and timeout on the job spec so
-	// a peer backend applies the same estimates and bounds the local
-	// path does.
-	spec := jobs[0].Spec.(*bench.JobSpec)
-	spec.Technologies = req.Technologies
-	spec.Job.TimeoutMS = req.TimeoutMS
-	if req.TimeoutMS > 0 {
-		jobs[0].Timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	bench.ApplyJobTimeout(jobs, s.jobTimeout)
 	results, _ := s.backend.Run(r.Context(), jobs)
@@ -467,17 +461,9 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	epoch := s.cache.Epoch()
-	if req.Epoch != epoch {
+	stale := req.Epoch != epoch
+	if stale {
 		s.cacheEpochRejects.Add(uint64(len(req.Keys)))
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		for _, k := range req.Keys {
-			if err := enc.Encode(remote.CacheRow{Key: k, Epoch: epoch}); err != nil {
-				return
-			}
-		}
-		return
 	}
 	local := s.cache.Local()
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -485,8 +471,8 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	for _, k := range req.Keys {
 		row := remote.CacheRow{Key: k, Epoch: epoch}
-		if v, ok := local.Get(r.Context(), k); ok {
-			row.Found, row.Value = true, v
+		if !stale {
+			row.Value, row.Found = local.Get(r.Context(), k)
 		}
 		if err := enc.Encode(row); err != nil {
 			return
