@@ -247,8 +247,9 @@ type (
 	BackendHealth = engine.BackendHealth
 	// Capacity is a backend's point-in-time load snapshot (live
 	// workers, busy, free, queue depth) — served by GET /v1/capacity,
-	// scraped by the Balancer's probe loop, and used to size chunked
-	// dispatch (New(WithPeers(...), WithChunk(n))).
+	// scraped from remote peers by the Balancer's probe loop, and used to
+	// size chunked dispatch to them (New(WithPeers(...), WithChunk(n))).
+	// In-process shards are not scraped: the Balancer counts their load.
 	Capacity = engine.Capacity
 	// Autoscaler is the scaling policy of an elastic pool: it grows and
 	// shrinks a Balancer's local shards between bounds — recruiting

@@ -556,7 +556,6 @@ func TestAutoscalerScalesDuringStream(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		ctx := context.Background()
 		for {
 			select {
 			case <-stop:
@@ -567,9 +566,6 @@ func TestAutoscalerScalesDuringStream(t *testing.T) {
 			b.Stats()
 			for i := 0; i < b.Size(); i++ {
 				b.Backend(i)
-			}
-			if _, err := b.Capacity(ctx); err != nil {
-				t.Errorf("Capacity: %v", err)
 			}
 			a.ScaleState()
 		}

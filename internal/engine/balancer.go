@@ -30,10 +30,10 @@ import (
 //     to Chunk (1 unless configured): it reserves slots on the healthy
 //     backend with the most free slots (ties rotate), bounded per
 //     backend by its local worker count (or Width for backends that
-//     report none, i.e. remote peers) and by its scraped free capacity,
-//     so a slow backend holds only the jobs it is actually running while
-//     the rest of the suite flows around it. Per-job dispatch is a chunk
-//     of one.
+//     report none, i.e. remote peers) and, on a remote peer, by the free
+//     capacity a probe round scraped from it, so a slow backend holds
+//     only the jobs it is actually running while the rest of the suite
+//     flows around it. Per-job dispatch is a chunk of one.
 //   - Failover: each job a chunk acknowledges resolves on arrival; a job
 //     whose result is a backend-level failure, or that a severed chunk
 //     left unresolved, is re-queued for another backend — bounded by
@@ -131,9 +131,10 @@ type member struct {
 	chunks       uint64 // chunks dispatched to this backend
 	chunkResumes uint64 // chunks severed here with unresolved jobs re-queued
 
-	// cap is the most recent capacity scrape (nil until the first one
-	// succeeds); chunk sizing and effective width read it so a busy
-	// peer sheds load before it wedges.
+	// cap is a remote member's most recent capacity scrape (nil until
+	// the first one succeeds, and on an in-process member, whose load is
+	// inflight); chunk sizing and effective width read it so a busy peer
+	// sheds load before it wedges.
 	cap        *Capacity
 	capScrapes uint64
 }
@@ -222,8 +223,9 @@ type BackendHealth struct {
 	// whose unresolved jobs were re-chunked onto other backends.
 	Chunks       uint64 `json:"chunks,omitempty"`
 	ChunkResumes uint64 `json:"chunk_resumes,omitempty"`
-	// Capacity is the backend's most recent scraped load snapshot (nil
-	// until a probe round's capacity query has succeeded);
+	// Capacity is a remote backend's most recent scraped load snapshot
+	// (nil until a probe round's capacity query has succeeded, and on
+	// in-process members, which are counted, not scraped);
 	// CapacityScrapes counts the successful scrapes.
 	Capacity        *Capacity `json:"capacity,omitempty"`
 	CapacityScrapes uint64    `json:"capacity_scrapes,omitempty"`
@@ -256,8 +258,9 @@ type BalancerOptions struct {
 	// for backends implementing ChunkDispatcher, one Run batch
 	// otherwise — with per-row acknowledgement, so a severed chunk
 	// re-dispatches only its unresolved jobs. Chunks are sized down by
-	// the backend's free slots and scraped live capacity. 0 (or
-	// negative) selects 1: per-job placement, each job its own chunk.
+	// the backend's free slots and, on a remote peer, by its scraped live
+	// capacity. 0 (or negative) selects 1: per-job placement, each job
+	// its own chunk.
 	Chunk int
 	// Cache, when set, is the fleet-wide result cache consulted before
 	// every placement: a hit short-circuits dispatch (the job never
@@ -995,11 +998,12 @@ func (b *Balancer) probe(ctx context.Context, m *member) {
 	}
 }
 
-// scrapeCapacity refreshes one live backend's capacity snapshot — the
-// probe round's second question, asked only after a clean liveness
-// verdict so a dead peer is not asked twice. A failed scrape keeps the
-// previous snapshot: stale capacity still beats the static width hint,
-// and liveness is the probe's verdict to give, not this one's.
+// scrapeCapacity refreshes one live remote backend's capacity snapshot
+// — the probe round's second question, asked only after a clean
+// liveness verdict so a dead peer is not asked twice. A failed scrape
+// keeps the previous snapshot: stale capacity still beats the static
+// width hint, and liveness is the probe's verdict to give, not this
+// one's.
 func (b *Balancer) scrapeCapacity(ctx context.Context, m *member) {
 	cr, ok := m.ev.(CapacityReporter)
 	if !ok {
@@ -1016,33 +1020,6 @@ func (b *Balancer) scrapeCapacity(ctx context.Context, m *member) {
 	m.capScrapes++
 	b.mu.Unlock()
 	b.cond.Broadcast()
-}
-
-// Capacity answers the CapacityReporter query from the balancer's
-// tracked state — the active members' most recent scrapes where one
-// exists, local counters otherwise — so nested balancers report fleet
-// capacity without a fresh network round.
-func (b *Balancer) Capacity(context.Context) (Capacity, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return Capacity{}, ErrClosed
-	}
-	var t Capacity
-	for _, m := range b.members {
-		if m.retired {
-			continue
-		}
-		c := CapacityFromStats(LocalStats(m.ev))
-		if m.cap != nil {
-			c = *m.cap
-		}
-		t.Workers += c.Workers
-		t.Busy += c.Busy
-		t.Free += c.Free
-		t.Queue += c.Queue
-	}
-	return t, nil
 }
 
 // Probe reports the balancer's own aggregate verdict — alive while any

@@ -736,3 +736,53 @@ func TestBalancerCapacitySizesChunks(t *testing.T) {
 		})
 	}
 }
+
+// TestBalancerCountsLocalMembers pins that an in-process member is
+// counted, not scraped: a probe round leaves a local engine's scorecard
+// without a capacity snapshot, and a probe taken while the engine was
+// busy does not shrink its later chunks — once it is idle again, 8 jobs
+// at Chunk 4 on its 4 workers ride 2 chunks.
+func TestBalancerCountsLocalMembers(t *testing.T) {
+	b := newBalancer(t, engine.BalancerOptions{Chunk: 4}, engine.New(engine.Options{Workers: 4}))
+	b.ProbeNow(context.Background())
+	if h := b.Health()[0]; h.Probes != 1 || h.Capacity != nil || h.CapacityScrapes != 0 {
+		t.Errorf("after a probe round the local member's scorecard is %+v, want one probe and no capacity snapshot", h)
+	}
+
+	// Probe while a chunk holds all four workers, then let it finish.
+	release := make(chan struct{})
+	started := make(chan struct{}, 4)
+	busy := make([]engine.Job, 4)
+	for i := range busy {
+		busy[i] = engine.Job{ID: fmt.Sprintf("busy%d", i), Fn: func(context.Context) (any, error) {
+			started <- struct{}{}
+			<-release
+			return nil, nil
+		}}
+	}
+	done := b.Stream(context.Background(), busy)
+	for range busy {
+		<-started
+	}
+	b.ProbeNow(context.Background())
+	close(release)
+	for r := range done {
+		if r.Err != nil {
+			t.Fatalf("job %s failed: %v", r.ID, r.Err)
+		}
+	}
+
+	before := b.Chunks()
+	rs, err := b.Run(context.Background(), scenariotest.Jobs(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		if r.Err != nil {
+			t.Fatalf("job %s failed: %v", r.ID, r.Err)
+		}
+	}
+	if got := b.Chunks() - before; got != 2 {
+		t.Errorf("8 jobs on the idle 4-worker engine rode %d chunks at Chunk 4, want 2", got)
+	}
+}

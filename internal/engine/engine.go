@@ -219,7 +219,8 @@ func (e *Engine) ResultCache() ResultCache { return e.cache }
 
 // Probe answers the Prober liveness check locally: a running pool is
 // healthy, a closed one reports ErrClosed so a Balancer stops routing
-// jobs at it.
+// jobs at it. A probe round is also what revives a running pool that a
+// job's own ErrUnavailable or ErrClosed error marked down.
 func (e *Engine) Probe(context.Context) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -227,15 +228,6 @@ func (e *Engine) Probe(context.Context) error {
 		return ErrClosed
 	}
 	return nil
-}
-
-// Capacity answers the CapacityReporter query from the pool's own
-// counters — no I/O, so a probe round over local backends stays cheap.
-func (e *Engine) Capacity(ctx context.Context) (Capacity, error) {
-	if err := e.Probe(ctx); err != nil {
-		return Capacity{}, err
-	}
-	return CapacityFromStats(e.Stats()), nil
 }
 
 // Close stops the workers. Jobs already executing finish, and workers

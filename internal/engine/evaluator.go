@@ -136,20 +136,15 @@ type Capacity struct {
 	Queue   int `json:"queue"`
 }
 
-// CapacityReporter is implemented by backends that can answer a cheap
-// capacity query: local backends derive it from their own counters, the
-// remote client scrapes the peer's /v1/capacity fast path. The
-// Balancer's probe loop folds the answer into BackendHealth and chunk
-// sizing; backends without one are dispatched by static width alone.
+// CapacityReporter is implemented by backends whose load the Balancer
+// cannot count itself because it lives in another process: the remote
+// client answers by scraping the peer's /v1/capacity fast path. The
+// Balancer's probe round folds the answer into BackendHealth and chunk
+// sizing. In-process members are not scraped: their free slots are
+// their worker count minus the jobs the Balancer has in flight there.
 type CapacityReporter interface {
 	Capacity(ctx context.Context) (Capacity, error)
 }
-
-// The local backends answer capacity from their own counters.
-var (
-	_ CapacityReporter = (*Engine)(nil)
-	_ CapacityReporter = (*Balancer)(nil)
-)
 
 // CapacityFromStats derives a Capacity snapshot from lifetime counters:
 // busy is the in-flight count (submitted minus every terminal verdict),

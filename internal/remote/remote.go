@@ -515,30 +515,39 @@ type ackRow struct {
 	Rows int    `json:"rows,omitempty"`
 }
 
+// ackLine is one line of the acknowledged stream as scanAckRows decodes
+// it: a result row beside the "ack" field, which a JobReport never
+// carries and an acknowledgement always does.
+type ackLine struct {
+	bench.JobReport
+	Ack string `json:"ack"`
+}
+
 // scanAckRows consumes the acknowledged NDJSON stream variant: result
 // rows go to onRow, acknowledgement rows to onAck, and either handler
-// returning false stops the scan cleanly. The row kind is detected by
-// the "ack" field, which a JobReport never carries. Blank lines are
-// skipped; a malformed or over-long line stops the scan with an error.
-// This is the client's one row parser, extracted so it can be fuzzed
-// directly against arbitrary peer bytes. The line buffer
-// starts at the scanner's 4 KiB and grows only as rows require, up to
-// maxRow: per-job dispatch sends one short acknowledged stream per job.
+// returning false stops the scan cleanly. Each line is decoded once, as
+// an ackLine, and an ack row again as an ackRow, whose own decode alone
+// decides whether it is malformed. Blank lines are skipped; a malformed
+// or over-long line stops the scan with an error. This is the client's
+// one row parser, extracted so it can be fuzzed directly against
+// arbitrary peer bytes. The line buffer starts at the scanner's 4 KiB
+// and grows only as rows require, up to maxRow: per-job dispatch sends
+// one short acknowledged stream per job.
 func scanAckRows(r io.Reader, onRow func(bench.JobReport) bool, onAck func(ackRow) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, maxRow)
+	// One ackLine serves the whole stream. It is cleared before each
+	// decode: Unmarshal keeps what a line leaves out, and would refill the
+	// Metrics and Implementations of a row already handed on.
+	var row ackLine
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
-			Ack string `json:"ack"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return fmt.Errorf("malformed NDJSON row %.80q: %w", line, err)
-		}
-		if probe.Ack != "" {
+		row = ackLine{}
+		err := json.Unmarshal(line, &row)
+		if row.Ack != "" {
 			var a ackRow
 			if err := json.Unmarshal(line, &a); err != nil {
 				return fmt.Errorf("malformed ack row %.80q: %w", line, err)
@@ -548,11 +557,10 @@ func scanAckRows(r io.Reader, onRow func(bench.JobReport) bool, onAck func(ackRo
 			}
 			continue
 		}
-		var jr bench.JobReport
-		if err := json.Unmarshal(line, &jr); err != nil {
+		if err != nil {
 			return fmt.Errorf("malformed NDJSON row %.80q: %w", line, err)
 		}
-		if !onRow(jr) {
+		if !onRow(row.JobReport) {
 			return nil
 		}
 	}

@@ -31,7 +31,10 @@ func NewVexRiscvModel() *VexRiscvModel {
 	return &VexRiscvModel{BranchPenalty: 2, MulExtra: 4, DivExtra: 33}
 }
 
-// Retire implements Observer.
+func (v *VexRiscvModel) attach(m *Machine) { m.vex = v }
+
+// Retire advances the model past one retired instruction, for a caller
+// that steps a program itself; taken reports a branch's outcome.
 func (v *VexRiscvModel) Retire(in Inst, taken bool, _ uint32) {
 	v.step(&opClasses[in.Op], in, taken)
 }
@@ -101,7 +104,11 @@ func NewPicoRV32Model() *PicoRV32Model {
 	}
 }
 
-// Retire implements Observer: it charges one instruction.
+func (p *PicoRV32Model) attach(m *Machine) { m.picos = append(m.picos, p) }
+
+// Retire charges one retired instruction, for a caller that steps a
+// program itself; taken reports a branch's outcome and shamt the
+// effective shift amount.
 func (p *PicoRV32Model) Retire(in Inst, taken bool, shamt uint32) {
 	var t tally
 	t.add(&opClasses[in.Op], taken, shamt)

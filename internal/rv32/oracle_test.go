@@ -7,12 +7,18 @@ import (
 )
 
 // This file is the reference the RV32 machine and its baseline cycle
-// models are held to: an instruction stepper that calls every attached
-// Observer once per retired instruction, and per-instruction VexRiscv and
-// PicoRV32 models. Machine runs in one loop that steps VexRiscvModel
+// models are held to: an instruction stepper that calls Retire on each of
+// its models once per retired instruction, and per-instruction VexRiscv
+// and PicoRV32 models. Machine runs in one loop that steps VexRiscvModel
 // inline and charges PicoRV32Model from counts when the run stops; the
 // tests here and FuzzRunVsReference hold that loop equal to this stepper
 // field for field.
+
+// retirer is a cycle model the reference stepper drives one retired
+// instruction at a time.
+type retirer interface {
+	Retire(in Inst, taken bool, shamt uint32)
+}
 
 // refMachine steps an RV32IM program one instruction per call.
 type refMachine struct {
@@ -25,7 +31,7 @@ type refMachine struct {
 
 	Retired, Loads, Stores, Taken, NotTkn uint64
 
-	observers []Observer
+	models []retirer
 }
 
 func (m *refMachine) load(addr uint32, size int, signed bool) (uint32, error) {
@@ -248,7 +254,7 @@ func (m *refMachine) Step() (done bool, err error) {
 }
 
 func (m *refMachine) notify(in Inst, taken bool, shamt uint32) {
-	for _, o := range m.observers {
+	for _, o := range m.models {
 		o.Retire(in, taken, shamt)
 	}
 }
@@ -383,9 +389,6 @@ type refOutcome struct {
 	Retired, Loads, Stores, Taken, NotTkn uint64
 	Err                                   string
 	Vex, Pico                             uint64
-	// Cycles of the observers the machine calls Retire on: the oracle
-	// models attached as foreign Observers, and a second VexRiscvModel.
-	ObsVex, ObsPico, SecondVex uint64
 }
 
 func (c refCase) models() (*VexRiscvModel, *PicoRV32Model) {
@@ -399,23 +402,15 @@ func (c refCase) models() (*VexRiscvModel, *PicoRV32Model) {
 	return vex, pico
 }
 
-// runMachine runs c on Machine with both built-in models attached, which
-// the loop drives natively, and beside them the oracle models as foreign
-// Observers and a second VexRiscvModel, which get a Retire call per
-// instruction.
+// runMachine runs c on Machine with one model of each kind attached.
 func (c refCase) runMachine() refOutcome {
 	m := NewMachine(c.RAMBytes)
 	if c.MaxSteps != 0 {
 		m.MaxSteps = c.MaxSteps
 	}
 	vex, pico := c.models()
-	second, _ := c.models()
-	obsVex, obsPico := refVexOf(vex), refPicoOf(pico)
 	m.Observe(vex)
 	m.Observe(pico)
-	m.Observe(second)
-	m.Observe(obsVex)
-	m.Observe(obsPico)
 	var o refOutcome
 	if err := m.Load(c.Prog); err != nil {
 		o.Err = err.Error()
@@ -434,7 +429,6 @@ func (c refCase) runMachine() refOutcome {
 	o.PC, o.X, o.RAM = m.PC, m.X, m.RAM
 	o.Retired, o.Loads, o.Stores, o.Taken, o.NotTkn = m.Retired, m.Loads, m.Stores, m.Taken, m.NotTkn
 	o.Vex, o.Pico = vex.TotalCycles(), pico.TotalCycles()
-	o.ObsVex, o.ObsPico, o.SecondVex = obsVex.TotalCycles(), obsPico.Cycles, second.TotalCycles()
 	return o
 }
 
@@ -446,7 +440,7 @@ func (c refCase) runReference() refOutcome {
 	if c.MaxSteps != 0 {
 		m.MaxSteps = c.MaxSteps
 	}
-	m.observers = []Observer{rv, rp}
+	m.models = []retirer{rv, rp}
 	var o refOutcome
 	if len(c.Prog.Data) > m.ramSize {
 		o.Err = fmt.Sprintf("rv32: data image %d bytes exceeds RAM %d", len(c.Prog.Data), m.ramSize)
@@ -467,7 +461,6 @@ func (c refCase) runReference() refOutcome {
 	o.PC, o.X, o.RAM = m.PC, m.X, m.RAM
 	o.Retired, o.Loads, o.Stores, o.Taken, o.NotTkn = m.Retired, m.Loads, m.Stores, m.Taken, m.NotTkn
 	o.Vex, o.Pico = rv.TotalCycles(), rp.Cycles
-	o.ObsVex, o.ObsPico, o.SecondVex = o.Vex, o.Pico, o.Vex
 	return o
 }
 
@@ -504,8 +497,8 @@ func checkAgainstReference(t testing.TB, name string, c refCase) refOutcome {
 }
 
 func (o refOutcome) summary() string {
-	return fmt.Sprintf("PC %#x retired %d loads %d stores %d taken %d not %d vex %d pico %d observers %d/%d/%d err %q",
-		o.PC, o.Retired, o.Loads, o.Stores, o.Taken, o.NotTkn, o.Vex, o.Pico, o.ObsVex, o.ObsPico, o.SecondVex, o.Err)
+	return fmt.Sprintf("PC %#x retired %d loads %d stores %d taken %d not %d vex %d pico %d err %q",
+		o.PC, o.Retired, o.Loads, o.Stores, o.Taken, o.NotTkn, o.Vex, o.Pico, o.Err)
 }
 
 // CheckAgainstReference lets the external tests, which see the benchmark
@@ -639,7 +632,7 @@ func TestModelCostsEditedBetweenRuns(t *testing.T) {
 
 	ref := &refMachine{ramSize: 1 << 12, MaxSteps: m.MaxSteps}
 	rv, rp := refVexOf(vex), refPicoOf(pico)
-	ref.observers = []Observer{rv, rp}
+	ref.models = []retirer{rv, rp}
 	runRef := func(p *Program) {
 		ref.Text, ref.RAM, ref.PC, ref.X = p.Insts, append(ref.RAM[:0], p.Data...), 0, [NumRegs]uint32{}
 		if err := ref.Run(); err != nil {

@@ -28,19 +28,16 @@ type Machine struct {
 	NotTkn  uint64
 
 	// The timing models attached via Observe: the run loop steps vex
-	// itself and charges picos when it stops; observers are the rest.
-	vex       *VexRiscvModel
-	picos     []*PicoRV32Model
-	observers []Observer
+	// itself and charges picos when it stops.
+	vex   *VexRiscvModel
+	picos []*PicoRV32Model
 }
 
-// Observer consumes the retired instruction stream for timing models.
+// Observer is a cycle model the run loop drives: a *VexRiscvModel or a
+// *PicoRV32Model, the two baseline cores of Tables II and III. A caller
+// that steps a program itself drives a model through its Retire method.
 type Observer interface {
-	// Retire is called for every architecturally retired instruction,
-	// after its register write-back. taken reports branch outcome; shamt
-	// the effective shift amount. The machine's PC and counters are
-	// written back only when a run stops.
-	Retire(in Inst, taken bool, shamt uint32)
+	attach(m *Machine)
 }
 
 // NewMachine builds a machine with ramBytes of data memory. Host memory
@@ -52,7 +49,7 @@ func NewMachine(ramBytes int) *Machine {
 // Load initialises the machine from an assembled program: RAM becomes the
 // data image alone, and the PC, registers and retirement statistics
 // restart from zero, so nothing of a previously loaded program survives.
-// Attached observers stay attached.
+// Attached models stay attached.
 func (m *Machine) Load(p *Program) error {
 	if len(p.Data) > m.ramSize {
 		return fmt.Errorf("rv32: data image %d bytes exceeds RAM %d", len(p.Data), m.ramSize)
@@ -65,24 +62,10 @@ func (m *Machine) Load(p *Program) error {
 	return nil
 }
 
-// Observe attaches a timing observer. The run loop drives the built-in
-// models without a call per instruction: it steps the first VexRiscvModel
-// attached through its concrete type and charges every PicoRV32Model when
-// a run stops. Any other Observer, a second VexRiscvModel included, gets a
-// Retire call per retired instruction.
-func (m *Machine) Observe(o Observer) {
-	switch o := o.(type) {
-	case *VexRiscvModel:
-		if m.vex == nil {
-			m.vex = o
-			return
-		}
-	case *PicoRV32Model:
-		m.picos = append(m.picos, o)
-		return
-	}
-	m.observers = append(m.observers, o)
-}
+// Observe attaches a cycle model. The run loop steps the VexRiscvModel
+// on every retired instruction, and a later one replaces an earlier one;
+// it charges every PicoRV32Model attached when a run stops.
+func (m *Machine) Observe(o Observer) { o.attach(m) }
 
 // Reg returns x[r].
 func (m *Machine) Reg(r Reg) uint32 { return m.X[r] }
@@ -148,8 +131,7 @@ func (m *Machine) Run() error {
 // Loads, Stores, Taken and NotTkn, and the cycles of every attached
 // PicoRV32Model, follow from it when the loop stops. The attached
 // VexRiscvModel, which needs its register scoreboard on every
-// instruction, is stepped in the loop through its concrete type; only a
-// foreign Observer gets a Retire call.
+// instruction, is stepped in the loop.
 func (m *Machine) run(budget int) (halted bool, err error) {
 	var t tally
 	text, x, pc, vex := m.Text, &m.X, m.PC, m.vex
@@ -320,7 +302,6 @@ loop:
 		if vex != nil {
 			vex.step(c, in, taken)
 		}
-		m.notify(in, taken, shamt)
 		if next == pc {
 			halted = true
 			break
@@ -337,10 +318,4 @@ loop:
 		p.charge(&t)
 	}
 	return halted, err
-}
-
-func (m *Machine) notify(in Inst, taken bool, shamt uint32) {
-	for _, o := range m.observers {
-		o.Retire(in, taken, shamt)
-	}
 }

@@ -395,6 +395,26 @@ func TestDualModelObservation(t *testing.T) {
 	}
 }
 
+// TestSecondVexRiscvModelReplacesFirst pins Observe's one VexRiscv slot:
+// a second VexRiscvModel attached replaces the first, so only the second
+// counts cycles.
+func TestSecondVexRiscvModelReplacesFirst(t *testing.T) {
+	m := NewMachine(1 << 12)
+	first, second := NewVexRiscvModel(), NewVexRiscvModel()
+	m.Observe(first)
+	m.Observe(second)
+	if err := m.Load(assemble(t, "li a0, 7\nadd a0, a0, a0\nebreak\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// li@1, add@4 (a0 ready 1+3), ebreak@5; +4 drain = 9.
+	if first.TotalCycles() != 0 || second.TotalCycles() != 9 {
+		t.Errorf("first model %d cycles, second %d; want 0 and 9", first.TotalCycles(), second.TotalCycles())
+	}
+}
+
 func TestARMv6MEstimator(t *testing.T) {
 	p := assemble(t, `
 		li t0, 5          # small imm: 1 halfword

@@ -142,7 +142,7 @@ func TestCacheEpochContract(t *testing.T) {
 	row := []byte(`{"ok":true,"worker":-1}`)
 
 	stale.PutBatch(ctx, []rescache.Entry{{Key: "k", Val: row}})
-	if _, ok := s.cache.Local().Get(ctx, "k"); ok {
+	if _, ok := s.results.Backing().Local().Get(ctx, "k"); ok {
 		t.Fatal("an epoch-3 fill reached the epoch-7 store")
 	}
 	if st := stale.Stats(); st.EpochRejects != 1 {
@@ -235,7 +235,7 @@ func testFleetCacheSecondRunHits(t *testing.T, fill Config) {
 	}
 	// A's dispatch path stored through its tier; its local store now
 	// holds both rows.
-	if st := sA.cache.Stats(); st.Puts != 2 {
+	if st := sA.results.Backing().Stats(); st.Puts != 2 {
 		t.Fatalf("instance A cache stats %+v, want 2 puts", st)
 	}
 
@@ -325,7 +325,7 @@ func TestStatsCountCorruptRows(t *testing.T) {
 		t.Fatal("the job has no result key")
 	}
 	planted, _ := json.Marshal(bench.JobReport{Name: "bubble", Error: "planted"})
-	s.cache.Local().Put(ctx, rec.key, planted)
+	s.results.Backing().Local().Put(ctx, rec.key, planted)
 
 	resp := postJSON(t, ts.URL+"/v1/suite", manifest)
 	io.Copy(io.Discard, resp.Body)

@@ -48,7 +48,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/remote"
-	"repro/internal/rescache"
 	"repro/internal/xlate"
 )
 
@@ -79,12 +78,11 @@ type Config = remote.BackendConfig
 type Server struct {
 	backend engine.Evaluator
 	peers   int
-	// results is the result cache on the backend's dispatch path, and
-	// cache the tier it wraps, whose Local() store /v1/cache/{lookup,fill}
-	// serve to siblings. Both nil when Config.Cache is off (the endpoints
-	// then 404, which cache clients treat as a standing miss).
+	// results is the result cache on the backend's dispatch path; the
+	// Local() store of the tier it wraps is what /v1/cache/{lookup,fill}
+	// serve to siblings. Nil when Config.Cache is off (the endpoints then
+	// 404, which cache clients treat as a standing miss).
 	results *bench.ResultCache
-	cache   *rescache.Tiered
 	// jobTimeout is Config.JobTimeout, stamped onto jobs that carry no
 	// bound of their own so the deadline rides the wire spec to peer
 	// backends — the engine option only covers local shards.
@@ -115,7 +113,6 @@ func New(cfg Config) (*Server, error) {
 	// path fills, so what the backend computes, siblings can look up.
 	if rc, ok := engine.ResultCacheOf(backend).(*bench.ResultCache); ok {
 		s.results = rc
-		s.cache = rc.Backing()
 	}
 	return s, nil
 }
@@ -157,7 +154,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/capacity", s.handleCapacity)
 	mux.HandleFunc("/v1/eval", s.handleEval)
 	mux.HandleFunc("/v1/suite", s.handleSuite)
-	if s.cache != nil {
+	if s.results != nil {
 		// Registered only when the cache is on: a cache-less instance
 		// answers 404, which remote cache clients count as a standing
 		// miss — mixed-version and mixed-config fleets stay healthy.
@@ -228,7 +225,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Shards:  s.Shards(),
 		Workers: engine.LocalStats(s.backend).Workers,
 		Peers:   s.peers,
-		Cache:   s.cache != nil,
+		Cache:   s.results != nil,
 	}
 	status := http.StatusOK
 	// A Balancer front answers with its tracked aggregate verdict — no
@@ -460,12 +457,13 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("cache lookup: %d keys exceeds the per-request limit of %d", len(req.Keys), maxCacheKeys))
 		return
 	}
-	epoch := s.cache.Epoch()
+	tier := s.results.Backing()
+	epoch := tier.Epoch()
 	stale := req.Epoch != epoch
 	if stale {
 		s.cacheEpochRejects.Add(uint64(len(req.Keys)))
 	}
-	local := s.cache.Local()
+	local := tier.Local()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
@@ -503,13 +501,14 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("cache fill: %d entries exceeds the per-request limit of %d", len(req.Entries), maxCacheKeys))
 		return
 	}
-	epoch := s.cache.Epoch()
+	tier := s.results.Backing()
+	epoch := tier.Epoch()
 	if req.Epoch != epoch {
 		s.cacheEpochRejects.Add(uint64(len(req.Entries)))
 		writeJSON(w, http.StatusOK, remote.CacheFillReply{Rejected: len(req.Entries), Epoch: epoch})
 		return
 	}
-	local := s.cache.Local()
+	local := tier.Local()
 	stored := 0
 	for _, e := range req.Entries {
 		if e.Key == "" || len(e.Value) == 0 || len(e.Value) > remote.MaxCacheValue || !json.Valid(e.Value) {
